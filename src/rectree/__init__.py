@@ -39,7 +39,6 @@ from .tree import (
     CellId,
     OuterLeafPartition,
     Subtree,
-    TreeConfig,
     children,
     locate,
     outer_leaves,

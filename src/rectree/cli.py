@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from . import kernels
 from .datagen import (
     GeneratorSpec,
     normalize,
@@ -91,18 +92,18 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _apply_config(args, parser_defaults: dict) -> None:
-    """Fill args from a JSON config for every flag still at its default."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, encoding="utf-8") as fh:
+def _config_flags(path) -> list[str]:
+    """A JSON config as command-line flags, so argparse types and checks every value."""
+    with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    flags = []
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise SystemExit(f"unknown config key {key!r}")
-        if getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not None and value is not False:
+            flags += [flag, str(value)]
+    return flags
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
@@ -136,17 +137,11 @@ def _cmd_encode(args) -> int:
     if data.dim != q.dim:
         raise SystemExit(f"data dim {data.dim} != codebook dim {q.dim}")
     depths, codes = q.assign(data.points)
-    from . import kernels
-
-    rows = []
-    for depth in sorted(set(int(d) for d in depths)):
-        sel = depths == depth
-        idx = kernels.morton_decode(codes[sel], depth, q.dim)
-        block = np.column_stack([np.full(int(sel.sum()), depth, dtype=np.int64), idx])
-        rows.append((np.flatnonzero(sel), block))
     out = np.empty((data.n, 1 + q.dim), dtype=np.int64)
-    for where, block in rows:
-        out[where] = block
+    out[:, 0] = depths
+    for depth in np.unique(depths).tolist():
+        sel = depths == depth
+        out[sel, 1:] = kernels.morton_decode(codes[sel], depth, q.dim)
     header = ["depth"] + [f"k{j}" for j in range(q.dim)]
     write_csv(args.output, header, out.tolist())
     print(f"encode: {data.n} points -> {args.output}")
@@ -201,8 +196,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_rate_experiment(args, defaults) -> int:
-    _apply_config(args, defaults)
+def _cmd_rate_experiment(args) -> int:
     spec = _generator_from_args(args)
     if args.theoretical_constant:
         constant = RateSchedule.with_theoretical_constant(1 << args.dim).threshold_constant
@@ -232,8 +226,7 @@ def _uniform_grid_atoms(count: int, dim: int) -> DiscreteDistribution:
     return DiscreteDistribution(pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
 
 
-def _cmd_approx_trend(args, defaults) -> int:
-    _apply_config(args, defaults)
+def _cmd_approx_trend(args) -> int:
     if args.atoms_csv:
         raw = read_points_csv(args.atoms_csv)
         if args.weighted:
@@ -248,8 +241,7 @@ def _cmd_approx_trend(args, defaults) -> int:
     return 0
 
 
-def _cmd_baseline(args, defaults) -> int:
-    _apply_config(args, defaults)
+def _cmd_baseline(args) -> int:
     spec = _generator_from_args(args)
     rows = run_baseline_comparison(
         spec,
@@ -292,27 +284,32 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("fit", help="fit a quantizer at one threshold")
+    p.set_defaults(run=_cmd_fit)
     add_data_flags(p)
     p.add_argument("--eta", type=float, required=True)
     _add_schedule_flags(p)
     p.add_argument("--output", required=True, help="codebook JSON path")
 
     p = sub.add_parser("encode", help="map points to leaf cell ids")
+    p.set_defaults(run=_cmd_encode)
     p.add_argument("--codebook", required=True)
     add_data_flags(p)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("decode", help="map leaf cell ids to code vectors")
+    p.set_defaults(run=_cmd_decode)
     p.add_argument("--codebook", required=True)
     p.add_argument("--ids", required=True, help="CSV from the encode subcommand")
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("distortion", help="mean squared reconstruction error")
+    p.set_defaults(run=_cmd_distortion)
     p.add_argument("--codebook", required=True)
     add_data_flags(p)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("sweep", help="quantizers over a list of thresholds")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--data", help="dataset file; alternative to --generator")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--generator", choices=["uniform_cube", "density_cube", "circle", "sphere", "swiss_roll"])
@@ -326,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("rate-experiment", help="distortion vs n with the eta_n schedule")
+    p.set_defaults(run=_cmd_rate_experiment)
     p.add_argument("--config", help="JSON config; flags override")
     p.add_argument("--generator", default="uniform_cube",
                    choices=["uniform_cube", "density_cube", "circle", "sphere", "swiss_roll"])
@@ -339,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("approx-trend", help="exact oracle approximation error vs eta")
+    p.set_defaults(run=_cmd_approx_trend)
     p.add_argument("--config", help="JSON config; flags override")
     p.add_argument("--uniform-atoms", type=int, default=4096)
     p.add_argument("--dim", type=int, default=1)
@@ -349,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("baseline", help="tree vs k-means at matched codebook sizes")
+    p.set_defaults(run=_cmd_baseline)
     p.add_argument("--config", help="JSON config; flags override")
     p.add_argument("--generator", default="uniform_cube",
                    choices=["uniform_cube", "density_cube", "circle", "sphere", "swiss_roll"])
@@ -362,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("sample", help="materialize a synthetic dataset")
+    p.set_defaults(run=_cmd_sample)
     p.add_argument("--generator", required=True,
                    choices=["uniform_cube", "density_cube", "circle", "sphere", "swiss_roll"])
     p.add_argument("--dim", type=int, required=True)
@@ -375,35 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    defaults = {
-        action.dest: action.default
-        for sp in parser._subparsers._group_actions
-        for action in sp.choices[args.command]._actions
-    }
     try:
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "encode":
-            return _cmd_encode(args)
-        if args.command == "decode":
-            return _cmd_decode(args)
-        if args.command == "distortion":
-            return _cmd_distortion(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "rate-experiment":
-            return _cmd_rate_experiment(args, defaults)
-        if args.command == "approx-trend":
-            return _cmd_approx_trend(args, defaults)
-        if args.command == "baseline":
-            return _cmd_baseline(args, defaults)
-        if args.command == "sample":
-            return _cmd_sample(args)
+        if getattr(args, "config", None):
+            # Config flags go first, so explicit flags after them win.
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        return args.run(args)
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -32,16 +32,16 @@ import numpy as np
 from . import kernels
 from .errors import CapTooSmallError, DepthCapError, DomainError
 from .stats import Dataset
-from .reconstruction import Quantizer
+from .reconstruction import Quantizer, quantizer_from_stats
 from .tree import (
     CellId,
     Subtree,
     cell_to_code,
-    code_to_cell,
+    cells_from_codes,
     cube_center,
     default_max_depth,
     outer_leaves,
-    smallest_subtree,
+    subtree_codes,
 )
 
 
@@ -85,12 +85,6 @@ class DiscreteDistribution:
     @property
     def n_atoms(self) -> int:
         return self.points.shape[0]
-
-    @classmethod
-    def from_atoms(cls, atoms) -> "DiscreteDistribution":
-        pts = np.array([p for p, _ in atoms], dtype=np.float64)
-        w = np.array([wt for _, wt in atoms], dtype=np.float64)
-        return cls(pts, w)
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "DiscreteDistribution":
@@ -159,15 +153,8 @@ class OracleTable:
         return self.lookup(cell)
 
     def cells(self, depth: int):
-        lv = self.level(depth)
-        for row in range(lv.codes.shape[0]):
-            cell = code_to_cell(depth, int(lv.codes[row]), self.dim)
-            yield cell, OracleCell(
-                float(lv.masses[row]),
-                lv.centers[row].copy(),
-                float(lv.errors[row]),
-                float(lv.gains[row]),
-            )
+        for cell in cells_from_codes(depth, self.level(depth).codes, self.dim):
+            yield cell, self.lookup(cell)
 
 
 def _weighted_level(points, weights, codes) -> _OracleLevel:
@@ -227,15 +214,6 @@ def oracle_stats(dist: DiscreteDistribution, depth_cap: int | None = None) -> Or
     return OracleTable(dim=dist.dim, depth_cap=cap, isolation=iso, _levels=levels)
 
 
-def _marked_cells(table: OracleTable, eta: float) -> list[CellId]:
-    marked = []
-    for depth in range(table.depth_cap + 1):
-        lv = table.level(depth)
-        for code in lv.codes[lv.gains >= eta]:
-            marked.append(code_to_cell(depth, int(code), table.dim))
-    return marked
-
-
 def subtree_from_table(table: OracleTable, eta: float) -> Subtree:
     """Ancestor closure of all cells with gain >= eta; {root} when none.
 
@@ -253,14 +231,13 @@ def subtree_from_table(table: OracleTable, eta: float) -> Subtree:
             f"depth_cap {cap} cannot certify the subtree at eta={eta}: atoms only "
             f"separate at depth {table.isolation}"
         )
-    marked = _marked_cells(table, eta)
-    deepest = max((c.depth for c in marked), default=-1)
-    if deepest == cap:
+    marked = {d: table.level(d).codes[table.level(d).gains >= eta] for d in range(cap + 1)}
+    if marked[cap].size:
         raise CapTooSmallError(
             f"cell with gain >= {eta} found at depth_cap {cap}; "
             "deeper selected cells may exist, raise the cap"
         )
-    return smallest_subtree(marked, dim=table.dim)
+    return Subtree.from_codes(subtree_codes(marked, table.dim), table.dim)
 
 
 def oracle_subtree(
@@ -270,13 +247,13 @@ def oracle_subtree(
 
 
 def quantizer_from_table(table: OracleTable, eta: float) -> Quantizer:
-    """The population quantizer: outer leaves with centers of mass as codes."""
-    leaves = outer_leaves(subtree_from_table(table, eta))
-    codebook = {}
-    for cell in leaves:
-        entry = table.lookup(cell)
-        codebook[cell] = entry.center if entry.mass > 0 else cube_center(cell)
-    return Quantizer(leaves, codebook, eta, table.depth_cap)
+    """The population quantizer: outer leaves with centers of mass as codes.
+
+    The table has the level layout of a :class:`StatsTable`, so the
+    empirical extraction applies once the cap is known to certify the subtree.
+    """
+    subtree_from_table(table, eta)
+    return quantizer_from_stats(table, eta)
 
 
 def oracle_quantizer(

@@ -8,6 +8,11 @@ quantizer is the outer-leaf partition of that subtree with one code vector
 per leaf: the leaf's center of mass when it saw training data, the cube
 center otherwise (so decoding is total).
 
+The path runs on sorted Morton-code arrays, one per depth, and a
+:class:`Quantizer` holds per-depth (leaf codes, code vectors) tables.
+``CellId`` appears only at the boundary: :func:`threshold_subtree`,
+:func:`encode`, :func:`decode` and the ``leaves``/``codebook`` views.
+
 The data-driven run couples the threshold and the truncation depth to the
 sample size n:
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,16 +42,17 @@ import numpy as np
 from . import kernels
 from .errors import DepthCapError, DomainError
 from .stats import Dataset, StatsTable, build_stats
+# outer_leaves and smallest_subtree are bound here for tracers that wrap them by name.
 from .tree import (
     CellId,
-    OuterLeafPartition,
     Subtree,
     cell_to_code,
-    code_to_cell,
-    cube_center,
+    cells_from_codes,
     default_max_depth,
+    outer_leaf_codes,
     outer_leaves,
     smallest_subtree,
+    subtree_codes,
 )
 
 CODEBOOK_FORMAT = "rectree-codebook"
@@ -92,6 +99,15 @@ class RateSchedule:
         return math.sqrt((self.gamma + self.beta) * math.log(n) / (self.threshold_constant * n))
 
 
+def _subtree_levels(stats: StatsTable, eta: float, depth_cap: int | None) -> list[np.ndarray]:
+    """Sorted subtree codes per depth: the closure of codes[gains >= eta], depth < cap."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    cap = stats.depth_cap if depth_cap is None else min(depth_cap, stats.depth_cap)
+    marked = {d: stats.level(d).codes[stats.level(d).gains >= eta] for d in range(cap)}
+    return subtree_codes(marked, stats.dim)
+
+
 def threshold_subtree(stats: StatsTable, eta: float, depth_cap: int | None = None) -> Subtree:
     """Smallest subtree containing every cell with gain >= eta.
 
@@ -99,73 +115,63 @@ def threshold_subtree(stats: StatsTable, eta: float, depth_cap: int | None = Non
     statistics one level down, so the deepest measurable candidates sit
     one level above the cap.  Returns {root} when no cell qualifies.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    cap = stats.depth_cap if depth_cap is None else min(depth_cap, stats.depth_cap)
-    marked: list[CellId] = []
-    for depth in range(cap):
-        lv = stats.level(depth)
-        if lv.gains is None:
-            continue
-        for code in lv.codes[lv.gains >= eta]:
-            marked.append(code_to_cell(depth, int(code), stats.dim))
-    return smallest_subtree(marked, dim=stats.dim)
+    return Subtree.from_codes(_subtree_levels(stats, eta, depth_cap), stats.dim)
 
 
 @dataclass
 class Quantizer:
-    """A finite outer-leaf partition plus one code vector per leaf."""
+    """An outer-leaf partition with one code vector per leaf.
 
-    leaves: OuterLeafPartition
-    codebook: dict[CellId, np.ndarray]
+    Held as tables, ascending in depth: depth -> (sorted Morton codes of the
+    leaves, aligned (m, dim) code vectors); ``codebook`` and ``leaves`` are
+    views keyed by ``CellId``.
+    """
+
+    dim: int
+    _tables: dict[int, tuple[np.ndarray, np.ndarray]] = field(repr=False)
     threshold: float
     depth_cap: int
     gamma: float | None = None
     beta: float | None = None
-    _tables: dict[int, tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        missing = set(self.leaves) ^ set(self.codebook)
-        if missing:
-            raise ValueError(f"leaves and codebook disagree on {sorted(missing)[:3]}")
-
-    @property
-    def dim(self) -> int:
-        return self.leaves.dim
 
     def tables(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per-depth (sorted Morton codes, aligned code-vector matrix)."""
-        if self._tables is None:
-            by_depth: dict[int, list[CellId]] = {}
-            for cell in self.leaves:
-                by_depth.setdefault(cell.depth, []).append(cell)
-            tables = {}
-            for depth, cells in by_depth.items():
-                codes = np.array([cell_to_code(c) for c in cells], dtype=np.int64)
-                order = np.argsort(codes)
-                vectors = np.array([self.codebook[cells[i]] for i in order])
-                tables[depth] = (codes[order], vectors)
-            self._tables = dict(sorted(tables.items()))
         return self._tables
 
+    @property
+    def codebook(self) -> "Codebook":
+        return Codebook(self)
+
+    @property
+    def leaves(self):
+        """The leaves as a set of CellIds; ``len`` costs one step per depth."""
+        return self.codebook.keys()
+
     def assign(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf (depth, Morton code) per point, descending depth by depth."""
+        """Leaf (depth, Morton code) per point, descending depth by depth.
+
+        One encode at the deepest leaf depth m serves every depth d, since
+        floor(x 2**m) >> (m - d) == floor(x 2**d).
+        """
         points = np.ascontiguousarray(points, dtype=np.float64)
         n = points.shape[0]
+        deepest = max(self._tables)
+        deep = kernels.morton_encode(points, deepest)
         depths = np.full(n, -1, dtype=np.int64)
         codes = np.zeros(n, dtype=np.int64)
-        for depth, (leaf_codes, _) in self.tables().items():
-            open_rows = np.flatnonzero(depths < 0)
+        open_rows = np.arange(n)
+        for depth, (leaf_codes, _) in self._tables.items():
             if open_rows.size == 0:
                 break
-            cand = kernels.morton_encode(points[open_rows], depth)
+            cand = deep[open_rows] >> (self.dim * (deepest - depth))
             pos = np.searchsorted(leaf_codes, cand)
             pos[pos == leaf_codes.shape[0]] = 0
             hit = leaf_codes[pos] == cand
             rows = open_rows[hit]
             depths[rows] = depth
             codes[rows] = cand[hit]
-        if np.any(depths < 0):
+            open_rows = open_rows[~hit]
+        if open_rows.size:
             raise DomainError("some points were not covered by any leaf")
         return depths, codes
 
@@ -180,6 +186,29 @@ class Quantizer:
         return out
 
 
+class Codebook(Mapping):
+    """Leaf CellId -> code vector, read from a quantizer's tables on demand."""
+
+    def __init__(self, quantizer: Quantizer):
+        self._tables, self._dim = quantizer.tables(), quantizer.dim
+
+    def __getitem__(self, cell: CellId) -> np.ndarray:
+        codes, vectors = self._tables.get(getattr(cell, "depth", None), (None, None))
+        if codes is not None and cell.dim == self._dim:
+            code = cell_to_code(cell)
+            row = int(np.searchsorted(codes, code))
+            if row < codes.shape[0] and codes[row] == code:
+                return vectors[row]
+        raise KeyError(cell)
+
+    def __iter__(self):
+        for depth, (codes, _) in self._tables.items():
+            yield from cells_from_codes(depth, codes, self._dim)
+
+    def __len__(self) -> int:
+        return sum(codes.shape[0] for codes, _ in self._tables.values())
+
+
 def quantizer_from_stats(
     stats: StatsTable,
     eta: float,
@@ -189,13 +218,19 @@ def quantizer_from_stats(
 ) -> Quantizer:
     """Threshold, take outer leaves, and attach code vectors."""
     cap = stats.depth_cap if depth_cap is None else depth_cap
-    subtree = threshold_subtree(stats, eta, cap)
-    leaves = outer_leaves(subtree)
-    codebook = {}
-    for cell in leaves:
-        entry = stats.lookup(cell)
-        codebook[cell] = entry.center if entry.count > 0 else cube_center(cell)
-    return Quantizer(leaves, codebook, eta, cap, gamma, beta)
+    tables = {}
+    for depth, codes in outer_leaf_codes(_subtree_levels(stats, eta, cap), stats.dim).items():
+        lv = stats.level(depth)
+        rows = np.searchsorted(lv.codes, codes)
+        rows[rows == lv.codes.shape[0]] = 0
+        stored = lv.codes[rows] == codes
+        vectors = np.empty((codes.shape[0], stats.dim))
+        vectors[stored] = lv.centers[rows[stored]]
+        # Empty leaves get their cube center, by the arithmetic of tree.cube_center.
+        empty = kernels.morton_decode(codes[~stored], depth, stats.dim)
+        vectors[~stored] = (empty + 0.5) * 2.0 ** (-depth)
+        tables[depth] = (codes, vectors)
+    return Quantizer(stats.dim, tables, eta, cap, gamma, beta)
 
 
 def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:
@@ -249,7 +284,7 @@ def encode(q: Quantizer, point) -> CellId:
     if not np.all(np.isfinite(pt)) or np.any(pt < 0.0) or np.any(pt >= 1.0):
         raise DomainError(f"point {pt.tolist()} outside [0, 1)^{pt.shape[0]}")
     depths, codes = q.assign(pt[None, :])
-    return code_to_cell(int(depths[0]), int(codes[0]), q.dim)
+    return cells_from_codes(int(depths[0]), codes, q.dim)[0]
 
 
 def decode(q: Quantizer, cell: CellId) -> np.ndarray:
@@ -267,12 +302,17 @@ def empirical_distortion(q: Quantizer, data: Dataset) -> float:
 
 
 def save_codebook(q: Quantizer, path) -> None:
-    """Write the versioned JSON codebook.
+    """Write the versioned JSON codebook, leaves sorted by (depth, index).
 
     Integer fields round-trip bit-exactly; code vectors use the shortest
     decimal representation that parses back to the same binary double.
     """
-    leaves = sorted(q.leaves, key=lambda c: (c.depth, c.index))
+    leaves = []
+    for depth, (codes, vectors) in q.tables().items():
+        index = kernels.morton_decode(codes, depth, q.dim)
+        order = np.lexsort(index.T[::-1])
+        rows = zip(index[order].tolist(), vectors[order].tolist())
+        leaves += [{"depth": depth, "index": k, "code": c} for k, c in rows]
     doc = {
         "format": CODEBOOK_FORMAT,
         "version": CODEBOOK_VERSION,
@@ -281,14 +321,7 @@ def save_codebook(q: Quantizer, path) -> None:
         "gamma": q.gamma,
         "beta": q.beta,
         "depth_cap": q.depth_cap,
-        "leaves": [
-            {
-                "depth": cell.depth,
-                "index": list(cell.index),
-                "code": [float(v) for v in q.codebook[cell]],
-            }
-            for cell in leaves
-        ],
+        "leaves": leaves,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -296,28 +329,59 @@ def save_codebook(q: Quantizer, path) -> None:
 
 
 def load_codebook(path) -> Quantizer:
+    """Read a codebook; ValueError unless it is well formed and its leaves tile the cube.
+
+    In Morton order a depth-d leaf is the run [c, c + 1) << dim (m - d) of
+    depth-m codes, so the leaves tile the cube exactly when their runs,
+    sorted, abut from 0 to 2**(dim m): no duplicate, no leaf inside
+    another, and volumes summing to the whole cube.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != CODEBOOK_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CODEBOOK_FORMAT:
         raise ValueError(f"not a codebook file: {path}")
     if doc.get("version") != CODEBOOK_VERSION:
         raise ValueError(f"unsupported codebook version {doc.get('version')}")
-    dim = int(doc["dim"])
-    codebook = {}
-    for row in doc["leaves"]:
-        cell = CellId(int(row["depth"]), tuple(int(k) for k in row["index"]))
-        vec = np.asarray(row["code"], dtype=np.float64)
-        if cell.dim != dim or vec.shape != (dim,):
-            raise ValueError(f"malformed codebook row for {cell}")
-        codebook[cell] = vec
-    leaves = OuterLeafPartition(frozenset(codebook), dim)
-    gamma = doc.get("gamma")
-    beta = doc.get("beta")
-    return Quantizer(
-        leaves,
-        codebook,
-        float(doc["eta"]),
-        int(doc["depth_cap"]),
-        None if gamma is None else float(gamma),
-        None if beta is None else float(beta),
-    )
+    missing = [key for key in ("dim", "eta", "depth_cap", "leaves") if key not in doc]
+    if missing or not doc["leaves"]:
+        raise ValueError(f"codebook {path} lacks {', '.join(missing) or 'leaves'}")
+    rows = doc["leaves"]
+    try:
+        dim = int(doc["dim"])
+        short = [i for i, r in enumerate(rows) if len(r["index"]) != dim or len(r["code"]) != dim]
+        if short:
+            raise ValueError(f"codebook row {short[0]}: index and code need {dim} entries each")
+        depths = np.array([row["depth"] for row in rows], dtype=np.int64)
+        index = np.array([row["index"] for row in rows], dtype=np.int64).reshape(len(rows), dim)
+        vectors = np.array([row["code"] for row in rows], dtype=np.float64).reshape(len(rows), dim)
+        eta, cap = float(doc["eta"]), int(doc["depth_cap"])
+        gamma, beta = (None if doc.get(k) is None else float(doc[k]) for k in ("gamma", "beta"))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed codebook {path}: {type(exc).__name__} {exc}") from None
+    if dim < 1:
+        raise ValueError(f"codebook dim {dim} is not positive")
+    top = default_max_depth(dim)
+    outside = (index < 0) | (index >> depths[:, None] != 0)
+    bad = np.flatnonzero((depths < 0) | (depths > top) | outside.any(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"codebook row {i}: no cell of depth {depths[i]} (0..{top}) "
+                         f"has index {index[i].tolist()}")
+    deepest = int(depths.max())
+    # A lower corner k 2**-d is exact and encodes to the first code of its run.
+    start = kernels.morton_encode(index * 2.0 ** -depths[:, None], deepest)
+    order = np.argsort(start, kind="stable")
+    s, e = start[order], start[order] + (1 << dim * (deepest - depths[order]))
+    bad = np.flatnonzero(s[1:] != e[:-1])
+    if bad.size and s[bad[0] + 1] < e[bad[0]]:
+        a, b = order[bad[0]], order[bad[0] + 1]
+        what = "duplicate leaf" if depths[a] == depths[b] else "one leaf inside another"
+        raise ValueError(f"codebook {path}: {what}, depth {depths[b]} index {index[b].tolist()}")
+    if s[0] != 0 or bad.size or e[-1] != 1 << dim * deepest:
+        gap = 0 if s[0] != 0 else int(e[bad[0]] if bad.size else e[-1])
+        raise ValueError(f"codebook {path}: no leaf covers the depth-{deepest} cell of code {gap}")
+    tables = {}
+    for depth in np.unique(depths).tolist():
+        rows = order[depths[order] == depth]
+        tables[depth] = (start[rows] >> dim * (deepest - depth), vectors[rows])
+    return Quantizer(dim, tables, eta, cap, gamma, beta)

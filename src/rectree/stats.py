@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DepthCapError, DomainError
-from .tree import CellId, cell_to_code, code_to_cell, cube_center, default_max_depth
+from .tree import CellId, cell_to_code, cells_from_codes, cube_center, default_max_depth
 
 
 @dataclass(frozen=True)
@@ -115,23 +115,12 @@ class StatsTable:
         return self.lookup(cell)
 
     def __contains__(self, cell: CellId) -> bool:
-        lv = self.level(cell.depth)
-        code = cell_to_code(cell)
-        row = int(np.searchsorted(lv.codes, code))
-        return row < lv.codes.shape[0] and lv.codes[row] == code
+        return self.lookup(cell).count > 0
 
     def cells(self, depth: int):
         """Iterate (CellId, CellStats) over the nonempty cells of one depth."""
-        lv = self.level(depth)
-        gain_defined = depth < self.depth_cap
-        for row in range(lv.codes.shape[0]):
-            cell = code_to_cell(depth, int(lv.codes[row]), self.dim)
-            yield cell, CellStats(
-                int(lv.counts[row]),
-                lv.centers[row].copy(),
-                float(lv.errors[row]),
-                float(lv.gains[row]) if gain_defined else None,
-            )
+        for cell in cells_from_codes(depth, self.level(depth).codes, self.dim):
+            yield cell, self.lookup(cell)
 
     def gain_sq_by_difference(self, depth: int) -> np.ndarray:
         """E_I - sum_J E_J per nonempty cell of the given depth (test cross-check)."""

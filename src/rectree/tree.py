@@ -16,6 +16,11 @@ subtree whose parent is; for a finite subtree they tile the cube and
 satisfy the exact cardinality bound
 
     #leaves <= (a - 1) * #subtree + 1,      a = 2**D.
+
+The fitting path holds a tree as one sorted int64 array of Morton codes
+per depth (Gargantini's linear quadtree, CACM 1982; :func:`subtree_codes`,
+:func:`outer_leaf_codes`).  :class:`CellId` and the per-cell functions
+serve the API boundary and are the reference the array form is tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import kernels
 from .errors import DepthCapError, DomainError, StructureError
 
 # Lattice indices are bit-interleaved into signed 64-bit codes, so the
@@ -65,29 +71,6 @@ class CellId:
 
 def root_cell(dim: int) -> CellId:
     return CellId(0, (0,) * dim)
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    """Dimension, branching factor a = 2**D, and the storage depth cap."""
-
-    dim: int
-    branching: int = 0
-    max_depth: int = 0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.branching == 0:
-            object.__setattr__(self, "branching", 1 << self.dim)
-        elif self.branching != 1 << self.dim:
-            raise ValueError(f"branching must equal 2**dim, got {self.branching}")
-        if self.max_depth == 0:
-            object.__setattr__(self, "max_depth", default_max_depth(self.dim))
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be positive")
-        if self.max_depth * self.dim > MORTON_BITS:
-            raise ValueError(f"max_depth {self.max_depth} too deep for dim {self.dim}")
 
 
 def locate(point, depth: int, max_depth: int | None = None) -> CellId:
@@ -148,6 +131,12 @@ class Subtree:
     def __iter__(self):
         return iter(self.cells)
 
+    @classmethod
+    def from_codes(cls, levels: list[np.ndarray], dim: int) -> "Subtree":
+        """The subtree whose depth-d cells have the Morton codes ``levels[d]``."""
+        cells = [c for d, codes in enumerate(levels) for c in cells_from_codes(d, codes, dim)]
+        return cls(frozenset(cells), dim)
+
     def validate(self) -> None:
         if root_cell(self.dim) not in self.cells:
             raise StructureError("subtree does not contain the root")
@@ -176,18 +165,6 @@ class OuterLeafPartition:
 
     def __iter__(self):
         return iter(self.leaves)
-
-    @property
-    def max_depth(self) -> int:
-        return max(cell.depth for cell in self.leaves)
-
-    def locate_leaf(self, point) -> CellId:
-        """The unique leaf containing the point (descends depth by depth)."""
-        for depth in sorted({cell.depth for cell in self.leaves}):
-            cell = locate(point, depth)
-            if cell in self.leaves:
-                return cell
-        raise StructureError(f"no leaf contains {point}; leaves do not tile the cube")
 
 
 def outer_leaves(subtree: Subtree) -> OuterLeafPartition:
@@ -257,9 +234,39 @@ def cell_to_code(cell: CellId) -> int:
     return code
 
 
-def code_to_cell(depth: int, code: int, dim: int) -> CellId:
-    idx = [0] * dim
-    for b in range(depth):
-        for k in range(dim):
-            idx[k] |= ((code >> (b * dim + k)) & 1) << b
-    return CellId(depth, tuple(idx))
+def cells_from_codes(depth: int, codes: np.ndarray, dim: int) -> list[CellId]:
+    """The cells of one depth's Morton codes, in code order."""
+    return [CellId(depth, tuple(k)) for k in kernels.morton_decode(codes, depth, dim).tolist()]
+
+
+def subtree_codes(marked: dict[int, np.ndarray], dim: int) -> list[np.ndarray]:
+    """Array form of :func:`smallest_subtree`: sorted codes at depths 0..deepest.
+
+    ``marked`` maps depth -> marked codes; the union is carried up one level
+    at a time (``code >> dim`` is the parent).  The root is always included.
+    """
+    deepest = max((depth for depth, codes in marked.items() if codes.size), default=0)
+    levels = [np.zeros(1, dtype=np.int64)] * (deepest + 1)
+    carry = np.zeros(0, dtype=np.int64)
+    for depth in range(deepest, 0, -1):
+        carry = np.union1d(marked.get(depth, carry[:0]), carry)
+        levels[depth] = carry
+        carry = carry >> dim
+    return levels
+
+
+def outer_leaf_codes(levels: list[np.ndarray], dim: int) -> dict[int, np.ndarray]:
+    """Array form of :func:`outer_leaves`: sorted leaf codes per depth.
+
+    The depth-(d + 1) leaves are the children of the depth-d subtree cells
+    minus the depth-(d + 1) subtree cells.
+    """
+    offsets = np.arange(1 << dim, dtype=np.int64)
+    leaves = {}
+    for depth, codes in enumerate(levels):
+        kids = ((codes[:, None] << dim) | offsets).ravel()
+        if depth + 1 < len(levels):
+            kids = kids[~np.isin(kids, levels[depth + 1], assume_unique=True)]
+        if kids.size:
+            leaves[depth + 1] = kids
+    return leaves

@@ -109,6 +109,22 @@ class TestExperimentCommands:
             run("rate-experiment", "--dim", "1", "--config", cfg,
                 "--output", tmp_path / "x.csv")
 
+    def test_config_values_take_the_flag_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-grid": "128,256", "trials": "2", "gamma": "1.5"}))
+        out = tmp_path / "rate.csv"
+        assert run("rate-experiment", "--dim", "1", "--config", cfg, "--output", out) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("value", ["two", 2.5, [2], {"n": 2}])
+    def test_bad_config_value_is_a_parser_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": value}))
+        with pytest.raises(SystemExit) as exc:
+            run("rate-experiment", "--dim", "1", "--config", cfg, "--output", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert "argument --trials: invalid int value" in capsys.readouterr().err
+
     def test_approx_trend(self, tmp_path):
         out = tmp_path / "trend.csv"
         assert run("approx-trend", "--uniform-atoms", "256", "--dim", "1",
@@ -134,3 +150,20 @@ class TestErrors:
         raw.write_text("1.5,0.2\n0.1,0.3\n")
         assert run("fit", "--data", raw, "--eta", "0.1",
                    "--output", tmp_path / "cb.json") == 2
+
+    @pytest.mark.parametrize("command", ["encode", "distortion"])
+    @pytest.mark.parametrize(
+        "change", [{"dim": None}, {"leaves": []}, {"leaves": [{"depth": 1, "index": [0], "code": [0.1]}]}]
+    )
+    def test_malformed_codebook_is_one_line_error(self, workdir, capsys, command, change):
+        cb = workdir / "cb.json"
+        assert run("fit", "--data", workdir / "train.rtds", "--eta", "0.05", "--output", cb) == 0
+        capsys.readouterr()
+        doc = json.loads(cb.read_text())
+        doc.update(change)
+        doc = {key: value for key, value in doc.items() if value is not None}
+        cb.write_text(json.dumps(doc))
+        assert run(command, "--codebook", cb, "--data", workdir / "train.rtds",
+                   "--output", workdir / "out.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

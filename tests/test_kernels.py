@@ -6,6 +6,7 @@ compiled extension is present the two backends are also cross-compared.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectree.kernels import _numpy as knp
 
@@ -41,6 +42,30 @@ def test_morton_prefix_nesting(impl):
     deep = impl.morton_encode(pts, 10)
     for depth in range(10):
         assert np.array_equal(deep >> (2 * (10 - depth)), impl.morton_encode(pts, depth))
+
+
+def _dyadic(k, j, below):
+    """k / 2**j folded into [0, 1), or the largest double below the next such point."""
+    point = (k % (1 << j)) / (1 << j)
+    return float(np.nextafter(point + 2.0**-j, 0.0)) if below else point
+
+
+COORDS = st.one_of(
+    st.floats(0, 1, exclude_max=True),
+    st.builds(_dyadic, st.integers(0, 2**20), st.integers(0, 20), st.booleans()),
+)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND_NAME)
+@given(st.integers(1, 4), st.integers(0, 15), st.lists(COORDS, min_size=4, max_size=240))
+@settings(max_examples=150, deadline=None)
+def test_coarse_code_is_shifted_deep_code(impl, dim, deep, coords):
+    # Quantizer.assign encodes once at the deepest leaf depth and shifts.
+    pts = np.array(coords[: len(coords) // dim * dim]).reshape(-1, dim)
+    deep_codes = impl.morton_encode(pts, deep)
+    for depth in range(deep + 1):
+        shifted = deep_codes >> (dim * (deep - depth))
+        assert np.array_equal(impl.morton_encode(pts, depth), shifted)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND_NAME)

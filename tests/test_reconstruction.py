@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from rectree.reconstruction import (
     threshold_subtree,
 )
 from rectree.stats import Dataset, build_stats
-from rectree.tree import CellId, OuterLeafPartition, cube_center, root_cell
+from rectree.tree import CellId, cube_center, root_cell
 
 TWO_POINT = Dataset(np.array([[0.1], [0.9]]))
 
@@ -187,12 +188,8 @@ class TestDistortion:
 
     def test_single_cell_quantizer_equals_root_error(self):
         root = root_cell(1)
-        q = Quantizer(
-            OuterLeafPartition(frozenset({root}), 1),
-            {root: TWO_POINT.points.mean(axis=0)},
-            threshold=1.0,
-            depth_cap=0,
-        )
+        tables = {root.depth: (np.array([0]), TWO_POINT.points.mean(axis=0)[None, :])}
+        q = Quantizer(1, tables, threshold=1.0, depth_cap=0)
         assert empirical_distortion(q, TWO_POINT) == pytest.approx(0.16, rel=1e-12)
 
     def test_reencoding_decoded_points_is_stable(self):
@@ -252,3 +249,53 @@ class TestSerialization:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_codebook(path)
+
+
+def leaf(depth, *index, code=None):
+    return {"depth": depth, "index": list(index), "code": code or [0.5] * len(index)}
+
+
+def codebook_doc(leaves, dim=1):
+    return {"format": "rectree-codebook", "version": 1, "dim": dim, "eta": 0.1,
+            "gamma": None, "beta": None, "depth_cap": 3, "leaves": leaves}
+
+
+HALVES = [leaf(1, 0), leaf(1, 1)]
+
+
+class TestCodebookValidation:
+    @pytest.mark.parametrize(
+        "doc, problem",
+        [
+            ({k: v for k, v in codebook_doc(HALVES).items() if k != "dim"}, "lacks dim"),
+            ({k: v for k, v in codebook_doc(HALVES).items() if k != "eta"}, "lacks eta"),
+            (codebook_doc([]), "lacks leaves"),
+            (codebook_doc([leaf(1, 0), leaf(1, 1, 0)]), "row 1: index and code need 1 entries"),
+            (codebook_doc([leaf(1, 0), leaf(1, 1, code=[0.5, 0.5])]), "row 1: index and code"),
+            (codebook_doc([leaf(1, 0), {"depth": 1, "code": [0.5]}]), "KeyError 'index'"),
+            (codebook_doc([leaf(1, 0), leaf(1, 2)]), "row 1: no cell of depth 1"),
+            (codebook_doc([leaf(1, 0), leaf(-1, 0)]), "row 1: no cell of depth -1"),
+            (codebook_doc([leaf(0, 0, 0), leaf(1, 0, 5)], dim=2), "row 1: no cell of depth 1"),
+            (codebook_doc([leaf(1, 0), leaf(1, 1), leaf(1, 0)]), "duplicate leaf"),
+            (codebook_doc([leaf(1, 0), leaf(1, 1), leaf(2, 0)]), "one leaf inside another"),
+            (codebook_doc([leaf(0, 0), leaf(3, 5)]), "one leaf inside another"),
+            (codebook_doc([leaf(1, 0)]), "no leaf covers the depth-1 cell of code 1"),
+            (codebook_doc([leaf(1, 1), leaf(2, 1)]), "no leaf covers the depth-2 cell of code 0"),
+            (codebook_doc([leaf(1, 0), leaf(2, 3)]), "no leaf covers the depth-2 cell of code 2"),
+        ],
+    )
+    def test_rejects_with_named_problem(self, tmp_path, doc, problem):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=problem) as exc:
+            load_codebook(path)
+        assert "\n" not in str(exc.value)
+
+    def test_uneven_tiling_loads_and_encodes(self, tmp_path):
+        path = tmp_path / "codebook.json"
+        rows = [leaf(1, 1, code=[0.7]), leaf(2, 0, code=[0.1]), leaf(2, 1, code=[0.3])]
+        path.write_text(json.dumps(codebook_doc(rows)))
+        q = load_codebook(path)
+        assert len(q.leaves) == 3
+        assert encode(q, np.array([0.1])) == CellId(2, (0,))
+        assert np.array_equal(decode(q, CellId(1, (1,))), [0.7])

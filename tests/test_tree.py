@@ -9,12 +9,11 @@ from rectree.tree import (
     CellId,
     cell_contains,
     Subtree,
-    TreeConfig,
     cell_diameter,
     cell_to_code,
     cell_volume,
     children,
-    code_to_cell,
+    cells_from_codes,
     cube_center,
     default_max_depth,
     locate,
@@ -200,19 +199,13 @@ class TestGeometry:
         center = cube_center(cell)
         assert locate(center, 2) == cell
 
-    def test_config_validation(self):
-        cfg = TreeConfig(dim=2)
-        assert cfg.branching == 4 and cfg.max_depth == 31
-        with pytest.raises(ValueError):
-            TreeConfig(dim=2, branching=3)
-
     @given(st.integers(1, 4), st.integers(0, 10), st.integers(0, 10**9))
     @settings(max_examples=100, deadline=None)
     def test_morton_roundtrip(self, dim, depth, seed):
         rng = np.random.default_rng(seed)
         idx = tuple(int(rng.integers(0, 1 << depth)) for _ in range(dim))
         cell = CellId(depth, idx)
-        assert code_to_cell(depth, cell_to_code(cell), dim) == cell
+        assert cells_from_codes(depth, np.array([cell_to_code(cell)]), dim) == [cell]
 
 
 class TestLevelPartition:
