@@ -34,7 +34,7 @@ from .reconstruction import (
     sweep,
     threshold_subtree,
 )
-from .stats import CellStats, Dataset, StatsTable, build_stats, gain
+from .stats import CellStats, Dataset, StatsTable, build_stats
 from .tree import (
     CellId,
     OuterLeafPartition,

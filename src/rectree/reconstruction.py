@@ -233,23 +233,22 @@ def quantizer_from_stats(
     return Quantizer(stats.dim, tables, eta, cap, gamma, beta)
 
 
-def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:
-    """Build statistics to depth j_n, threshold at eta, extract the quantizer."""
-    if eta <= 0:
+def _schedule_stats(data: Dataset, etas: list[float], schedule: RateSchedule):
+    """Check etas and schedule against the data; (statistics to depth max(1, j_n), j_n)."""
+    if any(eta <= 0 for eta in etas):
         raise ValueError("eta must be positive")
     if schedule.branching != 1 << data.dim:
-        raise ValueError(
-            f"schedule branching {schedule.branching} does not match dim {data.dim}"
-        )
-    cap = schedule.depth_cap(data.n)
-    if cap > default_max_depth(data.dim):
-        raise DepthCapError(
-            f"j_n = {cap} exceeds max_depth {default_max_depth(data.dim)}; "
-            "lower gamma or reduce n"
-        )
-    # Leaves of the thresholded subtree reach depth max(1, j_n), so the
-    # table always includes at least one level below the root.
-    stats = build_stats(data, max(1, cap))
+        raise ValueError(f"schedule branching {schedule.branching} does not match dim {data.dim}")
+    cap, max_depth = schedule.depth_cap(data.n), default_max_depth(data.dim)
+    if cap > max_depth:
+        raise DepthCapError(f"j_n = {cap} exceeds max_depth {max_depth}; lower gamma or reduce n")
+    # Leaves reach depth max(1, j_n), so the table has a level below the root.
+    return build_stats(data, max(1, cap)), cap
+
+
+def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:
+    """Build statistics to depth j_n, threshold at eta, extract the quantizer."""
+    stats, cap = _schedule_stats(data, [eta], schedule)
     return quantizer_from_stats(stats, eta, schedule.gamma, schedule.beta, depth_cap=cap)
 
 
@@ -263,12 +262,7 @@ def sweep(
     nondecreasing along a descending eta list.
     """
     etas = [float(e) for e in etas]
-    if any(e <= 0 for e in etas):
-        raise ValueError("all etas must be positive")
-    cap = schedule.depth_cap(data.n)
-    if cap > default_max_depth(data.dim):
-        raise DepthCapError(f"j_n = {cap} exceeds max_depth {default_max_depth(data.dim)}")
-    stats = build_stats(data, max(1, cap))
+    stats, cap = _schedule_stats(data, etas, schedule)
     out = []
     for eta in etas:
         q = quantizer_from_stats(stats, eta, schedule.gamma, schedule.beta, depth_cap=cap)

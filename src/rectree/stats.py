@@ -1,4 +1,4 @@
-"""Single-pass per-cell sample statistics down to a truncation depth.
+"""Per-cell sample statistics down to a truncation depth, built bottom-up.
 
 For a dataset x_1..x_n and every nonempty dyadic cell I of depth <= cap,
 the table holds
@@ -8,12 +8,15 @@ the table holds
     local_error  E_I   = (1/n) sum_{x_i in I} |x_i - c_I|^2
     gain         eps_I = sqrt( sum_{J child of I} (n_J/n) |c_J - c_I|^2 )
 
-computed with a two-pass (mean, then scatter) scheme per cell to avoid
-the cancellation of a running sum-of-squares.  The gain uses the
-center-difference form, which is nonnegative by construction; it agrees
-with E_I - sum_J E_J by the between-within decomposition of the variance,
-and :meth:`StatsTable.gain_sq_by_difference` exposes that second route for
-cross-checking.
+Only the deepest level reads the points, with a two-pass (mean, then
+scatter) reduction per cell that avoids the cancellation of a running
+sum-of-squares.  Each coarser cell merges its children (Chan, Golub &
+LeVeque): n_I and the point sum s_I are the children's totals,
+c_I = s_I / n_I, b_I = sum_J n_J |c_J - c_I|^2, eps_I = sqrt(b_I / n) and
+n E_I = sum_J n E_J + b_I, so the between-within identity
+E_I = sum_J E_J + eps_I^2 holds by construction (cross-check:
+:meth:`StatsTable.gain_sq_by_difference`).  Sums, not means, are carried,
+so a cell with one child copies that child's statistics bit for bit.
 
 Cells at the truncation depth are unexpandable: their children are never
 measured, so their gain is undefined (``None``), and thresholding only
@@ -126,58 +129,59 @@ class StatsTable:
         """E_I - sum_J E_J per nonempty cell of the given depth (test cross-check)."""
         if depth >= self.depth_cap:
             raise DepthCapError(f"no children statistics below depth {depth}")
-        lv, child = self._levels[depth], self._levels[depth + 1]
-        child_err_sum = np.zeros(lv.codes.shape[0])
-        if child.codes.shape[0]:
-            prow = np.searchsorted(lv.codes, child.codes >> self.dim)
-            np.add.at(child_err_sum, prow, child.errors)
-        return lv.errors - child_err_sum
+        child = self._levels[depth + 1]
+        first = np.flatnonzero(np.diff(child.codes >> self.dim, prepend=-1))
+        return self._levels[depth].errors - np.add.reduceat(child.errors, first)
+
+
+def _sum_runs(x, starts, rows, runs, merged):
+    """Per parent, its first child's x, or the children's sum where it has several."""
+    out = np.take(x, starts, axis=0)
+    out[merged] = np.add.reduceat(np.take(x, rows, axis=0), runs, axis=0)
+    return out
 
 
 def build_stats(data: Dataset, depth_cap: int) -> StatsTable:
     """Exact sample statistics for every nonempty cell of depth <= depth_cap.
 
-    One Morton sort at the deepest level orders the points for every
-    coarser level at once (coarse codes are prefixes of fine codes), so
-    each level is a contiguous grouped reduction.
+    One Morton sort orders the points at the cap; a coarse code is a prefix
+    of a fine one, so each cell's children are a contiguous run of the
+    level below and every coarser level is a grouped merge of that level.
     """
     dim, n = data.dim, data.n
     if depth_cap < 0 or depth_cap > default_max_depth(dim):
         raise DepthCapError(f"depth_cap {depth_cap} outside 0..{default_max_depth(dim)}")
     deep_codes = kernels.morton_encode(data.points, depth_cap)
     order = np.argsort(deep_codes, kind="stable")
-    pts = np.ascontiguousarray(data.points[order])
+    pts = np.take(data.points, order, axis=0)
     deep_codes = deep_codes[order]
 
-    levels: list[_Level] = []
-    for depth in range(depth_cap + 1):
-        codes = deep_codes >> (dim * (depth_cap - depth))
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(codes)) + 1])
-        counts, means, scatters = kernels.group_moments(pts, starts)
-        levels.append(_Level(codes[starts], counts, means, scatters / n, None))
-
-    for depth in range(depth_cap):
-        lv, child = levels[depth], levels[depth + 1]
-        pcodes = child.codes >> dim
-        prow = np.searchsorted(lv.codes, pcodes)
-        weights = child.counts / n
-        diff_sq = ((child.centers - lv.centers[prow]) ** 2).sum(axis=1)
-        seg_starts = np.concatenate([[0], np.flatnonzero(np.diff(pcodes)) + 1])
-        gain_sq = np.add.reduceat(weights * diff_sq, seg_starts)
-        lv.gains = np.sqrt(gain_sq)
-
-    return StatsTable(dim=dim, n=n, depth_cap=depth_cap, _levels=levels)
-
-
-def gain(stats: StatsTable, cell: CellId) -> float:
-    """Refinement gain of one cell (center-difference form); 0 for empty cells.
-
-    Raises for cells at the truncation depth, whose children were never
-    measured.
-    """
-    if cell.depth >= stats.depth_cap:
-        raise DepthCapError(
-            f"cell at depth {cell.depth} has no children statistics (cap {stats.depth_cap})"
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(deep_codes)) + 1])
+    counts, centers, scatters = kernels.group_moments(pts, starts)
+    sums = np.add.reduceat(pts, starts, axis=0)
+    levels = [_Level(deep_codes[starts], counts, centers, scatters / n, None)]
+    for _ in range(depth_cap):
+        child = levels[-1]
+        codes = child.codes >> dim
+        first = np.concatenate([[True], codes[1:] != codes[:-1]])
+        starts = np.flatnonzero(first)
+        sizes = np.diff(np.append(starts, codes.shape[0]))
+        # Most parents copy their only child; the parents in ``merged``
+        # reduce child rows ``rows``, one run per parent starting at ``runs``.
+        merged = np.flatnonzero(sizes > 1)
+        rows = np.flatnonzero(~(first & np.append(first[1:], True)))
+        runs = np.flatnonzero(first[rows])
+        counts, sums, scatters = (
+            _sum_runs(x, starts, rows, runs, merged) for x in (child.counts, sums, scatters)
         )
-    value = stats.lookup(cell).gain
-    return float(value) if value is not None else 0.0
+        centers = sums / counts[:, None]
+        diff = np.take(child.centers, rows, axis=0)
+        diff -= np.repeat(np.take(centers, merged, axis=0), sizes[merged], axis=0)
+        between = np.add.reduceat(child.counts[rows] * np.einsum("ij,ij->i", diff, diff), runs)
+        scatters[merged] += between
+        gains = np.zeros(starts.shape[0])
+        gains[merged] = np.sqrt(between / n)
+        levels.append(_Level(codes[starts], counts, centers, scatters / n, gains))
+
+    return StatsTable(dim=dim, n=n, depth_cap=depth_cap, _levels=levels[::-1])
+

@@ -230,6 +230,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(TWO_POINT, [0.5, -0.1], RateSchedule(branching=2))
 
+    @pytest.mark.parametrize(
+        "data,eta,schedule,error",
+        [
+            (uniform_data(1, 10, 3), 0.1, RateSchedule(branching=2), ValueError),
+            (uniform_data(1, 10, 1), 0.0, RateSchedule(branching=2), ValueError),
+            (uniform_data(1, 4, 1), 0.1, RateSchedule(branching=2, gamma=40.0), DepthCapError),
+        ],
+        ids=["branching", "eta", "depth_cap"],
+    )
+    def test_rejects_what_fit_rejects(self, data, eta, schedule, error):
+        with pytest.raises(error) as from_fit:
+            fit(data, eta, schedule)
+        with pytest.raises(error) as from_sweep:
+            sweep(data, [eta], schedule)
+        assert str(from_sweep.value) == str(from_fit.value)
+
 
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):

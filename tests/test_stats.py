@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectree.errors import DepthCapError, DomainError
-from rectree.stats import Dataset, build_stats, gain
+from rectree.stats import Dataset, build_stats
 from rectree.tree import CellId, cube_center, locate, root_cell
 
 
@@ -45,7 +45,6 @@ class TestBuildStats:
         assert table[CellId(1, (0,))].local_error == 0.0
         assert table[CellId(1, (1,))].local_error == 0.0
         assert table[root].gain == pytest.approx(0.4, rel=1e-12)
-        assert gain(table, root) == pytest.approx(0.4, rel=1e-12)
 
     def test_all_points_in_one_child(self):
         rng = np.random.default_rng(1)
@@ -135,7 +134,7 @@ class TestBuildStats:
 class TestGainOp:
     def test_empty_cell_gain_zero(self):
         table = build_stats(TWO_POINT, 3)
-        assert gain(table, CellId(2, (1,))) == 0.0
+        assert table[CellId(2, (1,))].gain == 0.0
 
     def test_children_sharing_center(self):
         # two coincident points split nowhere: every gain is zero
@@ -144,11 +143,6 @@ class TestGainOp:
         for depth in range(3):
             for _, entry in table.cells(depth):
                 assert entry.gain == 0.0
-
-    def test_at_cap_raises(self):
-        table = build_stats(TWO_POINT, 2)
-        with pytest.raises(DepthCapError):
-            gain(table, CellId(2, (0,)))
 
     def test_matches_difference_formula(self):
         data = random_dataset(11, n=250, dim=1)
