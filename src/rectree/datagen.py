@@ -23,6 +23,7 @@ diameter at most 1, keeping the map for inverse transforms.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ _EDGE = 1.0 - 2.0**-20  # keeps embedded manifolds strictly inside the cube
 
 _MAGIC = b"RTDS"
 _VERSION = 1
+_HEADER = struct.Struct("<IIQB")  # version, dim, n, normalization flag
 
 _SWISS_T0 = 1.5 * math.pi
 _SWISS_T1 = 4.5 * math.pi
@@ -253,19 +255,28 @@ def write_dataset(path, data: Dataset) -> None:
         flag = 1
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIQB", _VERSION, data.dim, data.n, flag))
+        fh.write(_HEADER.pack(_VERSION, data.dim, data.n, flag))
         fh.write(struct.pack("<d", nm.scale))
         fh.write(nm.translation.astype("<f8").tobytes())
         fh.write(np.ascontiguousarray(data.points, dtype="<f8").tobytes())
 
 
 def read_dataset(path) -> Dataset:
+    """Read a :func:`write_dataset` file; a malformed one raises a ValueError naming it."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+        head = fh.read(4 + _HEADER.size)
+        if head[:4] != _MAGIC:
             raise ValueError(f"{path} is not a dataset file")
-        version, dim, n, flag = struct.unpack("<IIQB", fh.read(17))
+        if len(head) < 4 + _HEADER.size:
+            raise ValueError(f"{path}: dataset header truncated")
+        version, dim, n, flag = _HEADER.unpack_from(head, 4)
         if version != _VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
+            raise ValueError(f"{path}: unsupported dataset version {version}")
+        if dim < 1:
+            raise ValueError(f"{path}: dataset dimension must be at least 1, got {dim}")
+        size, expected = os.fstat(fh.fileno()).st_size, len(head) + 8 * (1 + dim + dim * n)
+        if size != expected:
+            raise ValueError(f"{path}: {size} bytes, expected {expected} for n = {n}, dim = {dim}")
         (scale,) = struct.unpack("<d", fh.read(8))
         translation = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
         points = np.frombuffer(fh.read(8 * dim * n), dtype="<f8").reshape(n, dim).copy()

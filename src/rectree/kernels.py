@@ -1,10 +1,6 @@
-"""Numpy implementations of the hot kernels.
+"""The hot kernels: Morton codes, grouped moments and nearest centers.
 
-These are the pure-Python (no compiled extension) fallback.  The compiled
-backend in ``_core.pyx`` implements the same four functions with identical
-signatures; ``rectree.kernels`` picks one at import time.
-
-Conventions shared by both backends:
+Conventions:
 
 * points are C-contiguous float64 arrays of shape (n, dim) with every
   coordinate in [0, 1);
@@ -16,7 +12,7 @@ Conventions shared by both backends:
 
 import numpy as np
 
-BACKEND_NAME = "python"
+BACKEND = "python"
 
 
 def morton_encode(points, depth):
@@ -49,25 +45,23 @@ def morton_decode(codes, depth, dim):
 
 
 def group_moments(points, starts):
-    """Per-group count, mean and scatter for contiguous groups of rows.
+    """Per-group count, point sum and scatter for contiguous groups of rows.
 
     ``starts`` holds the first row of each group; groups partition
     ``points`` (rows already ordered by group).  Scatter is the sum of
-    squared distances to the group mean, accumulated in a second pass so
-    the result does not suffer the cancellation of a sum-of-squares
-    update.
+    squared distances to the group mean ``sums / counts[:, None]``,
+    accumulated in a second pass so the result does not suffer the
+    cancellation of a sum-of-squares update.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.int64)
     n = points.shape[0]
     counts = np.diff(np.concatenate([starts, [n]]))
     sums = np.add.reduceat(points, starts, axis=0)
-    means = sums / counts[:, None]
     owner = np.repeat(np.arange(starts.shape[0]), counts)
-    sq = ((points - means[owner]) ** 2).sum(axis=1)
+    sq = ((points - (sums / counts[:, None])[owner]) ** 2).sum(axis=1)
     scatters = np.add.reduceat(sq, starts)
-    # reduceat on a length-1 slice returns the element itself; still fine.
-    return counts, means, scatters
+    return counts, sums, scatters
 
 
 def nearest_centers(points, centers):

@@ -157,8 +157,8 @@ def build_stats(data: Dataset, depth_cap: int) -> StatsTable:
     deep_codes = deep_codes[order]
 
     starts = np.concatenate([[0], np.flatnonzero(np.diff(deep_codes)) + 1])
-    counts, centers, scatters = kernels.group_moments(pts, starts)
-    sums = np.add.reduceat(pts, starts, axis=0)
+    counts, sums, scatters = kernels.group_moments(pts, starts)
+    centers = sums / counts[:, None]
     levels = [_Level(deep_codes[starts], counts, centers, scatters / n, None)]
     for _ in range(depth_cap):
         child = levels[-1]

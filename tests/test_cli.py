@@ -145,6 +145,13 @@ class TestErrors:
         assert run("fit", "--data", tmp_path / "missing.rtds", "--eta", "0.1",
                    "--output", tmp_path / "cb.json") == 2
 
+    def test_truncated_dataset_is_one_line_error(self, workdir, capsys):
+        data = workdir / "train.rtds"
+        data.write_bytes(data.read_bytes()[:-1])
+        assert run("fit", "--data", data, "--eta", "0.1", "--output", workdir / "cb.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "train.rtds" in err
+
     def test_out_of_domain_csv_without_normalize(self, tmp_path):
         raw = tmp_path / "raw.csv"
         raw.write_text("1.5,0.2\n0.1,0.3\n")

@@ -184,6 +184,24 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[:12],  # cut inside the header
+            lambda raw: raw[:-8],  # cut payload
+            lambda raw: raw + bytes(7),  # trailing bytes
+            lambda raw: raw[:8] + bytes(4) + raw[12:],  # dim = 0
+            lambda raw: raw[:12] + (10**6).to_bytes(8, "little") + raw[20:],  # n beyond the file
+        ],
+        ids=["cut-header", "cut-payload", "trailing-bytes", "dim-0", "n-beyond-file"],
+    )
+    def test_malformed_file_names_path(self, tmp_path, damage):
+        path = tmp_path / "bad.rtds"
+        write_dataset(path, Dataset(np.random.default_rng(0).random((10, 2))))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match="bad.rtds"):
+            read_dataset(path)
+
     def test_csv_roundtrip(self, tmp_path):
         pts = np.random.default_rng(1).random((20, 3))
         path = tmp_path / "pts.csv"

@@ -1,22 +1,14 @@
-"""Backend agreement and correctness of the hot kernels.
-
-Both backends are checked against brute-force references; when the
-compiled extension is present the two backends are also cross-compared.
-"""
+"""Correctness of the hot kernels against brute-force references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectree.kernels import _numpy as knp
+from rectree import kernels
 
-try:
-    from rectree.kernels import _core as kc
-
-    BACKENDS = [knp, kc]
-except ImportError:
-    kc = None
-    BACKENDS = [knp]
+# Every test takes the kernel module as ``impl``; the one-value
+# parametrisation keeps the ``[python]`` suffix of the test ids.
+pytestmark = pytest.mark.parametrize("impl", [kernels], ids=[kernels.BACKEND])
 
 
 def random_case(seed, n=500, dim=2):
@@ -25,7 +17,6 @@ def random_case(seed, n=500, dim=2):
     return rng, pts
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND_NAME)
 @pytest.mark.parametrize("dim,depth", [(1, 0), (1, 7), (2, 5), (3, 4), (8, 3)])
 def test_morton_matches_floor_rule(impl, dim, depth):
     rng = np.random.default_rng(42)
@@ -35,7 +26,6 @@ def test_morton_matches_floor_rule(impl, dim, depth):
     assert np.array_equal(idx, np.floor(pts * 2.0**depth).astype(np.int64))
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND_NAME)
 def test_morton_prefix_nesting(impl):
     rng = np.random.default_rng(3)
     pts = rng.random((300, 2))
@@ -56,7 +46,6 @@ COORDS = st.one_of(
 )
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND_NAME)
 @given(st.integers(1, 4), st.integers(0, 15), st.lists(COORDS, min_size=4, max_size=240))
 @settings(max_examples=150, deadline=None)
 def test_coarse_code_is_shifted_deep_code(impl, dim, deep, coords):
@@ -68,36 +57,34 @@ def test_coarse_code_is_shifted_deep_code(impl, dim, deep, coords):
         assert np.array_equal(impl.morton_encode(pts, depth), shifted)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND_NAME)
 def test_morton_overflow_guard(impl):
     with pytest.raises(ValueError):
         impl.morton_encode(np.zeros((1, 8)), 10)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND_NAME)
 def test_group_moments_against_bruteforce(impl):
     rng, pts = random_case(7, n=400, dim=3)
     starts = np.unique(rng.integers(1, 400, size=17))
     starts = np.concatenate([[0], starts]).astype(np.int64)
-    counts, means, scatters = impl.group_moments(pts, starts)
+    counts, sums, scatters = impl.group_moments(pts, starts)
+    assert np.array_equal(sums, np.add.reduceat(pts, starts, axis=0))
     ends = np.concatenate([starts[1:], [400]])
     for g, (lo, hi) in enumerate(zip(starts, ends)):
         assert counts[g] == hi - lo
-        np.testing.assert_allclose(means[g], pts[lo:hi].mean(axis=0), rtol=1e-13, atol=1e-15)
-        ref = ((pts[lo:hi] - pts[lo:hi].mean(axis=0)) ** 2).sum()
+        mean = pts[lo:hi].mean(axis=0)
+        np.testing.assert_allclose(sums[g] / counts[g], mean, rtol=1e-13, atol=1e-15)
+        ref = ((pts[lo:hi] - mean) ** 2).sum()
         np.testing.assert_allclose(scatters[g], ref, rtol=1e-11, atol=1e-15)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND_NAME)
 def test_group_moments_singletons(impl):
     pts = np.array([[0.1, 0.2], [0.3, 0.4]])
-    counts, means, scatters = impl.group_moments(pts, np.array([0, 1]))
+    counts, sums, scatters = impl.group_moments(pts, np.array([0, 1]))
     assert np.array_equal(counts, [1, 1])
-    assert np.array_equal(means, pts)
+    assert np.array_equal(sums, pts)
     assert np.array_equal(scatters, [0.0, 0.0])
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND_NAME)
 def test_nearest_centers_bruteforce_and_ties(impl):
     rng, pts = random_case(11, n=300, dim=2)
     centers = rng.random((7, 2))
@@ -109,33 +96,3 @@ def test_nearest_centers_bruteforce_and_ties(impl):
     dup = np.vstack([centers[2], centers])
     labels2, _ = impl.nearest_centers(pts, dup)
     assert not np.any(labels2 == 3)  # row 3 duplicates row 0
-
-
-@pytest.mark.skipif(kc is None, reason="compiled backend not built")
-class TestBackendAgreement:
-    def test_morton(self):
-        rng = np.random.default_rng(0)
-        for dim, depth in [(1, 12), (2, 9), (3, 6)]:
-            pts = rng.random((1000, dim))
-            assert np.array_equal(knp.morton_encode(pts, depth), kc.morton_encode(pts, depth))
-            codes = kc.morton_encode(pts, depth)
-            assert np.array_equal(
-                knp.morton_decode(codes, depth, dim), kc.morton_decode(codes, depth, dim)
-            )
-
-    def test_group_moments(self):
-        rng, pts = random_case(5, n=2000, dim=3)
-        starts = np.concatenate([[0], np.unique(rng.integers(1, 2000, size=60))]).astype(np.int64)
-        c1, m1, s1 = knp.group_moments(pts, starts)
-        c2, m2, s2 = kc.group_moments(pts, starts)
-        assert np.array_equal(c1, c2)
-        np.testing.assert_allclose(m1, m2, rtol=1e-13, atol=1e-16)
-        np.testing.assert_allclose(s1, s2, rtol=1e-12, atol=1e-16)
-
-    def test_nearest_centers(self):
-        rng, pts = random_case(9, n=1500, dim=3)
-        centers = rng.random((11, 3))
-        l1, d1 = knp.nearest_centers(pts, centers)
-        l2, d2 = kc.nearest_centers(pts, centers)
-        assert np.array_equal(l1, l2)
-        np.testing.assert_allclose(d1, d2, rtol=1e-12, atol=1e-16)

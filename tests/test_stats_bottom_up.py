@@ -28,7 +28,8 @@ def reference_levels(data, depth_cap):
     for depth in range(depth_cap + 1):
         codes = deep_codes >> (dim * (depth_cap - depth))
         starts = np.concatenate([[0], np.flatnonzero(np.diff(codes)) + 1])
-        counts, means, scatters = rectree.kernels.group_moments(pts, starts)
+        counts, sums, scatters = rectree.kernels.group_moments(pts, starts)
+        means = sums / counts[:, None]
         levels.append([codes[starts], counts, means, scatters / n, None])
     for depth in range(depth_cap):
         lv, child = levels[depth], levels[depth + 1]
