@@ -96,6 +96,8 @@ def _config_flags(path) -> list[str]:
     """A JSON config as command-line flags, so argparse types and checks every value."""
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} must hold a JSON object, not a {type(cfg).__name__}")
     flags = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")

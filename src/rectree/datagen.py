@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,7 +286,10 @@ def read_dataset(path) -> Dataset:
 
 
 def read_points_csv(path) -> np.ndarray:
-    """Plain CSV of coordinates; a single non-numeric header row is skipped."""
+    """Plain CSV of coordinates; a single non-numeric header row is skipped.
+
+    A malformed or empty file raises a ValueError naming it.
+    """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
     skip = 0
@@ -293,7 +297,15 @@ def read_points_csv(path) -> np.ndarray:
         [float(tok) for tok in first.strip().split(",") if tok]
     except ValueError:
         skip = 1
-    pts = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, dtype=np.float64)
+    with warnings.catch_warnings():
+        # An empty file is reported below, not by numpy's "input contained no data".
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            pts = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if pts.size == 0:
+        raise ValueError(f"{path}: no data rows")
     return pts
 
 

@@ -20,18 +20,42 @@ def morton_encode(points, depth):
 
     Multiplying by 2**depth is exact in binary floating point, so the
     lattice index is exactly floor(x * 2**depth) with the half-open cell
-    convention.
+    convention.  For dim 1 the code is the lattice index itself; otherwise
+    each byte of an index is spread through a 256-entry table, one gather
+    per coordinate and byte instead of one pass per coordinate and bit.
+    Codes of points outside [0, 1)^dim are unspecified.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, dim = points.shape
     if depth * dim > 62:
         raise ValueError(f"depth {depth} with dim {dim} overflows 62-bit Morton codes")
-    idx = np.floor(points * np.float64(2.0**depth)).astype(np.int64)
+    idx = np.floor(points * np.float64(2.0**depth)).astype("<i8")
+    if dim == 1:
+        return idx.reshape(n)
     codes = np.zeros(n, dtype=np.int64)
-    for b in range(depth):
+    if depth <= 2:
+        # One or two bits per coordinate: the table gathers cost more than they save.
+        for b in range(depth):
+            for k in range(dim):
+                codes |= ((idx[:, k] >> b) & 1) << (b * dim + k)
+        return codes
+    spread = _spread_table(dim)
+    index_bytes = idx.view(np.uint8).reshape(n, dim, 8)
+    part = np.empty(n, dtype=np.int64)
+    for i in range((depth + 7) // 8):
         for k in range(dim):
-            codes |= ((idx[:, k] >> b) & 1) << (b * dim + k)
+            np.take(spread << (8 * i * dim + k), index_bytes[:, k, i], out=part)
+            codes |= part
     return codes
+
+
+def _spread_table(dim):
+    """Bit t of each byte value moved to bit t * dim (bits that cannot fit in 62 dropped)."""
+    byte = np.arange(256, dtype=np.int64)
+    table = np.zeros(256, dtype=np.int64)
+    for t in range(min(8, 62 // dim + 1)):
+        table |= ((byte >> t) & 1) << (t * dim)
+    return table
 
 
 def morton_decode(codes, depth, dim):
@@ -58,8 +82,7 @@ def group_moments(points, starts):
     n = points.shape[0]
     counts = np.diff(np.concatenate([starts, [n]]))
     sums = np.add.reduceat(points, starts, axis=0)
-    owner = np.repeat(np.arange(starts.shape[0]), counts)
-    sq = ((points - (sums / counts[:, None])[owner]) ** 2).sum(axis=1)
+    sq = ((points - np.repeat(sums / counts[:, None], counts, axis=0)) ** 2).sum(axis=1)
     scatters = np.add.reduceat(sq, starts)
     return counts, sums, scatters
 

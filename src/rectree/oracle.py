@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapTooSmallError, DepthCapError, DomainError
-from .stats import Dataset
+from .stats import Dataset, gain_bound
 from .reconstruction import Quantizer, quantizer_from_stats
 from .tree import (
     CellId,
@@ -219,13 +219,15 @@ def subtree_from_table(table: OracleTable, eta: float) -> Subtree:
 
     Raises when the cap cannot certify the untruncated subtree: either a
     selected cell sits at the cap itself, or atoms are not yet isolated by
-    the cap and the bound eps_I <= sqrt(D) 2**-j does not yet rule out
-    selected cells below it.
+    the cap and :func:`~rectree.stats.gain_bound` does not yet rule out
+    selected cells below it (a cell below the cap holds at most the
+    largest mass of a cell at the cap).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     cap = table.depth_cap
-    certified = cap >= table.isolation or math.sqrt(table.dim) * 2.0 ** -(cap + 1) < eta
+    heaviest = table.level(cap).masses.max()
+    certified = cap >= table.isolation or gain_bound(heaviest, cap + 1, table.dim) < eta
     if not certified:
         raise CapTooSmallError(
             f"depth_cap {cap} cannot certify the subtree at eta={eta}: atoms only "

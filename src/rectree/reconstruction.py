@@ -9,7 +9,7 @@ per leaf: the leaf's center of mass when it saw training data, the cube
 center otherwise (so decoding is total).
 
 The path runs on sorted Morton-code arrays, one per depth, and a
-:class:`Quantizer` holds per-depth (leaf codes, code vectors) tables.
+:class:`Quantizer` holds its leaves as sorted runs of deepest-level codes.
 ``CellId`` appears only at the boundary: :func:`threshold_subtree`,
 :func:`encode`, :func:`decode` and the ``leaves``/``codebook`` views.
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DepthCapError, DomainError
-from .stats import Dataset, StatsTable, build_stats
+from .stats import Dataset, StatsTable, build_stats, gain_bound
 # outer_leaves and smallest_subtree are bound here for tracers that wrap them by name.
 from .tree import (
     CellId,
@@ -122,21 +122,48 @@ def threshold_subtree(stats: StatsTable, eta: float, depth_cap: int | None = Non
 class Quantizer:
     """An outer-leaf partition with one code vector per leaf.
 
-    Held as tables, ascending in depth: depth -> (sorted Morton codes of the
-    leaves, aligned (m, dim) code vectors); ``codebook`` and ``leaves`` are
-    views keyed by ``CellId``.
+    With m the deepest leaf depth, a depth-d leaf of Morton code c is the
+    run [c << dim (m - d), (c + 1) << dim (m - d)) of depth-m codes.  The
+    leaves are held as their run starts, sorted (so the runs tile
+    [0, 2**(dim m)) in order), with each leaf's depth and code vector in
+    the same order.  ``tables()`` is a per-depth view of these rows, and
+    ``codebook`` and ``leaves`` are views keyed by ``CellId``.
     """
 
     dim: int
-    _tables: dict[int, tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    starts: np.ndarray = field(repr=False)   # int64, sorted depth-m codes
+    depths: np.ndarray = field(repr=False)   # int8
+    vectors: np.ndarray = field(repr=False)  # (leaves, dim)
     threshold: float
     depth_cap: int
     gamma: float | None = None
     beta: float | None = None
+    deepest: int = field(init=False)
+
+    def __post_init__(self):
+        self.deepest = int(self.depths.max())
+
+    @classmethod
+    def from_tables(cls, dim: int, tables: dict[int, tuple[np.ndarray, np.ndarray]],
+                    threshold: float, depth_cap: int,
+                    gamma: float | None = None, beta: float | None = None) -> "Quantizer":
+        """A quantizer from per-depth (leaf codes, code vectors) tables that tile the cube."""
+        deepest = max(tables)
+        starts = np.concatenate([codes << dim * (deepest - d) for d, (codes, _) in tables.items()])
+        depths = np.concatenate([np.full(len(c), d, np.int8) for d, (c, _) in tables.items()])
+        vectors = np.concatenate([vectors for _, vectors in tables.values()])
+        order = np.argsort(starts, kind="stable")
+        return cls(dim, starts[order], depths[order], vectors[order],
+                   threshold, depth_cap, gamma, beta)
 
     def tables(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per-depth (sorted Morton codes, aligned code-vector matrix)."""
-        return self._tables
+        """Per-depth (sorted Morton codes, aligned code-vector matrix), ascending in depth."""
+        out = {}
+        for depth in np.unique(self.depths).tolist():
+            rows = np.flatnonzero(self.depths == depth)
+            codes = self.starts[rows] >> self.dim * (self.deepest - depth)
+            out[depth] = (codes, self.vectors[rows])
+        return out
 
     @property
     def codebook(self) -> "Codebook":
@@ -144,69 +171,55 @@ class Quantizer:
 
     @property
     def leaves(self):
-        """The leaves as a set of CellIds; ``len`` costs one step per depth."""
+        """The leaves as a set of CellIds."""
         return self.codebook.keys()
 
-    def assign(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf (depth, Morton code) per point, descending depth by depth.
-
-        One encode at the deepest leaf depth m serves every depth d, since
-        floor(x 2**m) >> (m - d) == floor(x 2**d).
-        """
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        n = points.shape[0]
-        deepest = max(self._tables)
-        deep = kernels.morton_encode(points, deepest)
-        depths = np.full(n, -1, dtype=np.int64)
-        codes = np.zeros(n, dtype=np.int64)
-        open_rows = np.arange(n)
-        for depth, (leaf_codes, _) in self._tables.items():
-            if open_rows.size == 0:
-                break
-            cand = deep[open_rows] >> (self.dim * (deepest - depth))
-            pos = np.searchsorted(leaf_codes, cand)
-            pos[pos == leaf_codes.shape[0]] = 0
-            hit = leaf_codes[pos] == cand
-            rows = open_rows[hit]
-            depths[rows] = depth
-            codes[rows] = cand[hit]
-            open_rows = open_rows[~hit]
-        if open_rows.size:
+    def _rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(leaf row, depth-m code) per point: one encode and one search."""
+        deep = kernels.morton_encode(points, self.deepest)
+        rows = np.searchsorted(self.starts, deep, side="right") - 1
+        size = 1 << self.dim * (self.deepest - self.depths[rows].astype(np.int64))
+        if np.any((rows < 0) | (deep >= self.starts[rows] + size)):
             raise DomainError("some points were not covered by any leaf")
-        return depths, codes
+        return rows, deep
+
+    def assign(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf (depth, Morton code) per point.
+
+        The leaf is the run that holds the point's depth-m code, and its own
+        code is that code shifted, since floor(x 2**m) >> (m - d) == floor(x 2**d).
+        """
+        rows, deep = self._rows(points)
+        depths = self.depths[rows].astype(np.int64)
+        return depths, deep >> self.dim * (self.deepest - depths)
 
     def reconstruct(self, points: np.ndarray) -> np.ndarray:
         """Code vector of the leaf containing each point."""
-        depths, codes = self.assign(points)
-        out = np.empty_like(np.ascontiguousarray(points, dtype=np.float64))
-        for depth, (leaf_codes, vectors) in self.tables().items():
-            rows = np.flatnonzero(depths == depth)
-            if rows.size:
-                out[rows] = vectors[np.searchsorted(leaf_codes, codes[rows])]
-        return out
+        return np.take(self.vectors, self._rows(points)[0], axis=0)
 
 
 class Codebook(Mapping):
-    """Leaf CellId -> code vector, read from a quantizer's tables on demand."""
+    """Leaf CellId -> code vector, read from a quantizer's rows on demand."""
 
     def __init__(self, quantizer: Quantizer):
-        self._tables, self._dim = quantizer.tables(), quantizer.dim
+        self._q = quantizer
 
     def __getitem__(self, cell: CellId) -> np.ndarray:
-        codes, vectors = self._tables.get(getattr(cell, "depth", None), (None, None))
-        if codes is not None and cell.dim == self._dim:
-            code = cell_to_code(cell)
-            row = int(np.searchsorted(codes, code))
-            if row < codes.shape[0] and codes[row] == code:
-                return vectors[row]
+        q = self._q
+        depth = getattr(cell, "depth", None)
+        if depth is not None and depth <= q.deepest and cell.dim == q.dim:
+            start = cell_to_code(cell) << q.dim * (q.deepest - depth)
+            row = int(np.searchsorted(q.starts, start))
+            if row < q.starts.shape[0] and q.starts[row] == start and q.depths[row] == depth:
+                return q.vectors[row]
         raise KeyError(cell)
 
     def __iter__(self):
-        for depth, (codes, _) in self._tables.items():
-            yield from cells_from_codes(depth, codes, self._dim)
+        for depth, (codes, _) in self._q.tables().items():
+            yield from cells_from_codes(depth, codes, self._q.dim)
 
     def __len__(self) -> int:
-        return sum(codes.shape[0] for codes, _ in self._tables.values())
+        return self._q.starts.shape[0]
 
 
 def quantizer_from_stats(
@@ -230,24 +243,32 @@ def quantizer_from_stats(
         empty = kernels.morton_decode(codes[~stored], depth, stats.dim)
         vectors[~stored] = (empty + 0.5) * 2.0 ** (-depth)
         tables[depth] = (codes, vectors)
-    return Quantizer(stats.dim, tables, eta, cap, gamma, beta)
+    return Quantizer.from_tables(stats.dim, tables, eta, cap, gamma, beta)
 
 
 def _schedule_stats(data: Dataset, etas: list[float], schedule: RateSchedule):
-    """Check etas and schedule against the data; (statistics to depth max(1, j_n), j_n)."""
+    """Check etas and schedule against the data; (statistics for the smallest eta, j_n).
+
+    The table stops at the depth that the smallest eta certifies (see
+    :func:`~rectree.stats.build_stats`), so j_n may exceed the deepest
+    storable depth as long as that certified depth does not.
+    """
     if any(eta <= 0 for eta in etas):
         raise ValueError("eta must be positive")
     if schedule.branching != 1 << data.dim:
         raise ValueError(f"schedule branching {schedule.branching} does not match dim {data.dim}")
-    cap, max_depth = schedule.depth_cap(data.n), default_max_depth(data.dim)
-    if cap > max_depth:
-        raise DepthCapError(f"j_n = {cap} exceeds max_depth {max_depth}; lower gamma or reduce n")
+    cap, max_depth, eta = schedule.depth_cap(data.n), default_max_depth(data.dim), min(etas)
     # Leaves reach depth max(1, j_n), so the table has a level below the root.
-    return build_stats(data, max(1, cap)), cap
+    stats = build_stats(data, min(max(1, cap), max_depth), eta)
+    heaviest = stats.level(stats.depth_cap).counts.max() / data.n
+    if cap > max_depth and gain_bound(heaviest, stats.depth_cap, data.dim) >= eta:
+        raise DepthCapError(f"j_n = {cap} exceeds max_depth {max_depth} and eta = {eta!r} "
+                            f"is not certified above it; raise eta, lower gamma or reduce n")
+    return stats, cap
 
 
 def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:
-    """Build statistics to depth j_n, threshold at eta, extract the quantizer."""
+    """Build statistics to depth min(j_n, j*), threshold at eta, extract the quantizer."""
     stats, cap = _schedule_stats(data, [eta], schedule)
     return quantizer_from_stats(stats, eta, schedule.gamma, schedule.beta, depth_cap=cap)
 
@@ -374,8 +395,4 @@ def load_codebook(path) -> Quantizer:
     if s[0] != 0 or bad.size or e[-1] != 1 << dim * deepest:
         gap = 0 if s[0] != 0 else int(e[bad[0]] if bad.size else e[-1])
         raise ValueError(f"codebook {path}: no leaf covers the depth-{deepest} cell of code {gap}")
-    tables = {}
-    for depth in np.unique(depths).tolist():
-        rows = order[depths[order] == depth]
-        tables[depth] = (start[rows] >> dim * (deepest - depth), vectors[rows])
-    return Quantizer(dim, tables, eta, cap, gamma, beta)
+    return Quantizer(dim, s, depths[order].astype(np.int8), vectors[order], eta, cap, gamma, beta)

@@ -1,26 +1,35 @@
-"""Per-cell sample statistics down to a truncation depth, built bottom-up.
+"""Per-cell sample statistics down to a table depth, built from one sort.
 
-For a dataset x_1..x_n and every nonempty dyadic cell I of depth <= cap,
-the table holds
+For a dataset x_1..x_n and every nonempty dyadic cell I of depth <= the
+table depth, the table holds
 
     count        n_I   = #{i : x_i in I}
     center       c_I   = mean of the x_i in I          (cube center if empty)
     local_error  E_I   = (1/n) sum_{x_i in I} |x_i - c_I|^2
     gain         eps_I = sqrt( sum_{J child of I} (n_J/n) |c_J - c_I|^2 )
 
-Only the deepest level reads the points, with a two-pass (mean, then
-scatter) reduction per cell that avoids the cancellation of a running
-sum-of-squares.  Each coarser cell merges its children (Chan, Golub &
-LeVeque): n_I and the point sum s_I are the children's totals,
-c_I = s_I / n_I, b_I = sum_J n_J |c_J - c_I|^2, eps_I = sqrt(b_I / n) and
-n E_I = sum_J n E_J + b_I, so the between-within identity
-E_I = sum_J E_J + eps_I^2 holds by construction (cross-check:
-:meth:`StatsTable.gain_sq_by_difference`).  Sums, not means, are carried,
-so a cell with one child copies that child's statistics bit for bit.
+The table depth is the requested cap, or, given the smallest threshold
+eta that will be applied, the certified depth j* <= cap: the first depth
+at which no cell can reach eta, since eps_I <= sqrt(n_I D / n) 2^-(j+1)
+(:func:`gain_bound`).  A threshold at eta or above selects the same cells
+from either table.
 
-Cells at the truncation depth are unexpandable: their children are never
+The points are Morton-sorted once at the cap, so every cell is a run of
+the sorted points.  Each level's point sums are one reduction over the
+sorted points at that level's run starts, so a center does not depend on
+the depth the table stops at.  Only the deepest level computes a scatter
+from the points, with a two-pass (mean, then scatter) reduction per cell
+that avoids the cancellation of a running sum-of-squares.  Each coarser
+scatter merges its children (Chan, Golub & LeVeque): b_I =
+sum_J n_J |c_J - c_I|^2, eps_I = sqrt(b_I / n) and n E_I = sum_J n E_J +
+b_I, so the between-within identity E_I = sum_J E_J + eps_I^2 holds by
+construction (cross-check: :meth:`StatsTable.gain_sq_by_difference`).  A
+cell with one child holds the same points in the same order, so it copies
+that child's statistics bit for bit.
+
+Cells at the table depth are unexpandable: their children are never
 measured, so their gain is undefined (``None``), and thresholding only
-ever inspects cells strictly above the cap.
+ever inspects cells strictly above it.
 
 Empty cells are not stored.  They contribute zero to every sum above, so
 sparse storage is exact, and lookups synthesize the count-0 statistics
@@ -134,19 +143,42 @@ class StatsTable:
         return self._levels[depth].errors - np.add.reduceat(child.errors, first)
 
 
-def _sum_runs(x, starts, rows, runs, merged):
-    """Per parent, its first child's x, or the children's sum where it has several."""
-    out = np.take(x, starts, axis=0)
-    out[merged] = np.add.reduceat(np.take(x, rows, axis=0), runs, axis=0)
-    return out
+# Relative widening of :func:`gain_bound`.  A computed gain differs from
+# the exact one through the rounding of the centers it compares: about
+# n_I ulps of a coordinate, against a half-side of 2**-(j + 1).  At the
+# deepest usable depth (32, for D = 1) that stays below 2**-10 for cells
+# of up to 2**9 points; coarser cells, or more dimensions, leave more room.
+GAIN_BOUND_MARGIN = 2.0**-10
 
 
-def build_stats(data: Dataset, depth_cap: int) -> StatsTable:
-    """Exact sample statistics for every nonempty cell of depth <= depth_cap.
+def gain_bound(share, depth: int, dim: int):
+    """An upper bound on the gain of a depth-``depth`` cell holding ``share`` of the mass.
 
-    One Morton sort orders the points at the cap; a coarse code is a prefix
-    of a fine one, so each cell's children are a contiguous run of the
-    level below and every coarser level is a grouped merge of that level.
+    eps_I**2 <= E_I by the between-within identity, and
+    E_I <= share * dim * 4**-depth / 4 by Popoviciu's variance bound per
+    coordinate of a cube of side 2**-depth, so
+    eps_I <= sqrt(share * dim) * 2**-(depth + 1).  The bound is widened
+    by :data:`GAIN_BOUND_MARGIN` so that rounding in a computed gain
+    cannot cross it.  Both factors only shrink down the tree, so once
+    every cell of some depth falls below eta, every deeper cell does too.
+    """
+    return np.sqrt(share * dim) * 2.0 ** -(depth + 1) * (1.0 + GAIN_BOUND_MARGIN)
+
+
+def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> StatsTable:
+    """Exact sample statistics for every nonempty cell of depth <= the table depth.
+
+    The table depth is ``depth_cap``, or with ``eta`` the certified depth
+    j* <= depth_cap: the first depth >= 1 at which :func:`gain_bound` puts
+    every cell below eta.  No cell at or below j* can reach eta, so a
+    threshold >= eta selects the same cells from this table as from the
+    one built to depth_cap, and finds every leaf in it.
+
+    One Morton sort orders the points at depth_cap; a coarse code is a
+    prefix of a fine one, so every cell is a run of the sorted points and
+    its children are a contiguous run of the level below.  Each level's
+    runs and counts come from one pass over the sorted codes, top-down,
+    which is where j* is read off.
     """
     dim, n = data.dim, data.n
     if depth_cap < 0 or depth_cap > default_max_depth(dim):
@@ -156,32 +188,45 @@ def build_stats(data: Dataset, depth_cap: int) -> StatsTable:
     pts = np.take(data.points, order, axis=0)
     deep_codes = deep_codes[order]
 
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(deep_codes)) + 1])
-    counts, sums, scatters = kernels.group_moments(pts, starts)
-    centers = sums / counts[:, None]
-    levels = [_Level(deep_codes[starts], counts, centers, scatters / n, None)]
-    for _ in range(depth_cap):
+    # Neighbours in the sorted order share their depth-j cell unless their
+    # codes differ above the low dim * (depth_cap - j) bits.
+    fork = deep_codes[1:] ^ deep_codes[:-1]
+    starts, counts = [], []
+    for depth in range(depth_cap + 1):
+        first = np.flatnonzero(fork >= 1 << dim * (depth_cap - depth)) + 1
+        starts.append(np.concatenate([[0], first]))
+        counts.append(np.diff(np.append(starts[-1], n)))
+        if eta is not None and depth >= 1 and gain_bound(counts[-1].max() / n, depth, dim) < eta:
+            break
+    cap = len(starts) - 1
+
+    def codes(depth):
+        return deep_codes[starts[depth]] >> dim * (depth_cap - depth)
+
+    _, sums, scatters = kernels.group_moments(pts, starts[cap])
+    levels = [_Level(codes(cap), counts[cap], sums / counts[cap][:, None], scatters / n, None)]
+    for depth in range(cap - 1, -1, -1):
         child = levels[-1]
-        codes = child.codes >> dim
-        first = np.concatenate([[True], codes[1:] != codes[:-1]])
-        starts = np.flatnonzero(first)
-        sizes = np.diff(np.append(starts, codes.shape[0]))
+        # Sums are reduced from the points at every level, so a center does
+        # not depend on the depth the table stops at.
+        centers = np.add.reduceat(pts, starts[depth], axis=0) / counts[depth][:, None]
+        up = child.codes >> dim
+        first = np.concatenate([[True], up[1:] != up[:-1]])
+        parents = np.flatnonzero(first)
+        sizes = np.diff(np.append(parents, up.shape[0]))
         # Most parents copy their only child; the parents in ``merged``
         # reduce child rows ``rows``, one run per parent starting at ``runs``.
         merged = np.flatnonzero(sizes > 1)
         rows = np.flatnonzero(~(first & np.append(first[1:], True)))
         runs = np.flatnonzero(first[rows])
-        counts, sums, scatters = (
-            _sum_runs(x, starts, rows, runs, merged) for x in (child.counts, sums, scatters)
-        )
-        centers = sums / counts[:, None]
         diff = np.take(child.centers, rows, axis=0)
         diff -= np.repeat(np.take(centers, merged, axis=0), sizes[merged], axis=0)
         between = np.add.reduceat(child.counts[rows] * np.einsum("ij,ij->i", diff, diff), runs)
-        scatters[merged] += between
-        gains = np.zeros(starts.shape[0])
+        within = np.add.reduceat(np.take(scatters, rows), runs)
+        scatters = np.take(scatters, parents)
+        scatters[merged] = within + between
+        gains = np.zeros(parents.shape[0])
         gains[merged] = np.sqrt(between / n)
-        levels.append(_Level(codes[starts], counts, centers, scatters / n, gains))
+        levels.append(_Level(codes(depth), counts[depth], centers, scatters / n, gains))
 
-    return StatsTable(dim=dim, n=n, depth_cap=depth_cap, _levels=levels[::-1])
-
+    return StatsTable(dim=dim, n=n, depth_cap=cap, _levels=levels[::-1])

@@ -125,6 +125,15 @@ class TestExperimentCommands:
         assert exc.value.code == 2
         assert "argument --trials: invalid int value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [[1, 2], "n-grid", 3])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("rate-experiment", "--dim", "1", "--config", cfg,
+                   "--output", tmp_path / "x.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and err.count("\n") == 1 and "cfg.json" in err
+
     def test_approx_trend(self, tmp_path):
         out = tmp_path / "trend.csv"
         assert run("approx-trend", "--uniform-atoms", "256", "--dim", "1",
@@ -157,6 +166,22 @@ class TestErrors:
         raw.write_text("1.5,0.2\n0.1,0.3\n")
         assert run("fit", "--data", raw, "--eta", "0.1",
                    "--output", tmp_path / "cb.json") == 2
+
+    def test_malformed_csv_names_the_file(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("x0,x1\n0.1,0.2\n0.3,abc\n")
+        assert run("fit", "--data", raw, "--eta", "0.1", "--output", tmp_path / "cb.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {raw}: could not convert string 'abc'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["", "x0,x1\n"], ids=["empty", "header-only"])
+    def test_empty_csv_is_one_line_error(self, tmp_path, capsys, recwarn, text):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(text)
+        assert run("fit", "--data", raw, "--eta", "0.1", "--output", tmp_path / "cb.json") == 2
+        assert capsys.readouterr().err == f"error: {raw}: no data rows\n"
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     @pytest.mark.parametrize("command", ["encode", "distortion"])
     @pytest.mark.parametrize(

@@ -57,6 +57,29 @@ def test_coarse_code_is_shifted_deep_code(impl, dim, deep, coords):
         assert np.array_equal(impl.morton_encode(pts, depth), shifted)
 
 
+def per_bit_morton_encode(points, depth):
+    """The bit-by-bit interleave: bit b of coordinate k goes to bit b * dim + k."""
+    idx = np.floor(points * 2.0**depth).astype(np.int64)
+    codes = np.zeros(points.shape[0], dtype=np.int64)
+    for b in range(depth):
+        for k in range(points.shape[1]):
+            codes |= ((idx[:, k] >> b) & 1) << (b * points.shape[1] + k)
+    return codes
+
+
+@given(st.integers(1, 13), st.data())
+@settings(max_examples=200, deadline=None)
+def test_morton_encode_matches_per_bit_oracle(impl, dim, data):
+    depth = data.draw(st.integers(0, 62 // dim))
+    coords = data.draw(st.lists(COORDS, min_size=dim, max_size=40 * dim))
+    pts = np.array(coords[: len(coords) // dim * dim]).reshape(-1, dim)
+    # The last double below 1 sets every index bit at every depth.
+    pts = np.vstack([pts, np.full((1, dim), np.nextafter(1.0, 0.0)), np.zeros((1, dim))])
+    codes = impl.morton_encode(pts, depth)
+    assert codes.dtype == np.int64
+    assert np.array_equal(codes, per_bit_morton_encode(pts, depth))
+
+
 def test_morton_overflow_guard(impl):
     with pytest.raises(ValueError):
         impl.morton_encode(np.zeros((1, 8)), 10)

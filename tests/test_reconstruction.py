@@ -14,6 +14,7 @@ from rectree.reconstruction import (
     encode,
     fit,
     load_codebook,
+    quantizer_from_stats,
     save_codebook,
     sweep,
     threshold_subtree,
@@ -136,8 +137,20 @@ class TestFit:
         assert all(cell.depth <= schedule.depth_cap(data.n) for cell in q.leaves)
 
     def test_depth_cap_error(self):
+        # j_n = 80, and at eta = 1e-12 a one-point cell can reach eta down to depth 37.
         with pytest.raises(DepthCapError):
-            fit(uniform_data(1, 4, 1), 0.1, RateSchedule(branching=2, gamma=40.0))
+            fit(uniform_data(1, 4, 1), 1e-12, RateSchedule(branching=2, gamma=40.0))
+
+    def test_fits_when_eta_certifies_a_storable_depth(self):
+        # j_n = 33 exceeds the 32 levels a 1-d Morton code holds, but no
+        # cell below depth 5 can reach eta = 0.01, so the fit needs only those.
+        data, schedule = uniform_data(2, 2048, 1), RateSchedule(branching=2, gamma=3.0)
+        assert schedule.depth_cap(data.n) == 33
+        q = fit(data, 0.01, schedule)
+        assert q.depth_cap == 33
+        assert {cell.depth for cell in q.leaves} == {4}
+        table = build_stats(data, 32)
+        assert set(q.leaves) == set(quantizer_from_stats(table, q.threshold, depth_cap=32).leaves)
 
     def test_branching_mismatch(self):
         with pytest.raises(ValueError):
@@ -189,7 +202,7 @@ class TestDistortion:
     def test_single_cell_quantizer_equals_root_error(self):
         root = root_cell(1)
         tables = {root.depth: (np.array([0]), TWO_POINT.points.mean(axis=0)[None, :])}
-        q = Quantizer(1, tables, threshold=1.0, depth_cap=0)
+        q = Quantizer.from_tables(1, tables, threshold=1.0, depth_cap=0)
         assert empirical_distortion(q, TWO_POINT) == pytest.approx(0.16, rel=1e-12)
 
     def test_reencoding_decoded_points_is_stable(self):
@@ -235,7 +248,7 @@ class TestSweep:
         [
             (uniform_data(1, 10, 3), 0.1, RateSchedule(branching=2), ValueError),
             (uniform_data(1, 10, 1), 0.0, RateSchedule(branching=2), ValueError),
-            (uniform_data(1, 4, 1), 0.1, RateSchedule(branching=2, gamma=40.0), DepthCapError),
+            (uniform_data(1, 4, 1), 1e-12, RateSchedule(branching=2, gamma=40.0), DepthCapError),
         ],
         ids=["branching", "eta", "depth_cap"],
     )

@@ -1,7 +1,8 @@
 """The bottom-up statistics table against the per-level top-down build.
 
-``build_stats`` reads the points once, at the cap, and merges every
-coarser level from its children.  The reference below is the build it
+``build_stats`` sorts the points once, at the cap, takes each level's sums
+from the sorted points and merges every coarser level's scatter from its
+children.  The reference below is the build it
 replaced: one grouped two-pass reduction over all n points per depth, then
 a separate center-difference gain pass.  Both must give the same cells and
 counts, and agree on centers, errors and gains to rounding.
@@ -146,7 +147,11 @@ def test_matches_oracle_on_exact_duplicates(dim, m, n):
 
 
 def test_points_scanned_once(monkeypatch):
-    """Only the deepest level reads the points: one grouped reduction over n rows."""
+    """One grouped two-pass reduction over the n rows, at the deepest level.
+
+    Coarser levels read the sorted points only for their sums
+    (``np.add.reduceat``) and merge their scatters from their children.
+    """
     calls = []
     group_moments = rectree.kernels.group_moments
 
