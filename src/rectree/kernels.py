@@ -33,12 +33,6 @@ def morton_encode(points, depth):
     if dim == 1:
         return idx.reshape(n)
     codes = np.zeros(n, dtype=np.int64)
-    if depth <= 2:
-        # One or two bits per coordinate: the table gathers cost more than they save.
-        for b in range(depth):
-            for k in range(dim):
-                codes |= ((idx[:, k] >> b) & 1) << (b * dim + k)
-        return codes
     spread = _spread_table(dim)
     index_bytes = idx.view(np.uint8).reshape(n, dim, 8)
     part = np.empty(n, dtype=np.int64)

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DepthCapError, DomainError
-from .stats import Dataset, StatsTable, build_stats, gain_bound
+from .errors import DomainError
+from .stats import Dataset, StatsTable, build_stats
 # outer_leaves and smallest_subtree are bound here for tracers that wrap them by name.
 from .tree import (
     CellId,
@@ -257,14 +257,9 @@ def _schedule_stats(data: Dataset, etas: list[float], schedule: RateSchedule):
         raise ValueError("eta must be positive")
     if schedule.branching != 1 << data.dim:
         raise ValueError(f"schedule branching {schedule.branching} does not match dim {data.dim}")
-    cap, max_depth, eta = schedule.depth_cap(data.n), default_max_depth(data.dim), min(etas)
+    cap = schedule.depth_cap(data.n)
     # Leaves reach depth max(1, j_n), so the table has a level below the root.
-    stats = build_stats(data, min(max(1, cap), max_depth), eta)
-    heaviest = stats.level(stats.depth_cap).counts.max() / data.n
-    if cap > max_depth and gain_bound(heaviest, stats.depth_cap, data.dim) >= eta:
-        raise DepthCapError(f"j_n = {cap} exceeds max_depth {max_depth} and eta = {eta!r} "
-                            f"is not certified above it; raise eta, lower gamma or reduce n")
-    return stats, cap
+    return build_stats(data, max(1, cap), min(etas)), cap
 
 
 def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:

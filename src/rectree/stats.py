@@ -143,26 +143,24 @@ class StatsTable:
         return self._levels[depth].errors - np.add.reduceat(child.errors, first)
 
 
-# Relative widening of :func:`gain_bound`.  A computed gain differs from
-# the exact one through the rounding of the centers it compares: about
-# n_I ulps of a coordinate, against a half-side of 2**-(j + 1).  At the
-# deepest usable depth (32, for D = 1) that stays below 2**-10 for cells
-# of up to 2**9 points; coarser cells, or more dimensions, leave more room.
-GAIN_BOUND_MARGIN = 2.0**-10
-
-
-def gain_bound(share, depth: int, dim: int):
-    """An upper bound on the gain of a depth-``depth`` cell holding ``share`` of the mass.
+def gain_bound(share, depth: int, dim: int, summed=1):
+    """An upper bound on the computed gain of a depth-``depth`` cell holding ``share`` of the mass.
 
     eps_I**2 <= E_I by the between-within identity, and
     E_I <= share * dim * 4**-depth / 4 by Popoviciu's variance bound per
     coordinate of a cube of side 2**-depth, so
-    eps_I <= sqrt(share * dim) * 2**-(depth + 1).  The bound is widened
-    by :data:`GAIN_BOUND_MARGIN` so that rounding in a computed gain
-    cannot cross it.  Both factors only shrink down the tree, so once
-    every cell of some depth falls below eta, every deeper cell does too.
+    eps_I <= sqrt(share * dim) * 2**-(depth + 1).
+
+    A computed gain also carries the rounding of the centers it compares.
+    A center summed in sequence from ``summed`` coordinates in [0, 1) is
+    off by at most about summed * 2**-53, against a half-side of
+    2**-(depth + 1), so the bound is widened by a relative
+    (summed + 1) * 2**(depth - 47), several times that error.  The widened
+    bound only shrinks down the tree as long as ``share`` and ``summed``
+    do, so once every cell of some depth falls below eta, every deeper
+    cell does too.
     """
-    return np.sqrt(share * dim) * 2.0 ** -(depth + 1) * (1.0 + GAIN_BOUND_MARGIN)
+    return np.sqrt(share * dim) * 2.0 ** -(depth + 1) * (1.0 + (summed + 1) * 2.0 ** (depth - 47))
 
 
 def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> StatsTable:
@@ -172,36 +170,44 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
     j* <= depth_cap: the first depth >= 1 at which :func:`gain_bound` puts
     every cell below eta.  No cell at or below j* can reach eta, so a
     threshold >= eta selects the same cells from this table as from the
-    one built to depth_cap, and finds every leaf in it.
+    one built to depth_cap, and finds every leaf in it.  With ``eta``,
+    depth_cap may exceed :func:`~rectree.tree.default_max_depth` as long
+    as j* does not.
 
-    One Morton sort orders the points at depth_cap; a coarse code is a
-    prefix of a fine one, so every cell is a run of the sorted points and
-    its children are a contiguous run of the level below.  Each level's
-    runs and counts come from one pass over the sorted codes, top-down,
-    which is where j* is read off.
+    One Morton sort orders the points at the deepest depth searched; a
+    coarse code is a prefix of a fine one, so every cell is a run of the
+    sorted points and its children are a contiguous run of the level
+    below.  Each level's runs and counts come from one pass over the
+    sorted codes, top-down, which is where j* is read off.
     """
-    dim, n = data.dim, data.n
-    if depth_cap < 0 or depth_cap > default_max_depth(dim):
-        raise DepthCapError(f"depth_cap {depth_cap} outside 0..{default_max_depth(dim)}")
-    deep_codes = kernels.morton_encode(data.points, depth_cap)
+    dim, n, max_depth = data.dim, data.n, default_max_depth(data.dim)
+    if depth_cap < 0 or (eta is None and depth_cap > max_depth):
+        raise DepthCapError(f"depth_cap {depth_cap} outside 0..{max_depth}")
+    deepest = min(depth_cap, max_depth)
+    deep_codes = kernels.morton_encode(data.points, deepest)
     order = np.argsort(deep_codes, kind="stable")
     pts = np.take(data.points, order, axis=0)
     deep_codes = deep_codes[order]
 
     # Neighbours in the sorted order share their depth-j cell unless their
-    # codes differ above the low dim * (depth_cap - j) bits.
+    # codes differ above the low dim * (deepest - j) bits.
     fork = deep_codes[1:] ^ deep_codes[:-1]
     starts, counts = [], []
-    for depth in range(depth_cap + 1):
-        first = np.flatnonzero(fork >= 1 << dim * (depth_cap - depth)) + 1
+    for depth in range(deepest + 1):
+        first = np.flatnonzero(fork >= 1 << dim * (deepest - depth)) + 1
         starts.append(np.concatenate([[0], first]))
         counts.append(np.diff(np.append(starts[-1], n)))
-        if eta is not None and depth >= 1 and gain_bound(counts[-1].max() / n, depth, dim) < eta:
+        heaviest = int(counts[-1].max())
+        if eta is not None and depth >= 1 and gain_bound(heaviest / n, depth, dim, heaviest) < eta:
             break
+    else:
+        if depth_cap > max_depth:
+            raise DepthCapError(f"depth_cap {depth_cap} exceeds max_depth {max_depth} and eta = "
+                                f"{eta!r} is not certified above it; raise eta or lower the cap")
     cap = len(starts) - 1
 
     def codes(depth):
-        return deep_codes[starts[depth]] >> dim * (depth_cap - depth)
+        return deep_codes[starts[depth]] >> dim * (deepest - depth)
 
     _, sums, scatters = kernels.group_moments(pts, starts[cap])
     levels = [_Level(codes(cap), counts[cap], sums / counts[cap][:, None], scatters / n, None)]
@@ -210,22 +216,22 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
         # Sums are reduced from the points at every level, so a center does
         # not depend on the depth the table stops at.
         centers = np.add.reduceat(pts, starts[depth], axis=0) / counts[depth][:, None]
-        up = child.codes >> dim
-        first = np.concatenate([[True], up[1:] != up[:-1]])
-        parents = np.flatnonzero(first)
-        sizes = np.diff(np.append(parents, up.shape[0]))
+        # A parent's children are the child runs from the one starting
+        # where it starts up to the next parent's first child.
+        first = np.searchsorted(starts[depth + 1], starts[depth])
+        sizes = np.diff(np.append(first, child.codes.shape[0]))
         # Most parents copy their only child; the parents in ``merged``
         # reduce child rows ``rows``, one run per parent starting at ``runs``.
         merged = np.flatnonzero(sizes > 1)
-        rows = np.flatnonzero(~(first & np.append(first[1:], True)))
-        runs = np.flatnonzero(first[rows])
+        rows = np.flatnonzero(np.repeat(sizes > 1, sizes))
+        runs = np.cumsum(sizes[merged]) - sizes[merged]
         diff = np.take(child.centers, rows, axis=0)
         diff -= np.repeat(np.take(centers, merged, axis=0), sizes[merged], axis=0)
         between = np.add.reduceat(child.counts[rows] * np.einsum("ij,ij->i", diff, diff), runs)
         within = np.add.reduceat(np.take(scatters, rows), runs)
-        scatters = np.take(scatters, parents)
+        scatters = np.take(scatters, first)
         scatters[merged] = within + between
-        gains = np.zeros(parents.shape[0])
+        gains = np.zeros(first.shape[0])
         gains[merged] = np.sqrt(between / n)
         levels.append(_Level(codes(depth), counts[depth], centers, scatters / n, gains))
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectree import kernels
-from rectree.errors import DomainError
+from rectree.errors import DepthCapError, DomainError
 from rectree.reconstruction import Quantizer, fit, load_codebook, quantizer_from_stats, RateSchedule
 from rectree.stats import Dataset, build_stats, gain_bound
 from rectree.tree import CellId, cell_to_code, default_max_depth
@@ -62,10 +62,7 @@ def thresholds(table, data):
     return etas
 
 
-@given(on_bound_data())
-@settings(max_examples=150, deadline=None)
-def test_certified_build_matches_full_build(case):
-    data, cap = case
+def assert_certified_matches_full(data, cap):
     full = build_stats(data, cap)
     for eta in thresholds(full, data):
         cert = build_stats(data, cap, eta)
@@ -90,20 +87,44 @@ def test_certified_build_matches_full_build(case):
             assert np.all(np.abs(got[d][1] - want[d][1]) <= 1e-15)
 
 
+@given(on_bound_data())
+@settings(max_examples=150, deadline=None)
+def test_certified_build_matches_full_build(case):
+    assert_certified_matches_full(*case)
+
+
+@pytest.mark.parametrize("copies", [1000, 4000])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_heavy_deep_cell_on_its_bound(seed, copies):
+    # Thousands of points at both corners of one depth-30 cell: its center
+    # is a long sequential sum, rounded on the scale of the cell's side.
+    rng = np.random.default_rng(seed)
+    data = Dataset(np.concatenate([rng.random((100, 1)), corner_pair(rng, 30, 1, copies)]))
+    assert_certified_matches_full(data, 32)
+
+
 def test_certified_depth_stops_where_every_cell_fails():
     # 2**12 evenly spread points in D = 1: a depth-j cell holds 2**-j of them,
     # so its bound is 2**-(1.5 j + 1) (1 + margin).
     data = Dataset(((np.arange(4096) + 0.5) / 4096)[:, None])
     assert build_stats(data, 12, 2.0**-7).depth_cap == 5
     assert build_stats(data, 12, 2.0**-8).depth_cap == 5
-    # Within the margin above the depth-5 bound, depth 5 still counts as reachable.
-    assert build_stats(data, 12, 2.0**-8.5 * (1 + 2.0**-11)).depth_cap == 6
-    assert build_stats(data, 12, 2.0**-8.5 * (1 + 2.0**-9)).depth_cap == 5
+    # Within the margin above the depth-5 bound, depth 5 still counts as
+    # reachable; a depth-5 cell sums 128 points, so the margin is 129 * 2**-42.
+    margin = 129 * 2.0**-42
+    assert build_stats(data, 12, 2.0**-8.5 * (1 + margin / 2)).depth_cap == 6
+    assert build_stats(data, 12, 2.0**-8.5 * (1 + 2 * margin)).depth_cap == 5
     # A cell whose bound equals eta may still reach it (ties expand).
-    assert build_stats(data, 12, float(gain_bound(2.0**-5, 5, 1))).depth_cap == 6
+    assert build_stats(data, 12, float(gain_bound(2.0**-5, 5, 1, 128))).depth_cap == 6
     assert build_stats(data, 12, 10.0).depth_cap == 1
     assert build_stats(data, 3, 1e-9).depth_cap == 3
     assert build_stats(data, 0, 10.0).depth_cap == 0
+    # A cap beyond the storable depth is refused only when eta is not certified above it.
+    assert build_stats(data, 40, 2.0**-7).depth_cap == 5
+    with pytest.raises(DepthCapError):
+        build_stats(data, 40, 1e-12)
+    with pytest.raises(DepthCapError):
+        build_stats(data, 40)
 
 
 def per_depth_assign(tables, dim, points):
