@@ -4,6 +4,13 @@ Runs are reproducible across platforms: all randomness comes from a
 counter-based generator (Philox) keyed by the seed, assignment ties break
 toward the lowest center index, and empty clusters are re-seeded to the
 point farthest from their stale center (lowest index on ties).
+
+Assignments do not depend on how the BLAS rounds.  ``nearest_centers``
+ranks centers with a matrix product, but keeps its answer only where a
+rounding bound certifies it equals the direct search over
+sum((x - c)**2); every other row, ties included, is searched directly.
+So labels, distances and through them the whole Lloyd trajectory are the
+bits of the direct search, on any BLAS and any thread count.
 """
 
 from __future__ import annotations
@@ -76,8 +83,11 @@ def kmeans_fit(
             # Budget exhausted: keep the centers that produced trace[-1].
             break
         counts = np.bincount(labels, minlength=k)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, points)
+        # bincount adds each cluster's points in row order, one coordinate
+        # at a time; the golden k-means test pins the resulting bits.
+        sums = np.column_stack(
+            [np.bincount(labels, weights=points[:, j], minlength=k) for j in range(points.shape[1])]
+        )
         new_centers = centers.copy()
         nonempty = counts > 0
         new_centers[nonempty] = sums[nonempty] / counts[nonempty, None]

@@ -137,7 +137,7 @@ def _cmd_encode(args) -> int:
     q = load_codebook(args.codebook)
     data = _load_data(args.data, args.normalize)
     if data.dim != q.dim:
-        raise SystemExit(f"data dim {data.dim} != codebook dim {q.dim}")
+        raise ValueError(f"{args.data}: data dim {data.dim} != codebook dim {q.dim}")
     depths, codes = q.assign(data.points)
     out = np.empty((data.n, 1 + q.dim), dtype=np.int64)
     out[:, 0] = depths
@@ -152,9 +152,9 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     q = load_codebook(args.codebook)
-    ids = np.loadtxt(args.ids, delimiter=",", skiprows=1, ndmin=2, dtype=np.int64)
+    ids = read_points_csv(args.ids, dtype=np.int64)
     if ids.shape[1] != 1 + q.dim:
-        raise SystemExit(f"id rows must have 1+{q.dim} integers")
+        raise ValueError(f"{args.ids}: id rows must have 1+{q.dim} integers, not {ids.shape[1]}")
     vectors = np.empty((ids.shape[0], q.dim))
     for i, row in enumerate(ids):
         vectors[i] = decode(q, CellId(int(row[0]), tuple(int(v) for v in row[1:])))

@@ -285,10 +285,11 @@ def read_dataset(path) -> Dataset:
     return Dataset(points, nm)
 
 
-def read_points_csv(path) -> np.ndarray:
+def read_points_csv(path, dtype=np.float64) -> np.ndarray:
     """Plain CSV of coordinates; a single non-numeric header row is skipped.
 
-    A malformed or empty file raises a ValueError naming it.
+    A malformed or empty file, or a value that does not parse as
+    ``dtype``, raises a ValueError naming it.
     """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
@@ -301,7 +302,7 @@ def read_points_csv(path) -> np.ndarray:
         # An empty file is reported below, not by numpy's "input contained no data".
         warnings.simplefilter("ignore", UserWarning)
         try:
-            pts = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, dtype=np.float64)
+            pts = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, dtype=dtype)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if pts.size == 0:

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rectree.baselines import kmeans_distortion, kmeans_fit
+from rectree.datagen import GeneratorSpec, sample
 from rectree.stats import Dataset, build_stats
 from rectree.tree import root_cell
 
@@ -53,6 +56,23 @@ class TestKMeansFit:
         trace = model.objective_trace
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         assert model.final_objective <= 1e-30
+
+    def test_golden_swiss_roll(self):
+        # Centers and objective trace of the direct-search Lloyd iteration,
+        # pinned to the bit.  The points are floored to a 2**-20 grid so that
+        # last-place differences of sin/cos between platforms cannot move
+        # them, then divided by 3 so that their sums round and the order of
+        # every sum stays pinned too.
+        points = sample(GeneratorSpec("swiss_roll", 3, seed=0), 1000).points
+        model = kmeans_fit(Dataset(np.floor(points * 2.0**20) / (3 * 2.0**19)), 100, seed=0)
+        digest = hashlib.sha256(model.centers.tobytes()).hexdigest()
+        assert digest == "6aa6ee3d35f5148178a73556fc981e9125671018fb5a18b24efd2fb8a68b3307"
+        assert tuple(v.hex() for v in model.objective_trace) == (
+            "0x1.b7adeb39fea28p-11", "0x1.49bac040d2c44p-11", "0x1.30036d89a740cp-11",
+            "0x1.26b42d922f9ccp-11", "0x1.22074948621ecp-11", "0x1.1fc38833669f2p-11",
+            "0x1.1f2e2876786abp-11", "0x1.1e939e1a14c39p-11", "0x1.1e64dbf6f17e1p-11",
+            "0x1.1e64dbf6f17e1p-11",
+        )
 
 
 class TestKMeansDistortion:

@@ -199,3 +199,32 @@ class TestErrors:
                    "--output", workdir / "out.csv") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "ids_text, message",
+        [
+            ("depth,k0,k1\n", "no data rows"),
+            ("depth,k0,k1\n1,0,abc\n", "could not convert string 'abc'"),
+            ("depth,k0,k1\n1,0\n", "id rows must have 1+2 integers, not 2"),
+        ],
+        ids=["header-only", "not-an-integer", "wrong-width"],
+    )
+    def test_bad_ids_csv_is_one_line_error(self, workdir, capsys, recwarn, ids_text, message):
+        cb = workdir / "cb.json"
+        assert run("fit", "--data", workdir / "train.rtds", "--eta", "0.05", "--output", cb) == 0
+        capsys.readouterr()
+        ids = workdir / "ids.csv"
+        ids.write_text(ids_text)
+        assert run("decode", "--codebook", cb, "--ids", ids, "--output", workdir / "rec.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ids}: {message}") and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+    def test_encode_dim_mismatch_is_one_line_error(self, workdir, capsys):
+        cb = workdir / "cb.json"
+        assert run("fit", "--data", workdir / "train.rtds", "--eta", "0.05", "--output", cb) == 0
+        capsys.readouterr()
+        raw = workdir / "raw.csv"
+        raw.write_text("0.1,0.2,0.3\n")
+        assert run("encode", "--codebook", cb, "--data", raw, "--output", workdir / "ids.csv") == 2
+        assert capsys.readouterr().err == f"error: {raw}: data dim 3 != codebook dim 2\n"
