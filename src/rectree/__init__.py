@@ -17,7 +17,6 @@ from .oracle import (
     OracleTable,
     approximation_error,
     isolation_depth,
-    leaf_count_bound_monitor,
     oracle_quantizer,
     oracle_stats,
     oracle_subtree,
@@ -35,15 +34,6 @@ from .reconstruction import (
     threshold_subtree,
 )
 from .stats import CellStats, Dataset, StatsTable, build_stats
-from .tree import (
-    CellId,
-    OuterLeafPartition,
-    Subtree,
-    children,
-    locate,
-    outer_leaves,
-    parent,
-    smallest_subtree,
-)
+from .tree import CellId, Subtree
 
 __version__ = "0.1.0"

@@ -40,6 +40,7 @@ from .experiment import (
 )
 from .oracle import DiscreteDistribution
 from .reconstruction import (
+    Quantizer,
     RateSchedule,
     decode,
     empirical_distortion,
@@ -133,11 +134,16 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_encode(args) -> int:
+def _codebook_and_data(args) -> tuple[Quantizer, Dataset]:
     q = load_codebook(args.codebook)
     data = _load_data(args.data, args.normalize)
     if data.dim != q.dim:
         raise ValueError(f"{args.data}: data dim {data.dim} != codebook dim {q.dim}")
+    return q, data
+
+
+def _cmd_encode(args) -> int:
+    q, data = _codebook_and_data(args)
     depths, codes = q.assign(data.points)
     out = np.empty((data.n, 1 + q.dim), dtype=np.int64)
     out[:, 0] = depths
@@ -164,8 +170,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    q = load_codebook(args.codebook)
-    data = _load_data(args.data, args.normalize)
+    q, data = _codebook_and_data(args)
     value = empirical_distortion(q, data)
     write_csv(args.output, ["n", "distortion"], [(data.n, value)])
     print(f"distortion: {value!r} over n={data.n}")

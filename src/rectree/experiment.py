@@ -16,13 +16,7 @@ import numpy as np
 
 from .baselines import kmeans_distortion, kmeans_fit
 from .datagen import GeneratorSpec, sample
-from .oracle import (
-    DiscreteDistribution,
-    approximation_error_from_table,
-    oracle_stats,
-    outer_leaves,
-    subtree_from_table,
-)
+from .oracle import DiscreteDistribution, oracle_stats, outer_leaf_errors
 from .reconstruction import RateSchedule, empirical_distortion, fit, sweep
 
 
@@ -154,9 +148,8 @@ def run_approximation_trend(
     rows = []
     for eta in etas:
         eta = float(eta)
-        err = approximation_error_from_table(table, eta)
-        leaves = outer_leaves(subtree_from_table(table, eta))
-        rows.append((eta, err, len(leaves)))
+        errors = outer_leaf_errors(table, eta)
+        rows.append((eta, math.fsum(errors.tolist()), errors.shape[0]))
     slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     return rows, slope
 

@@ -41,7 +41,7 @@ from .tree import (
     cube_center,
     default_max_depth,
     outer_leaves,
-    subtree_codes,
+    smallest_subtree,
 )
 
 
@@ -214,8 +214,8 @@ def oracle_stats(dist: DiscreteDistribution, depth_cap: int | None = None) -> Or
     return OracleTable(dim=dist.dim, depth_cap=cap, isolation=iso, _levels=levels)
 
 
-def subtree_from_table(table: OracleTable, eta: float) -> Subtree:
-    """Ancestor closure of all cells with gain >= eta; {root} when none.
+def _certified_levels(table: OracleTable, eta: float) -> list[np.ndarray]:
+    """Subtree codes per depth: the closure of every cell with gain >= eta.
 
     Raises when the cap cannot certify the untruncated subtree: either a
     selected cell sits at the cap itself, or atoms are not yet isolated by
@@ -239,7 +239,12 @@ def subtree_from_table(table: OracleTable, eta: float) -> Subtree:
             f"cell with gain >= {eta} found at depth_cap {cap}; "
             "deeper selected cells may exist, raise the cap"
         )
-    return Subtree.from_codes(subtree_codes(marked, table.dim), table.dim)
+    return smallest_subtree(marked, table.dim)
+
+
+def subtree_from_table(table: OracleTable, eta: float) -> Subtree:
+    """Ancestor closure of all cells with gain >= eta; {root} when none."""
+    return Subtree.from_codes(_certified_levels(table, eta), table.dim)
 
 
 def oracle_subtree(
@@ -254,7 +259,7 @@ def quantizer_from_table(table: OracleTable, eta: float) -> Quantizer:
     The table has the level layout of a :class:`StatsTable`, so the
     empirical extraction applies once the cap is known to certify the subtree.
     """
-    subtree_from_table(table, eta)
+    _certified_levels(table, eta)
     return quantizer_from_stats(table, eta)
 
 
@@ -264,25 +269,22 @@ def oracle_quantizer(
     return quantizer_from_table(oracle_stats(dist, depth_cap), eta)
 
 
+def outer_leaf_errors(table: OracleTable, eta: float) -> np.ndarray:
+    """E_I of every outer leaf of the subtree at eta, in code order per depth; 0 if empty."""
+    errors = []
+    for depth, codes in outer_leaves(_certified_levels(table, eta), table.dim).items():
+        lv = table.level(depth)
+        rows = np.minimum(np.searchsorted(lv.codes, codes), lv.codes.shape[0] - 1)
+        errors.append(np.where(lv.codes[rows] == codes, lv.errors[rows], 0.0))
+    return np.concatenate(errors)
+
+
 def approximation_error_from_table(table: OracleTable, eta: float) -> float:
     """Exact expected distortion sum_{leaves} E_I of the population quantizer."""
-    leaves = outer_leaves(subtree_from_table(table, eta))
-    return math.fsum(table.lookup(cell).error for cell in leaves)
+    return math.fsum(outer_leaf_errors(table, eta).tolist())
 
 
 def approximation_error(
     dist: DiscreteDistribution, eta: float, depth_cap: int | None = None
 ) -> float:
     return approximation_error_from_table(oracle_stats(dist, depth_cap), eta)
-
-
-def leaf_count_bound_monitor(
-    dist: DiscreteDistribution, etas, depth_cap: int | None = None
-) -> list[tuple[float, int, int]]:
-    """(eta, #subtree, #leaves) rows for trend inspection; no hard assertion."""
-    table = oracle_stats(dist, depth_cap)
-    rows = []
-    for eta in etas:
-        sub = subtree_from_table(table, float(eta))
-        rows.append((float(eta), len(sub), len(outer_leaves(sub))))
-    return rows

@@ -42,17 +42,14 @@ import numpy as np
 from . import kernels
 from .errors import DomainError
 from .stats import Dataset, StatsTable, build_stats
-# outer_leaves and smallest_subtree are bound here for tracers that wrap them by name.
 from .tree import (
     CellId,
     Subtree,
     cell_to_code,
     cells_from_codes,
     default_max_depth,
-    outer_leaf_codes,
     outer_leaves,
     smallest_subtree,
-    subtree_codes,
 )
 
 CODEBOOK_FORMAT = "rectree-codebook"
@@ -105,7 +102,7 @@ def _subtree_levels(stats: StatsTable, eta: float, depth_cap: int | None) -> lis
         raise ValueError("eta must be positive")
     cap = stats.depth_cap if depth_cap is None else min(depth_cap, stats.depth_cap)
     marked = {d: stats.level(d).codes[stats.level(d).gains >= eta] for d in range(cap)}
-    return subtree_codes(marked, stats.dim)
+    return smallest_subtree(marked, stats.dim)
 
 
 def threshold_subtree(stats: StatsTable, eta: float, depth_cap: int | None = None) -> Subtree:
@@ -176,6 +173,8 @@ class Quantizer:
 
     def _rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(leaf row, depth-m code) per point: one encode and one search."""
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(f"point dim {points.shape[-1]} != quantizer dim {self.dim}")
         deep = kernels.morton_encode(points, self.deepest)
         rows = np.searchsorted(self.starts, deep, side="right") - 1
         size = 1 << self.dim * (self.deepest - self.depths[rows].astype(np.int64))
@@ -232,7 +231,7 @@ def quantizer_from_stats(
     """Threshold, take outer leaves, and attach code vectors."""
     cap = stats.depth_cap if depth_cap is None else depth_cap
     tables = {}
-    for depth, codes in outer_leaf_codes(_subtree_levels(stats, eta, cap), stats.dim).items():
+    for depth, codes in outer_leaves(_subtree_levels(stats, eta, cap), stats.dim).items():
         lv = stats.level(depth)
         rows = np.searchsorted(lv.codes, codes)
         rows[rows == lv.codes.shape[0]] = 0
@@ -338,6 +337,14 @@ def save_codebook(q: Quantizer, path) -> None:
         fh.write("\n")
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; TypeError unless every entry is a JSON integer."""
+    array = np.array(values)
+    if array.size and array.dtype.kind != "i":
+        raise TypeError(f"{what} must be integers")
+    return array.astype(np.int64)
+
+
 def load_codebook(path) -> Quantizer:
     """Read a codebook; ValueError unless it is well formed and its leaves tile the cube.
 
@@ -357,19 +364,23 @@ def load_codebook(path) -> Quantizer:
         raise ValueError(f"codebook {path} lacks {', '.join(missing) or 'leaves'}")
     rows = doc["leaves"]
     try:
-        dim = int(doc["dim"])
+        dim = int(_integers(doc["dim"], "dim"))
         short = [i for i, r in enumerate(rows) if len(r["index"]) != dim or len(r["code"]) != dim]
-        if short:
-            raise ValueError(f"codebook row {short[0]}: index and code need {dim} entries each")
-        depths = np.array([row["depth"] for row in rows], dtype=np.int64)
-        index = np.array([row["index"] for row in rows], dtype=np.int64).reshape(len(rows), dim)
-        vectors = np.array([row["code"] for row in rows], dtype=np.float64).reshape(len(rows), dim)
-        eta, cap = float(doc["eta"]), int(doc["depth_cap"])
-        gamma, beta = (None if doc.get(k) is None else float(doc[k]) for k in ("gamma", "beta"))
-    except (KeyError, TypeError, OverflowError) as exc:
+        if not short:
+            depths = _integers([row["depth"] for row in rows], "leaf depths")
+            index = _integers([row["index"] for row in rows], "leaf indices").reshape(len(rows), dim)
+            vectors = np.array([row["code"] for row in rows], dtype=np.float64).reshape(len(rows), dim)
+            eta, cap = float(doc["eta"]), int(_integers(doc["depth_cap"], "depth_cap"))
+            gamma, beta = (None if doc.get(k) is None else float(doc[k]) for k in ("gamma", "beta"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed codebook {path}: {type(exc).__name__} {exc}") from None
+    if short:
+        raise ValueError(f"codebook row {short[0]}: index and code need {dim} entries each")
     if dim < 1:
         raise ValueError(f"codebook dim {dim} is not positive")
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        raise ValueError(f"codebook {path} row {bad[0]}: code {vectors[bad[0]].tolist()} is not finite")
     top = default_max_depth(dim)
     outside = (index < 0) | (index >> depths[:, None] != 0)
     bad = np.flatnonzero((depths < 0) | (depths > top) | outside.any(axis=1))

@@ -20,7 +20,9 @@ from rectree.reconstruction import (
     threshold_subtree,
 )
 from rectree.stats import Dataset, build_stats
-from rectree.tree import cell_to_code, cells_from_codes, outer_leaves, smallest_subtree
+from rectree.tree import cell_to_code, cells_from_codes
+
+from reference_tree import outer_leaves, smallest_subtree
 
 
 def reference_leaves(stats, eta, cap):

