@@ -368,8 +368,10 @@ def load_codebook(path) -> Quantizer:
         short = [i for i, r in enumerate(rows) if len(r["index"]) != dim or len(r["code"]) != dim]
         if not short:
             depths = _integers([row["depth"] for row in rows], "leaf depths")
-            index = _integers([row["index"] for row in rows], "leaf indices").reshape(len(rows), dim)
-            vectors = np.array([row["code"] for row in rows], dtype=np.float64).reshape(len(rows), dim)
+            index = _integers([row["index"] for row in rows], "leaf indices")
+            index = index.reshape(len(rows), dim)
+            vectors = np.array([row["code"] for row in rows], dtype=np.float64)
+            vectors = vectors.reshape(len(rows), dim)
             eta, cap = float(doc["eta"]), int(_integers(doc["depth_cap"], "depth_cap"))
             gamma, beta = (None if doc.get(k) is None else float(doc[k]) for k in ("gamma", "beta"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -380,7 +382,8 @@ def load_codebook(path) -> Quantizer:
         raise ValueError(f"codebook dim {dim} is not positive")
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad.size:
-        raise ValueError(f"codebook {path} row {bad[0]}: code {vectors[bad[0]].tolist()} is not finite")
+        i = bad[0]
+        raise ValueError(f"codebook {path} row {i}: code {vectors[i].tolist()} is not finite")
     top = default_max_depth(dim)
     outside = (index < 0) | (index >> depths[:, None] != 0)
     bad = np.flatnonzero((depths < 0) | (depths > top) | outside.any(axis=1))

@@ -154,7 +154,9 @@ def approximation_error_from_table(table, eta: float) -> float:
     return math.fsum(table.lookup(cell).error for cell in leaves)
 
 
-def leaf_count_bound_monitor(dist, etas, depth_cap: int | None = None) -> list[tuple[float, int, int]]:
+def leaf_count_bound_monitor(
+    dist, etas, depth_cap: int | None = None
+) -> list[tuple[float, int, int]]:
     """(eta, #subtree, #leaves) rows for trend inspection; no hard assertion."""
     table = oracle_stats(dist, depth_cap)
     rows = []

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rectree.errors import CapTooSmallError
+from rectree.experiment import run_approximation_trend
 from rectree.oracle import (
     DiscreteDistribution,
     approximation_error,
@@ -14,7 +15,6 @@ from rectree.oracle import (
     oracle_stats,
     oracle_subtree,
 )
-from rectree.experiment import run_approximation_trend
 from rectree.stats import Dataset, build_stats
 from rectree.tree import CellId, root_cell
 
@@ -294,8 +294,6 @@ class TestArrayLeafErrors:
     """The code-array error sum against one oracle lookup per per-cell leaf."""
 
     @given(grid_distributions())
-    @example(DiscreteDistribution(np.array([[0.1, 0.1], [0.15, 0.1], [0.9, 0.6]]),
-                                  np.array([0.25, 0.25, 0.5])))
     @settings(max_examples=60, deadline=None)
     def test_error_and_leaf_count_match_per_cell_reference(self, dist):
         table = oracle_stats(dist)
