@@ -3,8 +3,8 @@
 Subcommands: fit, encode, decode, distortion, sweep, rate-experiment,
 approx-trend, baseline, plus sample for materializing synthetic datasets.
 All randomness is seeded; identical arguments produce byte-identical
-output files.  Experiment subcommands also accept a JSON config file
-(--config); explicit flags win over config values.
+output files.  rate-experiment, approx-trend and baseline also accept a
+JSON config file (--config); explicit flags win over config values.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ from .stats import Dataset
 from .tree import CellId
 
 
+_CONFIG_COMMANDS = ("rate-experiment", "approx-trend", "baseline")
+
+
 def _load_data(path: str, do_normalize: bool) -> Dataset:
     if path.endswith(".csv"):
         pts = read_points_csv(path)
@@ -80,13 +83,16 @@ def _generator_from_args(args) -> GeneratorSpec:
 
 def _schedule_from_args(args, dim: int) -> RateSchedule:
     branching = 1 << dim
-    if getattr(args, "theoretical_constant", False):
+    if args.theoretical_constant:
         return RateSchedule.with_theoretical_constant(branching, args.gamma, args.beta)
     return RateSchedule(branching, args.gamma, args.beta, args.threshold_constant)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"--etas {text!r}: no thresholds given")
+    return values
 
 
 def _int_list(text: str) -> list[int]:
@@ -109,26 +115,9 @@ def _config_flags(path) -> list[str]:
     return flags
 
 
-def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=1.5, help="depth exponent (> 1)")
-    p.add_argument("--beta", type=float, default=1.0, help="confidence exponent (> 0)")
-    p.add_argument(
-        "--threshold-constant",
-        type=float,
-        default=1.5,
-        help="calibration constant c in eta_n = sqrt((gamma+beta) ln n / (c n))",
-    )
-    p.add_argument(
-        "--theoretical-constant",
-        action="store_true",
-        help="use the analysis constant c_a = 1/(128(a+1)) instead",
-    )
-
-
 def _cmd_fit(args) -> int:
     data = _load_data(args.data, args.normalize)
-    schedule = _schedule_from_args(args, data.dim)
-    quantizer = fit(data, args.eta, schedule)
+    quantizer = fit(data, args.eta, RateSchedule(1 << data.dim, args.gamma))
     save_codebook(quantizer, args.output)
     print(f"fit: {len(quantizer.leaves)} leaves at eta={args.eta} -> {args.output}")
     return 0
@@ -181,23 +170,12 @@ def _cmd_sweep(args) -> int:
     etas = _float_list(args.etas)
     if args.data:
         data = _load_data(args.data, args.normalize)
-        schedule = _schedule_from_args(args, data.dim)
-        rows = [
-            (eta, leaves, train)
-            for eta, _, leaves, train in sweep(data, etas, schedule)
-        ]
+        schedule = RateSchedule(1 << data.dim, args.gamma)
+        rows = [(eta, leaves, train) for eta, _, leaves, train in sweep(data, etas, schedule)]
         write_sweep_csv(rows, args.output, with_holdout=False)
     else:
         spec = _generator_from_args(args)
-        rows = run_eta_sweep_experiment(
-            spec,
-            args.n,
-            etas,
-            gamma=args.gamma,
-            beta=args.beta,
-            threshold_constant=args.threshold_constant,
-            holdout_n=args.holdout_n,
-        )
+        rows = run_eta_sweep_experiment(spec, args.n, etas, args.gamma, args.holdout_n)
         write_sweep_csv(rows, args.output, with_holdout=True)
     print(f"sweep: {len(rows)} rows -> {args.output}")
     return 0
@@ -205,10 +183,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_rate_experiment(args) -> int:
     spec = _generator_from_args(args)
-    if args.theoretical_constant:
-        constant = RateSchedule.with_theoretical_constant(1 << args.dim).threshold_constant
-    else:
-        constant = args.threshold_constant
+    schedule = _schedule_from_args(args, args.dim)
     cfg = RateExperimentConfig(
         generator=spec,
         n_grid=tuple(_int_list(args.n_grid)),
@@ -217,7 +192,7 @@ def _cmd_rate_experiment(args) -> int:
         holdout_n=args.holdout_n,
         trials=args.trials,
         seed=args.seed,
-        threshold_constant=constant,
+        threshold_constant=schedule.threshold_constant,
     )
     result = run_rate_experiment(cfg)
     write_rate_csv(result, args.output)
@@ -250,15 +225,7 @@ def _cmd_approx_trend(args) -> int:
 
 def _cmd_baseline(args) -> int:
     spec = _generator_from_args(args)
-    rows = run_baseline_comparison(
-        spec,
-        args.n,
-        _float_list(args.etas),
-        gamma=args.gamma,
-        beta=args.beta,
-        threshold_constant=args.threshold_constant,
-        holdout_n=args.holdout_n,
-    )
+    rows = run_baseline_comparison(spec, args.n, _float_list(args.etas), args.gamma, args.holdout_n)
     write_baseline_csv(rows, args.output)
     print(f"baseline: {len(rows)} matched rows -> {args.output}")
     return 0
@@ -281,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-scale vector quantization on dyadic partition trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = ["uniform_cube", "density_cube", "circle", "sphere", "swiss_roll"]
 
     def add_data_flags(p):
         p.add_argument("--data", required=True, help="dataset (.rtds binary or .csv)")
@@ -290,11 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="map ingested data into the unit cube before use",
         )
 
+    def add_gamma_flag(p):
+        p.add_argument("--gamma", type=float, default=1.5,
+                       help="depth exponent in j_n = floor(gamma ln n / ln a)")
+
     p = sub.add_parser("fit", help="fit a quantizer at one threshold")
     p.set_defaults(run=_cmd_fit)
     add_data_flags(p)
     p.add_argument("--eta", type=float, required=True)
-    _add_schedule_flags(p)
+    add_gamma_flag(p)
     p.add_argument("--output", required=True, help="codebook JSON path")
 
     p = sub.add_parser("encode", help="map points to leaf cell ids")
@@ -317,35 +289,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="quantizers over a list of thresholds")
     p.set_defaults(run=_cmd_sweep)
-    p.add_argument("--data", help="dataset file; alternative to --generator")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--data", help="dataset file: report train distortion")
+    mode.add_argument("--generator", choices=kinds,
+                      help="sample train and holdout sets: report both distortions")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--generator", choices=["uniform_cube", "density_cube", "circle", "sphere", "swiss_roll"])
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--holdout-n", type=int, default=None)
     p.add_argument("--density-bounds", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--etas", required=True, help="comma-separated thresholds")
-    _add_schedule_flags(p)
+    add_gamma_flag(p)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("rate-experiment", help="distortion vs n with the eta_n schedule")
     p.set_defaults(run=_cmd_rate_experiment)
-    p.add_argument("--config", help="JSON config; flags override")
-    p.add_argument("--generator", default="uniform_cube",
-                   choices=["uniform_cube", "density_cube", "circle", "sphere", "swiss_roll"])
+    p.add_argument("--generator", default="uniform_cube", choices=kinds)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--n-grid", default=",".join(str(2**k) for k in range(8, 17)))
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--holdout-n", type=int, default=None)
     p.add_argument("--density-bounds", default=None)
     p.add_argument("--seed", type=int, default=0)
-    _add_schedule_flags(p)
+    add_gamma_flag(p)
+    p.add_argument("--beta", type=float, default=1.0, help="confidence exponent (> 0)")
+    p.add_argument(
+        "--threshold-constant",
+        type=float,
+        default=1.5,
+        help="calibration constant c in eta_n = sqrt((gamma+beta) ln n / (c n))",
+    )
+    p.add_argument(
+        "--theoretical-constant",
+        action="store_true",
+        help="use the analysis constant c_a = 1/(128(a+1)) instead",
+    )
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("approx-trend", help="exact oracle approximation error vs eta")
     p.set_defaults(run=_cmd_approx_trend)
-    p.add_argument("--config", help="JSON config; flags override")
     p.add_argument("--uniform-atoms", type=int, default=4096)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--atoms-csv", default=None)
@@ -356,39 +339,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="tree vs k-means at matched codebook sizes")
     p.set_defaults(run=_cmd_baseline)
-    p.add_argument("--config", help="JSON config; flags override")
-    p.add_argument("--generator", default="uniform_cube",
-                   choices=["uniform_cube", "density_cube", "circle", "sphere", "swiss_roll"])
+    p.add_argument("--generator", default="uniform_cube", choices=kinds)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--n", type=int, default=4096)
     p.add_argument("--holdout-n", type=int, default=None)
     p.add_argument("--density-bounds", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--etas", required=True)
-    _add_schedule_flags(p)
+    add_gamma_flag(p)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("sample", help="materialize a synthetic dataset")
     p.set_defaults(run=_cmd_sample)
-    p.add_argument("--generator", required=True,
-                   choices=["uniform_cube", "density_cube", "circle", "sphere", "swiss_roll"])
+    p.add_argument("--generator", required=True, choices=kinds)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density-bounds", default=None)
     p.add_argument("--output", required=True, help=".rtds binary or .csv")
 
+    for name in _CONFIG_COMMANDS:
+        sub.choices[name].add_argument("--config", help="JSON config; flags override")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            # Config flags go first, so explicit flags after them win.
-            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        if argv[:1] and argv[0] in _CONFIG_COMMANDS:
+            find = argparse.ArgumentParser(prog=f"rectree {argv[0]}", add_help=False)
+            find.add_argument("--config")
+            config = find.parse_known_args(argv[1:])[0].config
+            if config:
+                # Config flags go first, so explicit flags after them win.
+                argv = argv[:1] + _config_flags(config) + argv[1:]
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

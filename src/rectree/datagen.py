@@ -82,7 +82,6 @@ class GeneratorSpec:
     ambient_dim: int
     seed: int = 0
     density_bounds: tuple[float, float] | None = None
-    noise: float = 0.0  # reserved; only 0 is supported
     stream: int = 0
 
     def __post_init__(self):
@@ -90,8 +89,6 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}; choose from {_KINDS}")
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be positive")
-        if self.noise != 0.0:
-            raise ValueError("noise is reserved and must be 0")
         minimum = {"circle": 2, "sphere": 3, "swiss_roll": 3}.get(self.kind, 1)
         if self.ambient_dim < minimum:
             raise ValueError(f"{self.kind} needs ambient_dim >= {minimum}")

@@ -18,6 +18,7 @@ from .baselines import kmeans_distortion, kmeans_fit
 from .datagen import GeneratorSpec, sample
 from .oracle import DiscreteDistribution, oracle_stats, outer_leaf_errors
 from .reconstruction import RateSchedule, empirical_distortion, fit, sweep
+from .stats import Dataset
 
 
 @dataclass(frozen=True)
@@ -111,29 +112,30 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateResult:
     return RateResult(tuple(rows), slope)
 
 
-def run_eta_sweep_experiment(
-    generator: GeneratorSpec,
-    n: int,
-    etas,
-    gamma: float = 1.5,
-    beta: float = 1.0,
-    threshold_constant: float = 1.5,
-    holdout_n: int | None = None,
-) -> list[tuple[float, int, float, float]]:
-    """(eta, leaf_count, train_distortion, holdout_distortion) per eta."""
-    schedule = RateSchedule(
-        branching=1 << generator.ambient_dim,
-        gamma=gamma,
-        beta=beta,
-        threshold_constant=threshold_constant,
-    )
+def _sweep_with_holdout(
+    generator: GeneratorSpec, n: int, etas, gamma: float, holdout_n: int | None
+) -> tuple[Dataset, Dataset, list[tuple[float, int, float, float]]]:
+    """(train, holdout, rows): sweep a train sample, score each eta on an independent holdout.
+
+    Row: (eta, leaf_count, train_distortion, holdout_distortion).  The
+    holdout has 10 n points unless ``holdout_n`` is given.
+    """
+    schedule = RateSchedule(1 << generator.ambient_dim, gamma)
     train = sample(generator, n)
     holdout_spec = replace(generator, stream=_child_seed(generator.seed, n, 0, 1))
     holdout = sample(holdout_spec, 10 * n if holdout_n is None else holdout_n)
-    rows = []
-    for eta, quantizer, leaf_count, train_dist in sweep(train, etas, schedule):
-        rows.append((eta, leaf_count, train_dist, empirical_distortion(quantizer, holdout)))
-    return rows
+    rows = [
+        (eta, leaf_count, train_dist, empirical_distortion(quantizer, holdout))
+        for eta, quantizer, leaf_count, train_dist in sweep(train, etas, schedule)
+    ]
+    return train, holdout, rows
+
+
+def run_eta_sweep_experiment(
+    generator: GeneratorSpec, n: int, etas, gamma: float = 1.5, holdout_n: int | None = None
+) -> list[tuple[float, int, float, float]]:
+    """(eta, leaf_count, train_distortion, holdout_distortion) per eta."""
+    return _sweep_with_holdout(generator, n, etas, gamma, holdout_n)[2]
 
 
 def run_approximation_trend(
@@ -155,43 +157,19 @@ def run_approximation_trend(
 
 
 def run_baseline_comparison(
-    generator: GeneratorSpec,
-    n: int,
-    etas,
-    gamma: float = 1.5,
-    beta: float = 1.0,
-    threshold_constant: float = 1.5,
-    holdout_n: int | None = None,
+    generator: GeneratorSpec, n: int, etas, gamma: float = 1.5, holdout_n: int | None = None
 ) -> list[tuple[float, int, float, float, int, float, float]]:
     """Reconstruction tree vs k-means at matched codebook sizes (report only).
 
     Row: (eta, leaf_count, tree_train, tree_holdout, k, kmeans_train,
     kmeans_holdout) with k = leaf_count.
     """
-    schedule = RateSchedule(
-        branching=1 << generator.ambient_dim,
-        gamma=gamma,
-        beta=beta,
-        threshold_constant=threshold_constant,
-    )
-    train = sample(generator, n)
-    holdout_spec = replace(generator, stream=_child_seed(generator.seed, n, 0, 1))
-    holdout = sample(holdout_spec, 10 * n if holdout_n is None else holdout_n)
+    train, holdout, tree_rows = _sweep_with_holdout(generator, n, etas, gamma, holdout_n)
     rows = []
-    for i, (eta, quantizer, leaf_count, train_dist) in enumerate(sweep(train, etas, schedule)):
-        k = min(leaf_count, train.n)
+    for i, row in enumerate(tree_rows):
+        k = min(row[1], train.n)
         model = kmeans_fit(train, k, seed=_child_seed(generator.seed, n, i, 2))
-        rows.append(
-            (
-                eta,
-                leaf_count,
-                train_dist,
-                empirical_distortion(quantizer, holdout),
-                k,
-                model.final_objective,
-                kmeans_distortion(model, holdout),
-            )
-        )
+        rows.append((*row, k, model.final_objective, kmeans_distortion(model, holdout)))
     return rows
 
 

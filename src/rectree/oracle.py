@@ -223,8 +223,8 @@ def _certified_levels(table: OracleTable, eta: float) -> list[np.ndarray]:
     selected cells below it (a cell below the cap holds at most the
     largest mass of a cell at the cap).
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta {eta} must be finite and positive")
     cap = table.depth_cap
     heaviest = table.level(cap).masses.max()
     certified = cap >= table.isolation or gain_bound(heaviest, cap + 1, table.dim) < eta

@@ -68,10 +68,11 @@ class RateSchedule:
     def __post_init__(self):
         if self.branching < 2:
             raise ValueError("branching must be at least 2")
-        if self.gamma <= 0 or self.beta <= 0:
-            raise ValueError("gamma and beta must be positive")
-        if self.threshold_constant <= 0:
-            raise ValueError("threshold_constant must be positive")
+        if not (0 < self.gamma < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(f"gamma {self.gamma} and beta {self.beta} must be finite and positive")
+        if not 0 < self.threshold_constant < math.inf:
+            raise ValueError(f"threshold_constant {self.threshold_constant} "
+                             "must be finite and positive")
 
     @classmethod
     def with_theoretical_constant(cls, branching: int, gamma: float = 1.5, beta: float = 1.0):
@@ -98,8 +99,8 @@ class RateSchedule:
 
 def _subtree_levels(stats: StatsTable, eta: float, depth_cap: int | None) -> list[np.ndarray]:
     """Sorted subtree codes per depth: the closure of codes[gains >= eta], depth < cap."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta {eta} must be finite and positive")
     cap = stats.depth_cap if depth_cap is None else min(depth_cap, stats.depth_cap)
     marked = {d: stats.level(d).codes[stats.level(d).gains >= eta] for d in range(cap)}
     return smallest_subtree(marked, stats.dim)
@@ -252,8 +253,11 @@ def _schedule_stats(data: Dataset, etas: list[float], schedule: RateSchedule):
     :func:`~rectree.stats.build_stats`), so j_n may exceed the deepest
     storable depth as long as that certified depth does not.
     """
-    if any(eta <= 0 for eta in etas):
-        raise ValueError("eta must be positive")
+    if not etas:
+        raise ValueError("no thresholds given")
+    bad = [eta for eta in etas if not 0 < eta < math.inf]
+    if bad:
+        raise ValueError(f"eta {bad[0]} must be finite and positive")
     if schedule.branching != 1 << data.dim:
         raise ValueError(f"schedule branching {schedule.branching} does not match dim {data.dim}")
     cap = schedule.depth_cap(data.n)
@@ -380,6 +384,9 @@ def load_codebook(path) -> Quantizer:
         raise ValueError(f"codebook row {short[0]}: index and code need {dim} entries each")
     if dim < 1:
         raise ValueError(f"codebook dim {dim} is not positive")
+    if not 0 < eta < math.inf or cap < 0:
+        raise ValueError(f"codebook {path}: needs a finite eta > 0 and a depth_cap >= 0, "
+                         f"not {eta} and {cap}")
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad.size:
         i = bad[0]

@@ -94,6 +94,23 @@ class TestExperimentCommands:
         )
         assert len(lines) == 3  # config n-grid applied
 
+    def test_baseline_with_config_etas(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"etas": "0.2,0.05", "n": 256, "holdout-n": 400}))
+        out = tmp_path / "base.csv"
+        assert run("baseline", "--config", cfg, "--output", out) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0.2", "0.05"]
+
+    def test_config_on_a_command_without_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-grid": "128,256"}))
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--config", cfg, "--data", tmp_path / "x.rtds", "--eta", "0.1",
+                "--output", tmp_path / "cb.json")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --config {cfg}\n" in err and "n-grid" not in err
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n-grid": "128,256,512", "trials": 1, "holdout-n": 400}))
@@ -147,6 +164,54 @@ class TestExperimentCommands:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("eta,leaf_count,tree_train_distortion")
         assert len(lines) == 3
+
+
+class TestScheduleFlags:
+    """Every schedule flag a command takes changes its output; the rest are refused."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fit", "--data", "{train}", "--eta", "0.01"], ["--gamma", "0.5"]),
+            (["sweep", "--data", "{train}", "--etas", "0.05,0.01"], ["--gamma", "0.5"]),
+            (["sweep", "--generator", "uniform_cube", "--n", "256", "--holdout-n", "400",
+              "--etas", "0.05,0.01"], ["--gamma", "0.5"]),
+            (["baseline", "--n", "256", "--holdout-n", "400", "--etas", "0.05,0.01"],
+             ["--gamma", "0.5"]),
+            (["rate-experiment", "--n-grid", "128,256", "--holdout-n", "400"], ["--gamma", "1.2"]),
+            (["rate-experiment", "--n-grid", "128,256", "--holdout-n", "400"], ["--beta", "3"]),
+            (["rate-experiment", "--n-grid", "128,256", "--holdout-n", "400"],
+             ["--threshold-constant", "7"]),
+            (["rate-experiment", "--n-grid", "128,256", "--holdout-n", "400"],
+             ["--theoretical-constant"]),
+        ],
+        ids=["fit", "sweep-data", "sweep-generator", "baseline", "rate-gamma", "rate-beta",
+             "rate-threshold-constant", "rate-theoretical-constant"],
+    )
+    def test_flag_changes_the_output(self, workdir, argv, flag):
+        argv = [a.format(train=workdir / "train.rtds") for a in argv]
+        default, changed = workdir / "default.out", workdir / "changed.out"
+        assert run(*argv, "--output", default) == 0
+        assert run(*argv, *flag, "--output", changed) == 0
+        assert default.read_bytes() != changed.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--data", "x.rtds", "--eta", "0.1"],
+            ["sweep", "--data", "x.rtds", "--etas", "0.1"],
+            ["baseline", "--etas", "0.1"],
+        ],
+        ids=["fit", "sweep", "baseline"],
+    )
+    @pytest.mark.parametrize(
+        "flag", [["--beta", "3"], ["--threshold-constant", "7"], ["--theoretical-constant"]]
+    )
+    def test_eta_given_commands_refuse_eta_n_flags(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, *flag, "--output", tmp_path / "out")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -231,3 +296,45 @@ class TestErrors:
         assert run(command, "--codebook", cb, "--data", raw, "--output", workdir / "out.csv") == 2
         width = row.count(",") + 1
         assert capsys.readouterr().err == f"error: {raw}: data dim {width} != codebook dim 2\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--data", "{train}", "--eta", "nan"], "eta nan must be finite and positive"),
+            (["fit", "--data", "{train}", "--eta", "inf"], "eta inf must be finite and positive"),
+            (["fit", "--data", "{train}", "--eta", "0"], "eta 0.0 must be finite and positive"),
+            (["fit", "--data", "{train}", "--eta", "0.1", "--gamma", "nan"],
+             "gamma nan and beta 1.0 must be finite and positive"),
+            (["sweep", "--data", "{train}", "--etas", "0.1,nan"],
+             "eta nan must be finite and positive"),
+            (["baseline", "--n", "64", "--etas", "inf"], "eta inf must be finite and positive"),
+            (["approx-trend", "--uniform-atoms", "16", "--etas", "nan"],
+             "eta nan must be finite and positive"),
+            (["rate-experiment", "--n-grid", "128", "--threshold-constant", "nan"],
+             "threshold_constant nan must be finite and positive"),
+            (["sweep", "--data", "{train}", "--etas", ","], "--etas ',': no thresholds given"),
+            (["baseline", "--n", "64", "--etas", ","], "--etas ',': no thresholds given"),
+            (["approx-trend", "--etas", ","], "--etas ',': no thresholds given"),
+        ],
+        ids=["fit-nan", "fit-inf", "fit-zero", "fit-gamma-nan", "sweep-nan", "baseline-inf",
+             "approx-trend-nan", "rate-constant-nan", "sweep-empty", "baseline-empty",
+             "approx-trend-empty"],
+    )
+    def test_bad_threshold_is_one_line_error(self, workdir, capsys, argv, message):
+        argv = [a.format(train=workdir / "train.rtds") for a in argv]
+        out = workdir / "out"
+        assert run(*argv, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "modes",
+        [["--data", "{train}", "--generator", "circle", "--dim", "2"], []],
+        ids=["both", "neither"],
+    )
+    def test_sweep_needs_exactly_one_mode(self, workdir, capsys, modes):
+        modes = [a.format(train=workdir / "train.rtds") for a in modes]
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", *modes, "--etas", "0.1", "--output", workdir / "out.csv")
+        assert exc.value.code == 2
+        assert "--data" in capsys.readouterr().err

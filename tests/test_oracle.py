@@ -230,6 +230,11 @@ class TestOracleSubtree:
         # a large eta is certifiable even below the isolation depth
         assert oracle_subtree(d, 0.5, depth_cap=3).cells == {root_cell(1)}
 
+    def test_rejects_nonfinite_or_nonpositive_eta(self):
+        for eta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                oracle_subtree(TWO_ATOM, eta)
+
 
 class TestApproximationError:
     def test_degenerate_eta_uses_leaf_partition(self):

@@ -66,6 +66,10 @@ class TestRateSchedule:
             RateSchedule(branching=2, gamma=0.0)
         with pytest.raises(ValueError):
             RateSchedule(branching=2, beta=-1.0)
+        for bad in (math.nan, math.inf):
+            for name in ("gamma", "beta", "threshold_constant"):
+                with pytest.raises(ValueError, match="must be finite and positive"):
+                    RateSchedule(branching=2, **{name: bad})
 
 
 class TestThresholdSubtree:
@@ -103,8 +107,9 @@ class TestThresholdSubtree:
 
     def test_rejects_nonpositive_eta(self):
         table = build_stats(TWO_POINT, 2)
-        with pytest.raises(ValueError):
-            threshold_subtree(table, 0.0)
+        for eta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                threshold_subtree(table, eta)
 
 
 class TestFit:
@@ -249,8 +254,11 @@ class TestSweep:
         assert len(results) == 1 and results[0][2] == 2
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sweep(TWO_POINT, [0.5, -0.1], RateSchedule(branching=2))
+        for etas in ([0.5, -0.1], [0.5, math.nan], [math.inf, 0.5]):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                sweep(TWO_POINT, etas, RateSchedule(branching=2))
+        with pytest.raises(ValueError, match="no thresholds given"):
+            sweep(TWO_POINT, [], RateSchedule(branching=2))
 
     @pytest.mark.parametrize(
         "data,eta,schedule,error",
@@ -258,8 +266,10 @@ class TestSweep:
             (uniform_data(1, 10, 3), 0.1, RateSchedule(branching=2), ValueError),
             (uniform_data(1, 10, 1), 0.0, RateSchedule(branching=2), ValueError),
             (uniform_data(1, 4, 1), 1e-12, RateSchedule(branching=2, gamma=40.0), DepthCapError),
+            (uniform_data(1, 10, 1), math.nan, RateSchedule(branching=2), ValueError),
+            (uniform_data(1, 10, 1), math.inf, RateSchedule(branching=2), ValueError),
         ],
-        ids=["branching", "eta", "depth_cap"],
+        ids=["branching", "eta", "depth_cap", "eta-nan", "eta-inf"],
     )
     def test_rejects_what_fit_rejects(self, data, eta, schedule, error):
         with pytest.raises(error) as from_fit:
@@ -331,6 +341,10 @@ class TestCodebookValidation:
              "codebook.json: ValueError could not convert string to float: 'abc'"),
             (codebook_doc([leaf(1, 0), leaf(1, 1, code=["abc"])]),
              "codebook.json: ValueError could not convert string to float: 'abc'"),
+            ({**codebook_doc(HALVES), "eta": -1.0}, r"codebook.json: needs .* not -1.0 and 3"),
+            ({**codebook_doc(HALVES), "eta": math.nan}, r"codebook.json: needs .* not nan and 3"),
+            ({**codebook_doc(HALVES), "eta": math.inf}, r"codebook.json: needs .* not inf and 3"),
+            ({**codebook_doc(HALVES), "depth_cap": -5}, r"codebook.json: needs .* not 0.1 and -5"),
         ],
     )
     def test_rejects_with_named_problem(self, tmp_path, doc, problem):
