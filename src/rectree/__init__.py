@@ -10,16 +10,15 @@ harness for distortion-decay runs.
 
 from .baselines import KMeansModel, kmeans_distortion, kmeans_fit
 from .datagen import GeneratorSpec, NormalizationMap, normalize, read_dataset, sample, write_dataset
-from .errors import CapTooSmallError, DepthCapError, DomainError, StructureError
+from .errors import CapTooSmallError, DepthCapError, DomainError
 from .oracle import (
     DiscreteDistribution,
-    OracleCell,
     OracleTable,
-    approximation_error,
+    approximation_error_from_table,
     isolation_depth,
-    oracle_quantizer,
     oracle_stats,
     oracle_subtree,
+    quantizer_from_table,
 )
 from .reconstruction import (
     Quantizer,
@@ -33,7 +32,7 @@ from .reconstruction import (
     sweep,
     threshold_subtree,
 )
-from .stats import CellStats, Dataset, StatsTable, build_stats
+from .stats import Dataset, StatsTable, build_stats
 from .tree import CellId, Subtree
 
 __version__ = "0.1.0"

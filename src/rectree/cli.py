@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from . import kernels
 from .datagen import (
     GeneratorSpec,
     normalize,
@@ -44,13 +43,13 @@ from .reconstruction import (
     RateSchedule,
     decode,
     empirical_distortion,
+    encode,
     fit,
     load_codebook,
     save_codebook,
     sweep,
 )
 from .stats import Dataset
-from .tree import CellId
 
 
 _CONFIG_COMMANDS = ("rate-experiment", "approx-trend", "baseline")
@@ -133,14 +132,9 @@ def _codebook_and_data(args) -> tuple[Quantizer, Dataset]:
 
 def _cmd_encode(args) -> int:
     q, data = _codebook_and_data(args)
-    depths, codes = q.assign(data.points)
-    out = np.empty((data.n, 1 + q.dim), dtype=np.int64)
-    out[:, 0] = depths
-    for depth in np.unique(depths).tolist():
-        sel = depths == depth
-        out[sel, 1:] = kernels.morton_decode(codes[sel], depth, q.dim)
+    depths, index = encode(q, data.points)
     header = ["depth"] + [f"k{j}" for j in range(q.dim)]
-    write_csv(args.output, header, out.tolist())
+    write_csv(args.output, header, np.column_stack([depths, index]).tolist())
     print(f"encode: {data.n} points -> {args.output}")
     return 0
 
@@ -148,11 +142,12 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     q = load_codebook(args.codebook)
     ids = read_points_csv(args.ids, dtype=np.int64)
-    if ids.shape[1] != 1 + q.dim:
-        raise ValueError(f"{args.ids}: id rows must have 1+{q.dim} integers, not {ids.shape[1]}")
-    vectors = np.empty((ids.shape[0], q.dim))
-    for i, row in enumerate(ids):
-        vectors[i] = decode(q, CellId(int(row[0]), tuple(int(v) for v in row[1:])))
+    try:
+        if ids.shape[1] != 1 + q.dim:
+            raise ValueError(f"id rows must have 1+{q.dim} integers, not {ids.shape[1]}")
+        vectors = decode(q, ids[:, 0], ids[:, 1:])
+    except ValueError as exc:
+        raise ValueError(f"{args.ids}: {exc}") from None
     write_points_csv(args.output, vectors)
     print(f"decode: {ids.shape[0]} ids -> {args.output}")
     return 0
@@ -166,14 +161,25 @@ def _cmd_distortion(args) -> int:
     return 0
 
 
+# The generator-mode flags of sweep, with their defaults; --data mode refuses them.
+_SWEEP_GENERATOR = {"n": 1024, "dim": 1, "seed": 0, "holdout_n": None, "density_bounds": None}
+
+
 def _cmd_sweep(args) -> int:
     etas = _float_list(args.etas)
+    given = [k for k in _SWEEP_GENERATOR if vars(args)[k] is not None]
+    if args.data and given:
+        flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        raise ValueError(f"sweep --data does not take {flags}")
+    if args.generator and args.normalize:
+        raise ValueError("sweep --generator does not take --normalize")
     if args.data:
         data = _load_data(args.data, args.normalize)
         schedule = RateSchedule(1 << data.dim, args.gamma)
         rows = [(eta, leaves, train) for eta, _, leaves, train in sweep(data, etas, schedule)]
         write_sweep_csv(rows, args.output, with_holdout=False)
     else:
+        vars(args).update({k: v for k, v in _SWEEP_GENERATOR.items() if vars(args)[k] is None})
         spec = _generator_from_args(args)
         rows = run_eta_sweep_experiment(spec, args.n, etas, args.gamma, args.holdout_n)
         write_sweep_csv(rows, args.output, with_holdout=True)
@@ -293,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--data", help="dataset file: report train distortion")
     mode.add_argument("--generator", choices=kinds,
                       help="sample train and holdout sets: report both distortions")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--holdout-n", type=int, default=None)
-    p.add_argument("--density-bounds", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--normalize", action="store_true", help="--data mode only")
+    p.add_argument("--dim", type=int, help="--generator mode only (default 1)")
+    p.add_argument("--n", type=int, help="--generator mode only (default 1024)")
+    p.add_argument("--holdout-n", type=int, help="--generator mode only (default 10 n)")
+    p.add_argument("--density-bounds", help="--generator mode only")
+    p.add_argument("--seed", type=int, help="--generator mode only (default 0)")
     p.add_argument("--etas", required=True, help="comma-separated thresholds")
     add_gamma_flag(p)
     p.add_argument("--output", required=True)

@@ -9,9 +9,5 @@ class DepthCapError(ValueError):
     """An operation would descend past the configured maximum depth."""
 
 
-class StructureError(ValueError):
-    """A subtree or partition violates its structural invariants."""
-
-
 class CapTooSmallError(ValueError):
     """A truncation depth is too small to certify an untruncated result."""

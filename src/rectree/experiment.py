@@ -174,9 +174,7 @@ def run_baseline_comparison(
 
 
 def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     return repr(float(v))
 

@@ -25,24 +25,15 @@ default cap is isolation depth + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import CapTooSmallError, DepthCapError, DomainError
-from .stats import Dataset, gain_bound
-from .reconstruction import Quantizer, quantizer_from_stats
-from .tree import (
-    CellId,
-    Subtree,
-    cell_to_code,
-    cells_from_codes,
-    cube_center,
-    default_max_depth,
-    outer_leaves,
-    smallest_subtree,
-)
+from .reconstruction import Quantizer, _subtree_levels, quantizer_from_stats
+from .stats import StatsTable, _Level, gain_bound
+from .tree import Subtree, default_max_depth, outer_leaves
 
 
 @dataclass(frozen=True)
@@ -86,12 +77,6 @@ class DiscreteDistribution:
     def n_atoms(self) -> int:
         return self.points.shape[0]
 
-    @classmethod
-    def from_dataset(cls, data: Dataset) -> "DiscreteDistribution":
-        """Empirical measure of a dataset: weights = multiplicities / n."""
-        uniq, counts = np.unique(data.points, axis=0, return_counts=True)
-        return cls(uniq, counts / data.n)
-
 
 def isolation_depth(dist: DiscreteDistribution) -> int:
     """Smallest depth at which all atoms occupy distinct cells."""
@@ -103,61 +88,18 @@ def isolation_depth(dist: DiscreteDistribution) -> int:
     raise DepthCapError(f"atoms not separated by depth {cap}; they are too close")
 
 
-@dataclass(frozen=True)
-class OracleCell:
-    """Exact population quantities of one cell."""
-
-    mass: float
-    center: np.ndarray
-    error: float
-    gain: float
-
-
 @dataclass
-class _OracleLevel:
-    codes: np.ndarray
-    masses: np.ndarray
-    centers: np.ndarray
-    errors: np.ndarray
-    gains: np.ndarray | None = None
+class OracleTable(StatsTable):
+    """Exact statistics for every nonempty cell of depth <= depth_cap.
 
+    A :class:`~rectree.stats.StatsTable` with n = 1: ``counts`` holds the
+    masses rho_I, and gains are populated down to the cap itself.
+    """
 
-@dataclass
-class OracleTable:
-    """Exact statistics for every nonempty cell of depth <= depth_cap."""
-
-    dim: int
-    depth_cap: int
     isolation: int
-    _levels: list[_OracleLevel] = field(repr=False)
-
-    def level(self, depth: int) -> _OracleLevel:
-        if not 0 <= depth <= self.depth_cap:
-            raise DepthCapError(f"depth {depth} outside table range 0..{self.depth_cap}")
-        return self._levels[depth]
-
-    def lookup(self, cell: CellId) -> OracleCell:
-        lv = self.level(cell.depth)
-        code = cell_to_code(cell)
-        row = int(np.searchsorted(lv.codes, code))
-        if row >= lv.codes.shape[0] or lv.codes[row] != code:
-            return OracleCell(0.0, cube_center(cell), 0.0, 0.0)
-        return OracleCell(
-            float(lv.masses[row]),
-            lv.centers[row].copy(),
-            float(lv.errors[row]),
-            float(lv.gains[row]),
-        )
-
-    def __getitem__(self, cell: CellId) -> OracleCell:
-        return self.lookup(cell)
-
-    def cells(self, depth: int):
-        for cell in cells_from_codes(depth, self.level(depth).codes, self.dim):
-            yield cell, self.lookup(cell)
 
 
-def _weighted_level(points, weights, codes) -> _OracleLevel:
+def _weighted_level(points, weights, codes) -> _Level:
     order = np.argsort(codes, kind="stable")
     codes_s, pts, w = codes[order], points[order], weights[order]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(codes_s)) + 1])
@@ -173,16 +115,15 @@ def _weighted_level(points, weights, codes) -> _OracleLevel:
             centers[g, k] = math.fsum((wg * pts[lo:hi, k]).tolist()) / masses[g]
         sq = ((pts[lo:hi] - centers[g]) ** 2).sum(axis=1)
         errors[g] = math.fsum((wg * sq).tolist())
-    return _OracleLevel(codes_s[starts], masses, centers, errors)
+    return _Level(codes_s[starts], masses, centers, errors, None)
 
 
-def _gains_from_children(parent: _OracleLevel, child: _OracleLevel, dim: int) -> np.ndarray:
-    pcodes = child.codes >> dim
-    prow = np.searchsorted(parent.codes, pcodes)
+def _gains_from_children(parent: _Level, child: _Level, dim: int) -> np.ndarray:
+    prow = parent.rows(child.codes >> dim)
     gains_sq = [[] for _ in range(parent.codes.shape[0])]
     diff_sq = ((child.centers - parent.centers[prow]) ** 2).sum(axis=1)
     for row in range(child.codes.shape[0]):
-        gains_sq[prow[row]].append(child.masses[row] * diff_sq[row])
+        gains_sq[prow[row]].append(child.counts[row] * diff_sq[row])
     return np.sqrt([math.fsum(terms) for terms in gains_sq])
 
 
@@ -200,18 +141,16 @@ def oracle_stats(dist: DiscreteDistribution, depth_cap: int | None = None) -> Or
     # the smallest that can describe a quantizer.
     if cap < 1 or cap > default_max_depth(dist.dim):
         raise DepthCapError(f"depth_cap {cap} outside 1..{default_max_depth(dist.dim)}")
-    deep = min(cap + 1, iso + 1) if cap < iso else cap
+    deep = cap + 1 if cap < iso else cap
     deep_codes = kernels.morton_encode(dist.points, deep)
-    levels = []
-    for depth in range(deep + 1):
-        codes = deep_codes >> (dist.dim * (deep - depth))
-        levels.append(_weighted_level(dist.points, dist.weights, codes))
+    levels = [_weighted_level(dist.points, dist.weights, deep_codes >> dist.dim * (deep - depth))
+              for depth in range(deep + 1)]
     for depth in range(min(cap + 1, deep)):
         levels[depth].gains = _gains_from_children(levels[depth], levels[depth + 1], dist.dim)
     levels = levels[: cap + 1]
     if levels[cap].gains is None:
         levels[cap].gains = np.zeros(levels[cap].codes.shape[0])
-    return OracleTable(dim=dist.dim, depth_cap=cap, isolation=iso, _levels=levels)
+    return OracleTable(dim=dist.dim, n=1, depth_cap=cap, _levels=levels, isolation=iso)
 
 
 def _certified_levels(table: OracleTable, eta: float) -> list[np.ndarray]:
@@ -223,23 +162,21 @@ def _certified_levels(table: OracleTable, eta: float) -> list[np.ndarray]:
     selected cells below it (a cell below the cap holds at most the
     largest mass of a cell at the cap).
     """
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta {eta} must be finite and positive")
+    levels = _subtree_levels(table, eta, None)
     cap = table.depth_cap
-    heaviest = table.level(cap).masses.max()
+    heaviest = table.level(cap).counts.max()
     certified = cap >= table.isolation or gain_bound(heaviest, cap + 1, table.dim) < eta
     if not certified:
         raise CapTooSmallError(
             f"depth_cap {cap} cannot certify the subtree at eta={eta}: atoms only "
             f"separate at depth {table.isolation}"
         )
-    marked = {d: table.level(d).codes[table.level(d).gains >= eta] for d in range(cap + 1)}
-    if marked[cap].size:
+    if np.any(table.level(cap).gains >= eta):
         raise CapTooSmallError(
             f"cell with gain >= {eta} found at depth_cap {cap}; "
             "deeper selected cells may exist, raise the cap"
         )
-    return smallest_subtree(marked, table.dim)
+    return levels
 
 
 def subtree_from_table(table: OracleTable, eta: float) -> Subtree:
@@ -263,28 +200,16 @@ def quantizer_from_table(table: OracleTable, eta: float) -> Quantizer:
     return quantizer_from_stats(table, eta)
 
 
-def oracle_quantizer(
-    dist: DiscreteDistribution, eta: float, depth_cap: int | None = None
-) -> Quantizer:
-    return quantizer_from_table(oracle_stats(dist, depth_cap), eta)
-
-
 def outer_leaf_errors(table: OracleTable, eta: float) -> np.ndarray:
     """E_I of every outer leaf of the subtree at eta, in code order per depth; 0 if empty."""
     errors = []
     for depth, codes in outer_leaves(_certified_levels(table, eta), table.dim).items():
         lv = table.level(depth)
-        rows = np.minimum(np.searchsorted(lv.codes, codes), lv.codes.shape[0] - 1)
-        errors.append(np.where(lv.codes[rows] == codes, lv.errors[rows], 0.0))
+        rows = lv.rows(codes)
+        errors.append(np.where(rows >= 0, lv.errors[rows], 0.0))
     return np.concatenate(errors)
 
 
 def approximation_error_from_table(table: OracleTable, eta: float) -> float:
     """Exact expected distortion sum_{leaves} E_I of the population quantizer."""
     return math.fsum(outer_leaf_errors(table, eta).tolist())
-
-
-def approximation_error(
-    dist: DiscreteDistribution, eta: float, depth_cap: int | None = None
-) -> float:
-    return approximation_error_from_table(oracle_stats(dist, depth_cap), eta)

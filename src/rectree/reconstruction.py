@@ -10,8 +10,10 @@ center otherwise (so decoding is total).
 
 The path runs on sorted Morton-code arrays, one per depth, and a
 :class:`Quantizer` holds its leaves as sorted runs of deepest-level codes.
-``CellId`` appears only at the boundary: :func:`threshold_subtree`,
-:func:`encode`, :func:`decode` and the ``leaves``/``codebook`` views.
+:func:`encode` and :func:`decode` speak (depth, lattice index) arrays, the
+form of the codebook file and the ``rectree encode``/``decode`` CSVs.
+``CellId`` appears only in :func:`threshold_subtree` and the
+``leaves``/``codebook`` views.
 
 The data-driven run couples the threshold and the truncation depth to the
 sample size n:
@@ -45,7 +47,6 @@ from .stats import Dataset, StatsTable, build_stats
 from .tree import (
     CellId,
     Subtree,
-    cell_to_code,
     cells_from_codes,
     default_max_depth,
     outer_leaves,
@@ -88,7 +89,10 @@ class RateSchedule:
         """j_n = floor(gamma ln n / ln a); deeper trees as data size grows."""
         if n < 1:
             raise ValueError("n must be positive")
-        return int(math.floor(self.gamma * math.log(n) / math.log(self.branching)))
+        depth = self.gamma * math.log(n) / math.log(self.branching)
+        if depth == math.inf:
+            raise ValueError(f"gamma {self.gamma} gives an infinite j_n at n = {n}")
+        return int(math.floor(depth))
 
     def eta_n(self, n: int) -> float:
         """Data-driven threshold sqrt((gamma+beta) ln n / (c n))."""
@@ -205,14 +209,10 @@ class Codebook(Mapping):
         self._q = quantizer
 
     def __getitem__(self, cell: CellId) -> np.ndarray:
-        q = self._q
-        depth = getattr(cell, "depth", None)
-        if depth is not None and depth <= q.deepest and cell.dim == q.dim:
-            start = cell_to_code(cell) << q.dim * (q.deepest - depth)
-            row = int(np.searchsorted(q.starts, start))
-            if row < q.starts.shape[0] and q.starts[row] == start and q.depths[row] == depth:
-                return q.vectors[row]
-        raise KeyError(cell)
+        try:
+            return decode(self._q, [cell.depth], [cell.index])[0]
+        except (AttributeError, ValueError):
+            raise KeyError(cell) from None
 
     def __iter__(self):
         for depth, (codes, _) in self._q.tables().items():
@@ -234,12 +234,11 @@ def quantizer_from_stats(
     tables = {}
     for depth, codes in outer_leaves(_subtree_levels(stats, eta, cap), stats.dim).items():
         lv = stats.level(depth)
-        rows = np.searchsorted(lv.codes, codes)
-        rows[rows == lv.codes.shape[0]] = 0
-        stored = lv.codes[rows] == codes
+        rows = lv.rows(codes)
+        stored = rows >= 0
         vectors = np.empty((codes.shape[0], stats.dim))
         vectors[stored] = lv.centers[rows[stored]]
-        # Empty leaves get their cube center, by the arithmetic of tree.cube_center.
+        # Empty leaves get their cube center.
         empty = kernels.morton_decode(codes[~stored], depth, stats.dim)
         vectors[~stored] = (empty + 0.5) * 2.0 ** (-depth)
         tables[depth] = (codes, vectors)
@@ -289,23 +288,31 @@ def sweep(
     return out
 
 
-def encode(q: Quantizer, point) -> CellId:
-    """The unique leaf containing the point."""
-    pt = np.asarray(point, dtype=np.float64)
-    if pt.ndim != 1:
-        raise ValueError("point must be a single vector")
-    if not np.all(np.isfinite(pt)) or np.any(pt < 0.0) or np.any(pt >= 1.0):
-        raise DomainError(f"point {pt.tolist()} outside [0, 1)^{pt.shape[0]}")
-    depths, codes = q.assign(pt[None, :])
-    return cells_from_codes(int(depths[0]), codes, q.dim)[0]
+def encode(q: Quantizer, points) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf of each point as (depths, lattice indices): int64 arrays (n,) and (n, dim)."""
+    points = Dataset(points).points
+    depths = q.depths[q._rows(points)[0]].astype(np.int64)
+    # Scaling by 2**d is exact, so this is floor(x 2**d), the leaf's index.
+    return depths, np.floor(points * 2.0 ** depths[:, None]).astype(np.int64)
 
 
-def decode(q: Quantizer, cell: CellId) -> np.ndarray:
-    """The code vector of a leaf."""
-    try:
-        return q.codebook[cell].copy()
-    except KeyError:
-        raise ValueError(f"{cell} is not a leaf of this quantizer") from None
+def decode(q: Quantizer, depths, index) -> np.ndarray:
+    """Code vectors of the leaves given as (depth, lattice index) rows.
+
+    ValueError naming the first row that is no cell or no leaf of ``q``.
+    """
+    depths = np.asarray(depths, dtype=np.int64)
+    index = np.asarray(index, dtype=np.int64)
+    if index.shape != (depths.shape[0], q.dim):
+        raise ValueError(f"index shape {index.shape} != ({depths.shape[0]}, {q.dim})")
+    start = _lower_corners(depths, index, q.deepest)
+    rows = np.minimum(np.searchsorted(q.starts, start), q.starts.shape[0] - 1)
+    bad = np.flatnonzero((q.starts[rows] != start) | (q.depths[rows] != depths))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"row {i}: depth {depths[i]} index {index[i].tolist()} "
+                         "is not a leaf of this quantizer")
+    return np.take(q.vectors, rows, axis=0)
 
 
 def empirical_distortion(q: Quantizer, data: Dataset) -> float:
@@ -320,12 +327,10 @@ def save_codebook(q: Quantizer, path) -> None:
     Integer fields round-trip bit-exactly; code vectors use the shortest
     decimal representation that parses back to the same binary double.
     """
-    leaves = []
-    for depth, (codes, vectors) in q.tables().items():
-        index = kernels.morton_decode(codes, depth, q.dim)
-        order = np.lexsort(index.T[::-1])
-        rows = zip(index[order].tolist(), vectors[order].tolist())
-        leaves += [{"depth": depth, "index": k, "code": c} for k, c in rows]
+    index = kernels.morton_decode(q.starts, q.deepest, q.dim) >> (q.deepest - q.depths[:, None])
+    order = np.lexsort([*index.T[::-1], q.depths])
+    rows = zip(q.depths[order].tolist(), index[order].tolist(), q.vectors[order].tolist())
+    leaves = [{"depth": d, "index": k, "code": c} for d, k, c in rows]
     doc = {
         "format": CODEBOOK_FORMAT,
         "version": CODEBOOK_VERSION,
@@ -347,6 +352,23 @@ def _integers(values, what: str) -> np.ndarray:
     if array.size and array.dtype.kind != "i":
         raise TypeError(f"{what} must be integers")
     return array.astype(np.int64)
+
+
+def _lower_corners(depths: np.ndarray, index: np.ndarray, deepest: int) -> np.ndarray:
+    """Depth-``deepest`` Morton code of each (depth, index) row's lower corner.
+
+    ValueError naming the first row that is no cell: a depth outside
+    0..default_max_depth or an index outside 0..2**depth - 1.
+    """
+    top = default_max_depth(index.shape[1])
+    outside = (index < 0) | (index >> depths[:, None] != 0)
+    bad = np.flatnonzero((depths < 0) | (depths > top) | outside.any(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"row {i}: no cell of depth {depths[i]} (0..{top}) "
+                         f"has index {index[i].tolist()}")
+    # A lower corner k 2**-d is exact and encodes to the first code of its run.
+    return kernels.morton_encode(index * 2.0 ** -depths[:, None], deepest)
 
 
 def load_codebook(path) -> Quantizer:
@@ -391,16 +413,11 @@ def load_codebook(path) -> Quantizer:
     if bad.size:
         i = bad[0]
         raise ValueError(f"codebook {path} row {i}: code {vectors[i].tolist()} is not finite")
-    top = default_max_depth(dim)
-    outside = (index < 0) | (index >> depths[:, None] != 0)
-    bad = np.flatnonzero((depths < 0) | (depths > top) | outside.any(axis=1))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"codebook row {i}: no cell of depth {depths[i]} (0..{top}) "
-                         f"has index {index[i].tolist()}")
     deepest = int(depths.max())
-    # A lower corner k 2**-d is exact and encodes to the first code of its run.
-    start = kernels.morton_encode(index * 2.0 ** -depths[:, None], deepest)
+    try:
+        start = _lower_corners(depths, index, deepest)
+    except ValueError as exc:
+        raise ValueError(f"codebook {exc}") from None
     order = np.argsort(start, kind="stable")
     s, e = start[order], start[order] + (1 << dim * (deepest - depths[order]))
     bad = np.flatnonzero(s[1:] != e[:-1])

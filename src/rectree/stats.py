@@ -32,8 +32,10 @@ measured, so their gain is undefined (``None``), and thresholding only
 ever inspects cells strictly above it.
 
 Empty cells are not stored.  They contribute zero to every sum above, so
-sparse storage is exact, and lookups synthesize the count-0 statistics
-with the cube-center fallback on demand.
+sparse storage is exact: :meth:`_Level.rows` finds the stored row of each
+code of a level, or -1 for an empty cell.  The oracle's exact population
+table (:class:`~rectree.oracle.OracleTable`) has the same levels with the
+masses as counts and n = 1, so ``counts / n`` is a cell's share in both.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DepthCapError, DomainError
-from .tree import CellId, cell_to_code, cells_from_codes, cube_center, default_max_depth
+from .tree import default_max_depth
 
 
 @dataclass(frozen=True)
@@ -75,23 +77,19 @@ class Dataset:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class CellStats:
-    """Per-cell empirical quantities; ``gain`` is None at the truncation depth."""
-
-    count: int
-    center: np.ndarray
-    local_error: float
-    gain: float | None
-
-
 @dataclass
 class _Level:
     codes: np.ndarray    # sorted Morton codes of nonempty cells
-    counts: np.ndarray
+    counts: np.ndarray   # n_I; an oracle table holds the masses rho_I here, with n = 1
     centers: np.ndarray  # (m, dim)
     errors: np.ndarray   # E_I, already divided by n
     gains: np.ndarray | None
+
+    def rows(self, codes: np.ndarray) -> np.ndarray:
+        """Row of each code in this level; -1 where the cell is empty."""
+        rows = np.searchsorted(self.codes, codes)
+        rows[rows == self.codes.shape[0]] = 0
+        return np.where(self.codes[rows] == codes, rows, -1)
 
 
 @dataclass
@@ -107,32 +105,6 @@ class StatsTable:
         if not 0 <= depth <= self.depth_cap:
             raise DepthCapError(f"depth {depth} outside table range 0..{self.depth_cap}")
         return self._levels[depth]
-
-    def lookup(self, cell: CellId) -> CellStats:
-        """Statistics of any cell of depth <= depth_cap; empty cells synthesized."""
-        lv = self.level(cell.depth)
-        code = cell_to_code(cell)
-        row = int(np.searchsorted(lv.codes, code))
-        gain_defined = cell.depth < self.depth_cap
-        if row >= lv.codes.shape[0] or lv.codes[row] != code:
-            return CellStats(0, cube_center(cell), 0.0, 0.0 if gain_defined else None)
-        return CellStats(
-            int(lv.counts[row]),
-            lv.centers[row].copy(),
-            float(lv.errors[row]),
-            float(lv.gains[row]) if gain_defined else None,
-        )
-
-    def __getitem__(self, cell: CellId) -> CellStats:
-        return self.lookup(cell)
-
-    def __contains__(self, cell: CellId) -> bool:
-        return self.lookup(cell).count > 0
-
-    def cells(self, depth: int):
-        """Iterate (CellId, CellStats) over the nonempty cells of one depth."""
-        for cell in cells_from_codes(depth, self.level(depth).codes, self.dim):
-            yield cell, self.lookup(cell)
 
     def gain_sq_by_difference(self, depth: int) -> np.ndarray:
         """E_I - sum_J E_J per nonempty cell of the given depth (test cross-check)."""

@@ -62,14 +62,6 @@ class CellId:
     def dim(self) -> int:
         return len(self.index)
 
-    @property
-    def is_root(self) -> bool:
-        return self.depth == 0
-
-
-def root_cell(dim: int) -> CellId:
-    return CellId(0, (0,) * dim)
-
 
 @dataclass(frozen=True)
 class Subtree:
@@ -84,9 +76,6 @@ class Subtree:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def __contains__(self, cell: CellId) -> bool:
-        return cell in self.cells
-
     def __iter__(self):
         return iter(self.cells)
 
@@ -95,11 +84,6 @@ class Subtree:
         """The subtree whose depth-d cells have the Morton codes ``levels[d]``."""
         cells = [c for d, codes in enumerate(levels) for c in cells_from_codes(d, codes, dim)]
         return cls(frozenset(cells), dim)
-
-
-def cube_center(cell: CellId) -> np.ndarray:
-    """Geometric center of the cell; the fallback code vector for empty cells."""
-    return (np.asarray(cell.index, dtype=np.float64) + 0.5) * 2.0 ** (-cell.depth)
 
 
 def cell_to_code(cell: CellId) -> int:

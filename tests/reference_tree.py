@@ -6,9 +6,12 @@ depth.  This module keeps the cell-by-cell form of the same definitions
 so that tests can check the array form and the oracle against a literal
 reading of the definitions:
 
-- ``locate``, ``children`` and ``parent`` walk the tree one cell at a time;
+- ``locate``, ``children``, ``parent`` and ``ancestors`` walk the tree one
+  cell at a time;
 - ``smallest_subtree`` closes a marked set under ``parent``;
 - ``outer_leaves`` takes the children of the subtree not in the subtree;
+- ``lookup`` and ``cells`` read one cell's statistics from a sample or an
+  oracle table, with the count-0 statistics of an empty cell;
 - ``approximation_error_from_table`` sums the oracle error of each leaf.
 """
 
@@ -20,9 +23,55 @@ from typing import Iterable
 
 import numpy as np
 
-from rectree.errors import DepthCapError, DomainError, StructureError
+from rectree.errors import DepthCapError, DomainError
 from rectree.oracle import oracle_stats, subtree_from_table
-from rectree.tree import CellId, Subtree, default_max_depth, root_cell
+from rectree.tree import CellId, Subtree, cell_to_code, cells_from_codes, default_max_depth
+
+
+class StructureError(ValueError):
+    """A subtree or partition violates its structural invariants."""
+
+
+def root_cell(dim: int) -> CellId:
+    return CellId(0, (0,) * dim)
+
+
+def is_root(cell: CellId) -> bool:
+    return cell.depth == 0
+
+
+def cube_center(cell: CellId) -> np.ndarray:
+    """Geometric center of the cell; the code vector of an empty leaf."""
+    return (np.asarray(cell.index, dtype=np.float64) + 0.5) * 2.0 ** (-cell.depth)
+
+
+@dataclass(frozen=True)
+class CellStats:
+    """One cell of a table; ``gain`` is None at the depth of a sample table."""
+
+    count: float  # n_I, or the mass rho_I in an oracle table
+    mass: float  # count / n
+    center: np.ndarray
+    error: float
+    gain: float | None
+
+
+def lookup(table, cell: CellId) -> CellStats:
+    """A cell of a StatsTable or OracleTable; count 0 and the cube center if empty."""
+    lv = table.level(cell.depth)
+    hit = np.flatnonzero(lv.codes == cell_to_code(cell))
+    if not hit.size:
+        return CellStats(0, 0.0, cube_center(cell), 0.0, None if lv.gains is None else 0.0)
+    row = int(hit[0])
+    gain = None if lv.gains is None else float(lv.gains[row])
+    count = lv.counts[row].item()
+    return CellStats(count, count / table.n, lv.centers[row].copy(), float(lv.errors[row]), gain)
+
+
+def cells(table, depth: int):
+    """(CellId, CellStats) over the nonempty cells of one depth, in code order."""
+    for cell in cells_from_codes(depth, table.level(depth).codes, table.dim):
+        yield cell, lookup(table, cell)
 
 
 def locate(point, depth: int, max_depth: int | None = None) -> CellId:
@@ -59,9 +108,17 @@ def children(cell: CellId, max_depth: int | None = None) -> frozenset[CellId]:
 
 def parent(cell: CellId) -> CellId:
     """The enclosing cell one level up; the root is its own parent."""
-    if cell.is_root:
+    if is_root(cell):
         return cell
     return CellId(cell.depth - 1, tuple(k >> 1 for k in cell.index))
+
+
+def ancestors(cell: CellId) -> list[CellId]:
+    """The cell and every cell above it, up to the root."""
+    chain = [cell]
+    while not is_root(chain[-1]):
+        chain.append(parent(chain[-1]))
+    return chain
 
 
 def validate(subtree: Subtree) -> None:
@@ -71,7 +128,7 @@ def validate(subtree: Subtree) -> None:
     for cell in subtree.cells:
         if cell.dim != subtree.dim:
             raise StructureError(f"cell {cell} has dim {cell.dim}, expected {subtree.dim}")
-        if not cell.is_root and parent(cell) not in subtree.cells:
+        if not is_root(cell) and parent(cell) not in subtree.cells:
             raise StructureError(f"subtree not parent-closed at {cell}")
 
 
@@ -87,9 +144,6 @@ class OuterLeafPartition:
 
     def __len__(self) -> int:
         return len(self.leaves)
-
-    def __contains__(self, cell: CellId) -> bool:
-        return cell in self.leaves
 
     def __iter__(self):
         return iter(self.leaves)
@@ -151,7 +205,7 @@ def cell_contains(cell: CellId, point) -> bool:
 def approximation_error_from_table(table, eta: float) -> float:
     """Exact expected distortion sum_{leaves} E_I, one table lookup per leaf."""
     leaves = outer_leaves(subtree_from_table(table, eta))
-    return math.fsum(table.lookup(cell).error for cell in leaves)
+    return math.fsum(lookup(table, cell).error for cell in leaves)
 
 
 def leaf_count_bound_monitor(

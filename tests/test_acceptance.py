@@ -18,13 +18,16 @@ from rectree.experiment import RateExperimentConfig, run_approximation_trend, ru
 from rectree.oracle import (
     DiscreteDistribution,
     isolation_depth,
-    oracle_quantizer,
     oracle_stats,
     oracle_subtree,
+    quantizer_from_table,
+    subtree_from_table,
 )
 from rectree.reconstruction import quantizer_from_stats, threshold_subtree
 from rectree.stats import Dataset, build_stats
-from rectree.tree import default_max_depth, root_cell
+from rectree.tree import default_max_depth
+
+from reference_tree import lookup, root_cell
 
 
 def report(number, detail, started):
@@ -116,11 +119,12 @@ def test_criterion_03_oracle_equivalence():
         dist, data = replicated_fixture(rng, dim)
         cap = min(isolation_depth(dist) + 1, default_max_depth(dim))
         table = build_stats(data, cap)
+        table_o = oracle_stats(dist, cap)
         for eta in np.exp(rng.uniform(np.log(1e-3), np.log(1.2), size=10)):
-            sub_o = oracle_subtree(dist, float(eta), depth_cap=cap)
+            sub_o = subtree_from_table(table_o, float(eta))
             sub_e = threshold_subtree(table, float(eta))
             assert sub_o.cells == sub_e.cells, f"trial {trial} eta={eta}"
-            q_o = oracle_quantizer(dist, float(eta), depth_cap=cap)
+            q_o = quantizer_from_table(table_o, float(eta))
             q_e = quantizer_from_stats(table, float(eta))
             assert set(q_o.leaves) == set(q_e.leaves)
             for cell in q_o.leaves:
@@ -136,7 +140,7 @@ def test_criterion_04_telescoping_identity():
         dim = int(rng.integers(1, 3))
         dist, _ = replicated_fixture(rng, dim, max_atoms=32)
         table = oracle_stats(dist)
-        root_error = table[root_cell(dim)].error
+        root_error = lookup(table, root_cell(dim)).error
         scale = max(root_error, 1e-300)
         for stop in range(table.depth_cap):
             total = math.fsum(
@@ -234,7 +238,7 @@ def test_criterion_09_kmeans_parity_and_monotonicity():
         for _ in range(3):
             data = Dataset(rng.random((int(rng.integers(50, 20_000)), dim)))
             model = kmeans_fit(data, 1, seed=int(rng.integers(1 << 30)))
-            root_error = build_stats(data, 1)[root_cell(dim)].local_error
+            root_error = lookup(build_stats(data, 1), root_cell(dim)).error
             assert abs(model.final_objective - root_error) <= 1e-12 * root_error
     runs = 0
     for _ in range(100):

@@ -22,7 +22,7 @@ from rectree.reconstruction import (
 from rectree.stats import Dataset, build_stats
 from rectree.tree import cell_to_code, cells_from_codes
 
-from reference_tree import outer_leaves, smallest_subtree
+from reference_tree import lookup, outer_leaves, smallest_subtree
 
 
 def reference_leaves(stats, eta, cap):
@@ -32,7 +32,7 @@ def reference_leaves(stats, eta, cap):
         lv = stats.level(depth)
         marked += cells_from_codes(depth, lv.codes[lv.gains >= eta], stats.dim)
     subtree = smallest_subtree(marked, dim=stats.dim)
-    return subtree, {cell: stats.lookup(cell).center for cell in outer_leaves(subtree)}
+    return subtree, {cell: lookup(stats, cell).center for cell in outer_leaves(subtree)}
 
 
 def reference_tables(codebook):

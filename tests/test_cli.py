@@ -271,8 +271,12 @@ class TestErrors:
             ("depth,k0,k1\n", "no data rows"),
             ("depth,k0,k1\n1,0,abc\n", "could not convert string 'abc'"),
             ("depth,k0,k1\n1,0\n", "id rows must have 1+2 integers, not 2"),
+            ("depth,k0,k1\n1,0,0\n-1,0,0\n", "row 1: no cell of depth -1 (0..31) has index [0, 0]"),
+            ("depth,k0,k1\n1,0,2\n", "row 0: no cell of depth 1 (0..31) has index [0, 2]"),
+            ("depth,k0,k1\n9,0,0\n", "row 0: depth 9 index [0, 0] is not a leaf of this quantizer"),
         ],
-        ids=["header-only", "not-an-integer", "wrong-width"],
+        ids=["header-only", "not-an-integer", "wrong-width", "negative-depth",
+             "index-out-of-range", "not-a-leaf"],
     )
     def test_bad_ids_csv_is_one_line_error(self, workdir, capsys, recwarn, ids_text, message):
         cb = workdir / "cb.json"
@@ -305,6 +309,8 @@ class TestErrors:
             (["fit", "--data", "{train}", "--eta", "0"], "eta 0.0 must be finite and positive"),
             (["fit", "--data", "{train}", "--eta", "0.1", "--gamma", "nan"],
              "gamma nan and beta 1.0 must be finite and positive"),
+            (["fit", "--data", "{train}", "--eta", "0.1", "--gamma", "1e308"],
+             "gamma 1e+308 gives an infinite j_n at n = 400"),
             (["sweep", "--data", "{train}", "--etas", "0.1,nan"],
              "eta nan must be finite and positive"),
             (["baseline", "--n", "64", "--etas", "inf"], "eta inf must be finite and positive"),
@@ -316,9 +322,9 @@ class TestErrors:
             (["baseline", "--n", "64", "--etas", ","], "--etas ',': no thresholds given"),
             (["approx-trend", "--etas", ","], "--etas ',': no thresholds given"),
         ],
-        ids=["fit-nan", "fit-inf", "fit-zero", "fit-gamma-nan", "sweep-nan", "baseline-inf",
-             "approx-trend-nan", "rate-constant-nan", "sweep-empty", "baseline-empty",
-             "approx-trend-empty"],
+        ids=["fit-nan", "fit-inf", "fit-zero", "fit-gamma-nan", "fit-gamma-huge", "sweep-nan",
+             "baseline-inf", "approx-trend-nan", "rate-constant-nan", "sweep-empty",
+             "baseline-empty", "approx-trend-empty"],
     )
     def test_bad_threshold_is_one_line_error(self, workdir, capsys, argv, message):
         argv = [a.format(train=workdir / "train.rtds") for a in argv]
@@ -338,3 +344,23 @@ class TestErrors:
             run("sweep", *modes, "--etas", "0.1", "--output", workdir / "out.csv")
         assert exc.value.code == 2
         assert "--data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--data", "{train}", "--holdout-n", "3"], "sweep --data does not take --holdout-n"),
+            (["--data", "{train}", "--density-bounds", "0.5,2"],
+             "sweep --data does not take --density-bounds"),
+            (["--data", "{train}", "--seed", "9", "--n", "5", "--dim", "7"],
+             "sweep --data does not take --n, --dim, --seed"),
+            (["--generator", "uniform_cube", "--normalize"],
+             "sweep --generator does not take --normalize"),
+        ],
+        ids=["holdout-n", "density-bounds", "n-dim-seed", "normalize"],
+    )
+    def test_sweep_refuses_the_other_modes_flags(self, workdir, capsys, argv, message):
+        argv = [a.format(train=workdir / "train.rtds") for a in argv]
+        out = workdir / "out.csv"
+        assert run("sweep", *argv, "--etas", "0.1", "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

@@ -8,24 +8,26 @@ from rectree.errors import CapTooSmallError
 from rectree.experiment import run_approximation_trend
 from rectree.oracle import (
     DiscreteDistribution,
-    approximation_error,
     approximation_error_from_table,
     isolation_depth,
-    oracle_quantizer,
     oracle_stats,
     oracle_subtree,
+    quantizer_from_table,
 )
 from rectree.stats import Dataset, build_stats
-from rectree.tree import CellId, root_cell
+from rectree.tree import CellId
 
 import reference_tree
 from reference_tree import (
+    ancestors,
     cell_diameter,
+    cells,
     children,
     leaf_count_bound_monitor,
     locate,
+    lookup,
     outer_leaves,
-    parent,
+    root_cell,
 )
 
 TWO_ATOM = DiscreteDistribution(np.array([[0.1], [0.9]]), np.array([0.5, 0.5]))
@@ -47,32 +49,20 @@ def brute_force_population_subtree(dist, eta, search_depth):
     """
 
     def members(cell):
-        sel = [
-            i
-            for i in range(dist.n_atoms)
-            if locate(dist.points[i], cell.depth) == cell
-        ]
-        return sel
+        return [i for i in range(dist.n_atoms) if locate(dist.points[i], cell.depth) == cell]
 
     def center_mass(cell):
         sel = members(cell)
         mass = math.fsum(float(dist.weights[i]) for i in sel)
         if mass == 0:
             return 0.0, None
-        center = np.array(
-            [
-                math.fsum(float(dist.weights[i] * dist.points[i, k]) for i in sel) / mass
-                for k in range(dist.dim)
-            ]
-        )
-        return mass, center
+        w, x = dist.weights, dist.points
+        moments = [[float(w[i] * x[i, k]) for i in sel] for k in range(dist.dim)]
+        return mass, np.array([math.fsum(terms) / mass for terms in moments])
 
-    cells = set()
-    for i in range(dist.n_atoms):
-        for depth in range(search_depth + 1):
-            cells.add(locate(dist.points[i], depth))
+    occupied = {locate(point, depth) for point in dist.points for depth in range(search_depth + 1)}
     selected = []
-    for cell in cells:
+    for cell in occupied:
         if cell.depth >= search_depth:
             continue
         _, c_parent = center_mass(cell)
@@ -83,20 +73,7 @@ def brute_force_population_subtree(dist, eta, search_depth):
                 gain_sq += mass * float(((c_child - c_parent) ** 2).sum())
         if math.sqrt(gain_sq) >= eta:
             selected.append(cell)
-    if not selected:
-        return {root_cell(dist.dim)}
-    kept = set()
-    for cell in cells | {root_cell(dist.dim)}:
-        for mark in selected:
-            walk = mark
-            while True:
-                if walk == cell:
-                    kept.add(cell)
-                    break
-                if walk.is_root:
-                    break
-                walk = parent(walk)
-    return kept
+    return {root_cell(dist.dim)}.union(*(ancestors(mark) for mark in selected))
 
 
 class TestDistribution:
@@ -111,12 +88,6 @@ class TestDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([[0.2]]), np.array([0.5]))
 
-    def test_from_dataset(self):
-        data = Dataset(np.array([[0.1], [0.1], [0.9], [0.3]]))
-        d = DiscreteDistribution.from_dataset(data)
-        assert d.n_atoms == 3
-        assert math.fsum(d.weights.tolist()) == pytest.approx(1.0, abs=1e-15)
-
     def test_isolation_depth(self):
         assert isolation_depth(TWO_ATOM) == 1
         single = DiscreteDistribution(np.array([[0.4, 0.2]]), np.array([1.0]))
@@ -126,7 +97,7 @@ class TestDistribution:
 class TestOracleStats:
     def test_two_atom_fixture(self):
         table = oracle_stats(TWO_ATOM)
-        root = table[root_cell(1)]
+        root = lookup(table, root_cell(1))
         assert root.error == pytest.approx(0.16, rel=1e-12)
         assert root.gain == pytest.approx(0.4, rel=1e-12)
 
@@ -134,9 +105,9 @@ class TestOracleStats:
         d = DiscreteDistribution(np.array([[0.3, 0.7]]), np.array([1.0]))
         table = oracle_stats(d, 4)
         for depth in range(5):
-            for _, cell in table.cells(depth):
-                assert cell.error <= 1e-30
-                assert cell.gain == 0.0
+            for _, entry in cells(table, depth):
+                assert entry.error <= 1e-30
+                assert entry.gain == 0.0
 
     def test_matches_empirical_on_replicated_data(self):
         rng = np.random.default_rng(0)
@@ -151,7 +122,7 @@ class TestOracleStats:
         for depth in range(cap + 1):
             lv_o, lv_e = table_o.level(depth), table_e.level(depth)
             assert np.array_equal(lv_o.codes, lv_e.codes)
-            np.testing.assert_allclose(lv_o.masses, lv_e.counts / n, atol=1e-15)
+            np.testing.assert_allclose(lv_o.counts, lv_e.counts / n, atol=1e-15)
             np.testing.assert_allclose(lv_o.centers, lv_e.centers, atol=1e-13)
             np.testing.assert_allclose(lv_o.errors, lv_e.errors, atol=1e-14)
             if depth < cap:
@@ -162,8 +133,8 @@ class TestOracleStats:
         # between-within identity E_I - sum_J E_J
         d = DiscreteDistribution(np.array([[0.1], [0.9]]), np.array([0.25, 0.75]))
         table = oracle_stats(d)
-        root = table[root_cell(1)]
-        child_errors = sum(table[c].error for c in children(root_cell(1)))
+        root = lookup(table, root_cell(1))
+        child_errors = sum(lookup(table, c).error for c in children(root_cell(1)))
         identity = root.error - child_errors
         assert root.gain**2 == pytest.approx(identity, rel=1e-12)
         c = 0.25 * 0.1 + 0.75 * 0.9
@@ -174,7 +145,7 @@ class TestOracleStats:
         d = random_distribution(5, m=32, dim=2)
         table = oracle_stats(d)
         for depth in range(table.depth_cap + 1):
-            for cell, entry in table.cells(depth):
+            for cell, entry in cells(table, depth):
                 assert entry.gain <= math.sqrt(entry.error) + 1e-12
                 bound = cell_diameter(cell) * math.sqrt(entry.mass)
                 assert math.sqrt(entry.error) <= bound + 1e-12
@@ -182,7 +153,7 @@ class TestOracleStats:
     def test_telescoping(self):
         d = random_distribution(9, m=24, dim=1)
         table = oracle_stats(d)
-        root_error = table[root_cell(1)].error
+        root_error = lookup(table, root_cell(1)).error
         for stop in range(table.depth_cap):
             total = math.fsum(
                 float(g**2)
@@ -242,7 +213,7 @@ class TestApproximationError:
         # so the error is E_root - gain_root^2 (not E_root itself)
         d = random_distribution(13, m=12, dim=1)
         table = oracle_stats(d)
-        root = table[root_cell(1)]
+        root = lookup(table, root_cell(1))
         expected = root.error - root.gain**2
         assert approximation_error_from_table(table, 1.5) == pytest.approx(
             expected, rel=1e-12
@@ -250,18 +221,21 @@ class TestApproximationError:
 
     def test_tiny_eta_isolates(self):
         d = random_distribution(17, m=10, dim=1)
-        assert approximation_error(d, 1e-9) <= 1e-25
+        assert approximation_error_from_table(oracle_stats(d), 1e-9) <= 1e-25
 
     def test_agrees_with_direct_projection(self):
         d = random_distribution(21, m=40, dim=2)
+        table = oracle_stats(d)
         for eta in (0.5, 0.1, 0.02):
-            q = oracle_quantizer(d, eta)
+            q = quantizer_from_table(table, eta)
             rec = q.reconstruct(d.points)
             direct = math.fsum(
                 float(w * ((x - r) ** 2).sum())
                 for w, x, r in zip(d.weights, d.points, rec)
             )
-            assert approximation_error(d, eta) == pytest.approx(direct, rel=1e-12, abs=1e-15)
+            assert approximation_error_from_table(table, eta) == pytest.approx(
+                direct, rel=1e-12, abs=1e-15
+            )
 
     def test_monitor_rows(self):
         d = random_distribution(23, m=64, dim=1)
@@ -315,11 +289,11 @@ class TestArrayLeafErrors:
         dist = DiscreteDistribution(np.array([[0.1, 0.1], [0.3, 0.2]]), np.array([0.5, 0.5]))
         table = oracle_stats(dist)
         leaves = outer_leaves(oracle_subtree(dist, 2.0))
-        assert sum(table.lookup(cell).mass == 0 for cell in leaves) == 3
+        assert sum(lookup(table, cell).mass == 0 for cell in leaves) == 3
         assert approximation_error_from_table(table, 2.0) == (
             reference_tree.approximation_error_from_table(table, 2.0)
         )
-        assert approximation_error_from_table(table, 2.0) == table[root_cell(2)].error
+        assert approximation_error_from_table(table, 2.0) == lookup(table, root_cell(2)).error
 
 
 class TestOracleEmpiricalEquivalence:
@@ -334,11 +308,12 @@ class TestOracleEmpiricalEquivalence:
         data = Dataset(np.repeat(atoms, counts, axis=0))
         cap = isolation_depth(dist) + 1
         table_e = build_stats(data, cap)
+        table_o = oracle_stats(dist, cap)
         for eta in (0.7, 0.31, 0.11, 0.042, 0.013):
             sub_o = oracle_subtree(dist, eta, depth_cap=cap)
             sub_e = threshold_subtree(table_e, eta)
             assert sub_o.cells == sub_e.cells
-            q_o = oracle_quantizer(dist, eta, depth_cap=cap)
+            q_o = quantizer_from_table(table_o, eta)
             q_e = quantizer_from_stats(table_e, eta)
             assert set(q_o.leaves) == set(q_e.leaves)
             for cell in q_o.leaves:
@@ -360,16 +335,15 @@ class TestRegularityLaws:
         d1 = self.uniform_grid()
         table = oracle_stats(d1, 6)
         for depth in range(7):
-            for cell, entry in table.cells(depth):
+            for cell, entry in cells(table, depth):
                 assert cell_diameter(cell) == pytest.approx(
                     entry.mass ** (1.0 / 1), rel=1e-12
                 )
-        rng = np.random.default_rng(0)
         atoms2 = (np.indices((16, 16)).reshape(2, -1).T + 0.5) / 16
         d2 = DiscreteDistribution(atoms2, np.full(256, 1.0 / 256))
         table2 = oracle_stats(d2, 3)
         for depth in range(4):
-            for cell, entry in table2.cells(depth):
+            for cell, entry in cells(table2, depth):
                 assert cell_diameter(cell) == pytest.approx(
                     math.sqrt(2) * entry.mass ** 0.5, rel=1e-12
                 )

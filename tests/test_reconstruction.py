@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rectree import kernels
 from rectree.errors import DepthCapError, DomainError
 from rectree.reconstruction import (
     Quantizer,
@@ -20,7 +21,9 @@ from rectree.reconstruction import (
     threshold_subtree,
 )
 from rectree.stats import Dataset, build_stats
-from rectree.tree import CellId, cube_center, root_cell
+from rectree.tree import CellId
+
+from reference_tree import cube_center, root_cell
 
 TWO_POINT = Dataset(np.array([[0.1], [0.9]]))
 
@@ -168,32 +171,45 @@ class TestEncodeDecode:
 
     def test_boundary_half(self):
         q = fit(TWO_POINT, 1.0, RateSchedule(branching=2))
-        assert encode(q, np.array([0.5])) == CellId(1, (1,))
+        depths, index = encode(q, np.array([[0.5]]))
+        assert depths.tolist() == [1] and index.tolist() == [[1]]
 
     def test_roundtrip_is_projection(self):
         q = self.quantizer()
-        rng = np.random.default_rng(2)
-        for point in rng.random((50, 1)):
-            leaf = encode(q, point)
-            assert decode(q, leaf) is not q.codebook[leaf]
-            rec = decode(q, leaf)
-            assert encode(q, rec) == leaf
+        depths, index = encode(q, np.random.default_rng(2).random((50, 1)))
+        rec = decode(q, depths, index)
+        assert not np.shares_memory(rec, q.vectors)
+        assert CellId(30, (5,)) not in q.codebook
+        again = encode(q, rec)
+        assert np.array_equal(again[0], depths) and np.array_equal(again[1], index)
+
+    def test_decode_every_leaf_matches_tables(self):
+        q = fit(uniform_data(3, 3000, 2), 0.01, RateSchedule(branching=4))
+        for depth, (codes, vectors) in q.tables().items():
+            index = kernels.morton_decode(codes, depth, q.dim)
+            assert np.array_equal(decode(q, np.full(len(codes), depth), index), vectors)
 
     def test_unknown_leaf(self):
         q = self.quantizer()
-        with pytest.raises(ValueError):
-            decode(q, CellId(30, (5,)))
+        (leaf_depth,), (leaf_index,) = encode(q, np.array([[0.3]]))
+        for depth, index, problem in [
+            (30, [5], r"row 1: depth 30 index \[5\] is not a leaf"),
+            (0, [0], r"row 1: depth 0 index \[0\] is not a leaf"),
+            (2, [4], r"row 1: no cell of depth 2 \(0..32\) has index \[4\]"),
+        ]:
+            with pytest.raises(ValueError, match=problem):
+                decode(q, [leaf_depth, depth], [leaf_index, index])
 
     def test_out_of_domain(self):
         q = self.quantizer()
         with pytest.raises(DomainError):
-            encode(q, np.array([1.0]))
+            encode(q, np.array([[1.0]]))
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_wrong_width_names_both_dims(self, width):
         q = fit(uniform_data(1, 800, 2), 0.05, RateSchedule(branching=4))
         points = np.full((4, width), 0.3)
-        for call in (lambda: encode(q, points[0]), lambda: q.assign(points),
+        for call in (lambda: encode(q, points), lambda: q.assign(points),
                      lambda: empirical_distortion(q, Dataset(points))):
             with pytest.raises(ValueError, match=f"point dim {width} != quantizer dim 2"):
                 call()
@@ -202,9 +218,8 @@ class TestEncodeDecode:
         # all data on the left: the left side splits deeper than the right
         data = Dataset(np.concatenate([np.random.default_rng(0).random(300) * 0.5])[:, None])
         q = fit(data, 0.02, RateSchedule(branching=2))
-        left = encode(q, np.array([0.1]))
-        right = encode(q, np.array([0.9]))
-        assert left.depth > right.depth
+        depths, _ = encode(q, np.array([[0.1], [0.9]]))
+        assert depths[0] > depths[1]
 
 
 class TestDistortion:
@@ -360,5 +375,6 @@ class TestCodebookValidation:
         path.write_text(json.dumps(codebook_doc(rows)))
         q = load_codebook(path)
         assert len(q.leaves) == 3
-        assert encode(q, np.array([0.1])) == CellId(2, (0,))
-        assert np.array_equal(decode(q, CellId(1, (1,))), [0.7])
+        depths, index = encode(q, np.array([[0.1]]))
+        assert depths.tolist() == [2] and index.tolist() == [[0]]
+        assert np.array_equal(decode(q, [1], [[1]]), [[0.7]])

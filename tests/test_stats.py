@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from rectree.errors import DepthCapError, DomainError
 from rectree.stats import Dataset, build_stats
-from rectree.tree import CellId, cube_center, root_cell
+from rectree.tree import CellId
 
-from reference_tree import locate
+from reference_tree import cells, cube_center, locate, lookup, root_cell
 
 
 def random_dataset(seed, n=200, dim=2):
@@ -33,20 +33,20 @@ class TestBuildStats:
         table = build_stats(Dataset(p[None, :]), 5)
         for depth in range(6):
             cell = locate(p, depth)
-            entry = table[cell]
+            entry = lookup(table, cell)
             assert entry.count == 1
             assert np.array_equal(entry.center, p)
-            assert entry.local_error == 0.0
+            assert entry.error == 0.0
             if depth < 5:
                 assert entry.gain == 0.0
 
     def test_two_point_fixture(self):
         table = build_stats(TWO_POINT, 1)
         root = root_cell(1)
-        assert table[root].local_error == pytest.approx(0.16, rel=1e-12)
-        assert table[CellId(1, (0,))].local_error == 0.0
-        assert table[CellId(1, (1,))].local_error == 0.0
-        assert table[root].gain == pytest.approx(0.4, rel=1e-12)
+        assert lookup(table, root).error == pytest.approx(0.16, rel=1e-12)
+        assert lookup(table, CellId(1, (0,))).error == 0.0
+        assert lookup(table, CellId(1, (1,))).error == 0.0
+        assert lookup(table, root).gain == pytest.approx(0.4, rel=1e-12)
 
     def test_all_points_in_one_child(self):
         rng = np.random.default_rng(1)
@@ -55,22 +55,21 @@ class TestBuildStats:
         root = root_cell(1)
         child = CellId(1, (0,))
         # single occupied child: gain^2 equals the error difference exactly
-        diff = table[root].local_error - table[child].local_error
-        assert table[root].gain ** 2 == pytest.approx(diff, rel=1e-12, abs=1e-18)
+        diff = lookup(table, root).error - lookup(table, child).error
+        assert lookup(table, root).gain ** 2 == pytest.approx(diff, rel=1e-12, abs=1e-18)
 
     def test_empty_cell_lookup_uses_cube_center(self):
         table = build_stats(TWO_POINT, 3)
         empty = CellId(2, (1,))  # [0.25, 0.5): no data
-        entry = table[empty]
+        entry = lookup(table, empty)
         assert entry.count == 0
         assert np.array_equal(entry.center, cube_center(empty))
-        assert entry.local_error == 0.0
+        assert entry.error == 0.0
         assert entry.gain == 0.0
-        assert empty not in table
 
     def test_gain_none_at_cap(self):
         table = build_stats(TWO_POINT, 2)
-        assert table[CellId(2, (0,))].gain is None
+        assert lookup(table, CellId(2, (0,))).gain is None
 
     def test_depth_cap_validation(self):
         with pytest.raises(DepthCapError):
@@ -107,7 +106,7 @@ class TestBuildStats:
         data = random_dataset(3, n=400, dim=2)
         table = build_stats(data, 3)
         for depth in range(4):
-            for cell, entry in table.cells(depth):
+            for cell, entry in cells(table, depth):
                 inside = [p for p in data.points if locate(p, depth) == cell]
                 lo = np.min(inside, axis=0) - 1e-12
                 hi = np.max(inside, axis=0) + 1e-12
@@ -123,12 +122,12 @@ class TestBuildStats:
         # transport cell-to-cell
         for depth in (2, 3, 4):
             offset = (shift * 2**depth).astype(int)
-            for cell, entry in base.cells(depth):
+            for cell, entry in cells(base, depth):
                 target = CellId(depth, tuple(k + o for k, o in zip(cell.index, offset)))
-                other = moved[target]
+                other = lookup(moved, target)
                 assert other.count == entry.count
                 np.testing.assert_allclose(other.center, entry.center + shift, atol=1e-12)
-                assert other.local_error == pytest.approx(entry.local_error, abs=1e-12)
+                assert other.error == pytest.approx(entry.error, abs=1e-12)
                 if depth < 4:
                     assert other.gain == pytest.approx(entry.gain, abs=1e-12)
 
@@ -136,25 +135,25 @@ class TestBuildStats:
 class TestGainOp:
     def test_empty_cell_gain_zero(self):
         table = build_stats(TWO_POINT, 3)
-        assert table[CellId(2, (1,))].gain == 0.0
+        assert lookup(table, CellId(2, (1,))).gain == 0.0
 
     def test_children_sharing_center(self):
         # two coincident points split nowhere: every gain is zero
         data = Dataset(np.array([[0.3, 0.3], [0.3, 0.3]]))
         table = build_stats(data, 3)
         for depth in range(3):
-            for _, entry in table.cells(depth):
+            for _, entry in cells(table, depth):
                 assert entry.gain == 0.0
 
     def test_matches_difference_formula(self):
         data = random_dataset(11, n=250, dim=1)
         table = build_stats(data, 5)
         for depth in range(5):
-            for cell, entry in table.cells(depth):
+            for cell, entry in cells(table, depth):
                 child_sum = sum(
-                    table[CellId(depth + 1, (2 * cell.index[0] + t,))].local_error
+                    lookup(table, CellId(depth + 1, (2 * cell.index[0] + t,))).error
                     for t in (0, 1)
                 )
                 assert entry.gain**2 == pytest.approx(
-                    entry.local_error - child_sum, rel=1e-9, abs=1e-15
+                    entry.error - child_sum, rel=1e-9, abs=1e-15
                 )

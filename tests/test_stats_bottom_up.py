@@ -139,7 +139,7 @@ def test_matches_oracle_on_exact_duplicates(dim, m, n):
     for depth in range(cap + 1):
         lv, lv_o = table.level(depth), oracle.level(depth)
         assert np.array_equal(lv.codes, lv_o.codes)
-        assert np.all(np.abs(lv.counts / n - lv_o.masses) <= 1e-15)
+        assert np.all(np.abs(lv.counts / n - lv_o.counts) <= 1e-15)
         assert np.all(np.abs(lv.centers - lv_o.centers) <= 1e-15)
         assert np.all(np.abs(lv.errors - lv_o.errors) <= 1e-15)
         if depth < cap:

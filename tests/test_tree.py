@@ -4,25 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectree.errors import DepthCapError, DomainError, StructureError
-from rectree.tree import (
-    CellId,
-    Subtree,
-    cell_to_code,
-    cells_from_codes,
-    cube_center,
-    default_max_depth,
-    root_cell,
-)
+from rectree.errors import DepthCapError, DomainError
+from rectree.tree import CellId, Subtree, cell_to_code, cells_from_codes, default_max_depth
 
 from reference_tree import (
+    StructureError,
+    ancestors,
     cell_contains,
     cell_diameter,
     cell_volume,
     children,
+    cube_center,
     locate,
     outer_leaves,
     parent,
+    root_cell,
     smallest_subtree,
     validate,
 )
@@ -173,19 +169,7 @@ class TestSmallestSubtree:
         assert set(marked) <= sub.cells
         # minimality: every member is an ancestor of (or is) a marked cell
         for cell in sub.cells:
-            ok = False
-            for m in marked + [root_cell(dim)]:
-                walk = m
-                while True:
-                    if walk == cell:
-                        ok = True
-                        break
-                    if walk.is_root:
-                        break
-                    walk = parent(walk)
-                if ok:
-                    break
-            assert ok
+            assert any(cell in ancestors(m) for m in marked + [root_cell(dim)])
 
 
 class TestGeometry:
