@@ -308,8 +308,10 @@ def read_points_csv(path, dtype=np.float64) -> np.ndarray:
 
 
 def write_points_csv(path, points: np.ndarray) -> None:
+    """Coordinates under an ``x0,x1,...`` header, each value as ``repr`` of its double."""
     pts = np.asarray(points, dtype=np.float64)
+    row = ",".join(["%r"] * pts.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(f"x{k}" for k in range(pts.shape[1])) + "\n")
-        for row in pts:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for values in pts.tolist():
+            fh.write(row % tuple(values))

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapTooSmallError, DepthCapError, DomainError
-from .reconstruction import Quantizer, _subtree_levels, quantizer_from_stats
+from .reconstruction import Quantizer, _quantizer_from_levels, _subtree_levels
 from .stats import StatsTable, _Level, gain_bound
 from .tree import Subtree, default_max_depth, outer_leaves
 
@@ -196,8 +196,7 @@ def quantizer_from_table(table: OracleTable, eta: float) -> Quantizer:
     The table has the level layout of a :class:`StatsTable`, so the
     empirical extraction applies once the cap is known to certify the subtree.
     """
-    _certified_levels(table, eta)
-    return quantizer_from_stats(table, eta)
+    return _quantizer_from_levels(table, _certified_levels(table, eta), eta, table.depth_cap)
 
 
 def outer_leaf_errors(table: OracleTable, eta: float) -> np.ndarray:

@@ -231,8 +231,14 @@ def quantizer_from_stats(
 ) -> Quantizer:
     """Threshold, take outer leaves, and attach code vectors."""
     cap = stats.depth_cap if depth_cap is None else depth_cap
+    return _quantizer_from_levels(stats, _subtree_levels(stats, eta, cap), eta, cap, gamma, beta)
+
+
+def _quantizer_from_levels(stats: StatsTable, levels: list[np.ndarray], eta: float, cap: int,
+                           gamma: float | None = None, beta: float | None = None) -> Quantizer:
+    """The quantizer on the outer leaves of the subtree given as codes per depth."""
     tables = {}
-    for depth, codes in outer_leaves(_subtree_levels(stats, eta, cap), stats.dim).items():
+    for depth, codes in outer_leaves(levels, stats.dim).items():
         lv = stats.level(depth)
         rows = lv.rows(codes)
         stored = rows >= 0
@@ -324,14 +330,22 @@ def empirical_distortion(q: Quantizer, data: Dataset) -> float:
 def save_codebook(q: Quantizer, path) -> None:
     """Write the versioned JSON codebook, leaves sorted by (depth, index).
 
-    Integer fields round-trip bit-exactly; code vectors use the shortest
-    decimal representation that parses back to the same binary double.
+    The file has the fixed v1 layout of ``json.dumps(doc, indent=2)``
+    plus a newline, and a test pins it byte for byte.  The header goes
+    through ``json``; each leaf is one %-template per dim, ``%d`` for the
+    integers and ``%r`` for the code values, since ``float.__repr__`` is
+    what ``json`` writes for a finite float: the shortest decimal that
+    parses back to the same double.  ValueError, and no file, if a code
+    vector is not finite.
     """
     index = kernels.morton_decode(q.starts, q.deepest, q.dim) >> (q.deepest - q.depths[:, None])
     order = np.lexsort([*index.T[::-1], q.depths])
-    rows = zip(q.depths[order].tolist(), index[order].tolist(), q.vectors[order].tolist())
-    leaves = [{"depth": d, "index": k, "code": c} for d, k, c in rows]
-    doc = {
+    vectors = q.vectors[order]
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"codebook {path} row {i}: code {vectors[i].tolist()} is not finite")
+    head = json.dumps({
         "format": CODEBOOK_FORMAT,
         "version": CODEBOOK_VERSION,
         "dim": q.dim,
@@ -339,11 +353,20 @@ def save_codebook(q: Quantizer, path) -> None:
         "gamma": q.gamma,
         "beta": q.beta,
         "depth_cap": q.depth_cap,
-        "leaves": leaves,
-    }
+    }, indent=2)
+    entries = ",\n        ".join
+    leaf = ('    {\n      "depth": %d,\n'
+            f'      "index": [\n        {entries(["%d"] * q.dim)}\n      ],\n'
+            f'      "code": [\n        {entries(["%r"] * q.dim)}\n      ]\n    }}')
+    rows = zip(q.depths[order].tolist(), index[order].tolist(), vectors.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        # The header's closing "\n}" moves after the leaves.
+        fh.write(head[:-2] + ',\n  "leaves": [\n')
+        sep = ""
+        for depth, idx, code in rows:
+            fh.write(sep + leaf % (depth, *idx, *code))
+            sep = ",\n"
+        fh.write("\n  ]\n}\n")
 
 
 def _integers(values, what: str) -> np.ndarray:

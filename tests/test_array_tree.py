@@ -10,11 +10,13 @@ bit, and the same codebook file byte for byte.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectree.reconstruction import (
     CODEBOOK_FORMAT,
     CODEBOOK_VERSION,
+    Quantizer,
     quantizer_from_stats,
     save_codebook,
     threshold_subtree,
@@ -85,6 +87,12 @@ def assert_same_quantizer(stats, eta, cap):
     return q, codebook
 
 
+def assert_same_file(directory, q, codebook):
+    path = directory / "codebook.json"
+    save_codebook(q, path)
+    assert path.read_bytes() == reference_codebook_bytes(q, codebook)
+
+
 def datasets(max_dim):
     """Points in [0, 1)^D, some on dyadic boundaries and some repeated."""
 
@@ -116,17 +124,31 @@ def test_matches_per_cell_reference(data, cap, quantile, cap_from_table):
         assert_same_quantizer(stats, eta, None if cap_from_table else max(0, cap - 1))
 
 
-def test_one_cell_subtree_in_13_dimensions():
+def test_one_cell_subtree_in_13_dimensions(tmp_path):
     rng = np.random.default_rng(5)
     stats = build_stats(Dataset(rng.random((300, 13))), 1)
     q, codebook = assert_same_quantizer(stats, 1e9, 1)
     assert len(q.leaves) == 1 << 13
+    assert_same_file(tmp_path, q, codebook)
 
 
 @given(datasets(3), st.floats(0.001, 0.5))
 @settings(max_examples=40, deadline=None)
 def test_codebook_file_matches_per_leaf_writer(tmp_path_factory, data, eta):
     q, codebook = assert_same_quantizer(build_stats(data, 5), eta, 5)
-    path = tmp_path_factory.mktemp("cb") / "codebook.json"
-    save_codebook(q, path)
-    assert path.read_bytes() == reference_codebook_bytes(q, codebook)
+    assert_same_file(tmp_path_factory.mktemp("cb"), q, codebook)
+
+
+@pytest.mark.parametrize("eta", [0.1, 5e-324, 1e300])
+@pytest.mark.parametrize("gamma, beta", [(None, None), (0.8, 2.5)])
+def test_codebook_file_matches_for_edge_values(tmp_path, eta, gamma, beta):
+    # Codes need not lie in their cells for the writer: these probe the
+    # float formatting (tiny, subnormal, inexact, above 2**53, negative zero).
+    tables = {
+        1: (np.array([1, 2, 3]), np.array([[1e-300, 5e-324], [1 / 3, 1e17], [-0.0, 0.75]])),
+        2: (np.arange(4), np.array([[0.125, -0.0], [1e17, 1 / 3], [5e-324, 1e-300], [0.0, 1.0]])),
+    }
+    q = Quantizer.from_tables(2, tables, eta, 7, gamma, beta)
+    codebook = {cell: vector for depth, (codes, vectors) in tables.items()
+                for cell, vector in zip(cells_from_codes(depth, codes, 2), vectors)}
+    assert_same_file(tmp_path, q, codebook)

@@ -208,6 +208,17 @@ class TestFileFormats:
         write_points_csv(path, pts)
         assert np.array_equal(read_points_csv(path), pts)
 
+    def test_csv_matches_per_value_writer(self, tmp_path):
+        pts = np.random.default_rng(2).random((50, 4))
+        pts[:5] = [[-0.0, 1e-7, 1e17, 5e-324], [2.5e-310, -1e-7, 1 / 3, 0.0],
+                   [1e16, 1e-5, 1e-4, -1e17], [0.1, 0.2, 0.3, 1.0], [2.0**-1074, 2.0**53, 1e22, 9.5]]
+        path = tmp_path / "pts.csv"
+        write_points_csv(path, pts)
+        want = "x0,x1,x2,x3\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in pts)
+        assert path.read_text(encoding="utf-8") == want
+        assert "-0.0,1e-07,1e+17,5e-324\n" in want
+
     def test_csv_without_header(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("0.25,0.5\n0.75,0.125\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rectree import oracle, reconstruction
 from rectree.errors import CapTooSmallError
 from rectree.experiment import run_approximation_trend
 from rectree.oracle import (
@@ -236,6 +237,22 @@ class TestApproximationError:
             assert approximation_error_from_table(table, eta) == pytest.approx(
                 direct, rel=1e-12, abs=1e-15
             )
+
+    def test_quantizer_closes_the_subtree_once(self, monkeypatch):
+        table = oracle_stats(random_distribution(23, m=64, dim=2))
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return subtree_levels(*args)
+
+        # oracle binds the name at import, so both modules get the counter.
+        subtree_levels = reconstruction._subtree_levels
+        monkeypatch.setattr(reconstruction, "_subtree_levels", counted)
+        monkeypatch.setattr(oracle, "_subtree_levels", counted)
+        for eta in (0.3, 0.05, 0.01):
+            quantizer_from_table(table, eta)
+        assert calls == [0.3, 0.05, 0.01]
 
     def test_monitor_rows(self):
         d = random_distribution(23, m=64, dim=1)

@@ -326,6 +326,21 @@ def codebook_doc(leaves, dim=1):
 HALVES = [leaf(1, 0), leaf(1, 1)]
 
 
+class TestSaveRefusesNonFiniteCodes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_names_first_bad_row_and_writes_nothing(self, tmp_path, bad):
+        # Rows sit in file order (depth, then index): the depth-2 leaf at
+        # index 1 is row 2, after both depth-1 leaves.
+        tables = {1: (np.array([1]), np.array([[0.75]])),
+                  2: (np.array([0, 1]), np.array([[0.125], [bad]]))}
+        q = Quantizer.from_tables(1, tables, 0.1, 3)
+        path = tmp_path / "codebook.json"
+        with pytest.raises(ValueError, match=rf"codebook .*codebook.json row 2: code \[{bad}\] "
+                                             "is not finite"):
+            save_codebook(q, path)
+        assert not path.exists()
+
+
 class TestCodebookValidation:
     @pytest.mark.parametrize(
         "doc, problem",
