@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import kmeans_distortion, kmeans_fit
 from .datagen import GeneratorSpec, sample
-from .oracle import DiscreteDistribution, oracle_stats, outer_leaf_errors
+from .oracle import DiscreteDistribution, oracle_stats, quantizer_from_table
 from .reconstruction import RateSchedule, empirical_distortion, fit, sweep
 from .stats import Dataset
 
@@ -147,11 +147,8 @@ def run_approximation_trend(
     information about the decay and are excluded from the fit.
     """
     table = oracle_stats(dist, depth_cap)
-    rows = []
-    for eta in etas:
-        eta = float(eta)
-        errors = outer_leaf_errors(table, eta)
-        rows.append((eta, math.fsum(errors.tolist()), errors.shape[0]))
+    quantizers = [quantizer_from_table(table, float(eta)) for eta in etas]
+    rows = [(q.threshold, q.train_distortion, len(q.leaves)) for q in quantizers]
     slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     return rows, slope
 

@@ -33,7 +33,7 @@ from . import kernels
 from .errors import CapTooSmallError, DepthCapError, DomainError
 from .reconstruction import Quantizer, _quantizer_from_levels, _subtree_levels
 from .stats import StatsTable, _Level, gain_bound
-from .tree import Subtree, default_max_depth, outer_leaves
+from .tree import Subtree, default_max_depth
 
 
 @dataclass(frozen=True)
@@ -199,16 +199,6 @@ def quantizer_from_table(table: OracleTable, eta: float) -> Quantizer:
     return _quantizer_from_levels(table, _certified_levels(table, eta), eta, table.depth_cap)
 
 
-def outer_leaf_errors(table: OracleTable, eta: float) -> np.ndarray:
-    """E_I of every outer leaf of the subtree at eta, in code order per depth; 0 if empty."""
-    errors = []
-    for depth, codes in outer_leaves(_certified_levels(table, eta), table.dim).items():
-        lv = table.level(depth)
-        rows = lv.rows(codes)
-        errors.append(np.where(rows >= 0, lv.errors[rows], 0.0))
-    return np.concatenate(errors)
-
-
 def approximation_error_from_table(table: OracleTable, eta: float) -> float:
-    """Exact expected distortion sum_{leaves} E_I of the population quantizer."""
-    return math.fsum(outer_leaf_errors(table, eta).tolist())
+    """Exact expected distortion sum_{leaves} E_I: the population quantizer's train distortion."""
+    return quantizer_from_table(table, eta).train_distortion

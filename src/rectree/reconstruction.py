@@ -6,7 +6,8 @@ so ties expand).  The kept subtree is the smallest parent-closed set
 containing every selected cell, {root} when nothing is selected, and the
 quantizer is the outer-leaf partition of that subtree with one code vector
 per leaf: the leaf's center of mass when it saw training data, the cube
-center otherwise (so decoding is total).
+center otherwise (so decoding is total).  Its train distortion is read
+from the table too, sum_{leaves J} E_J, so a sweep encodes no train point.
 
 The path runs on sorted Morton-code arrays, one per depth, and a
 :class:`Quantizer` holds its leaves as sorted runs of deepest-level codes.
@@ -130,6 +131,8 @@ class Quantizer:
     [0, 2**(dim m)) in order), with each leaf's depth and code vector in
     the same order.  ``tables()`` is a per-depth view of these rows, and
     ``codebook`` and ``leaves`` are views keyed by ``CellId``.
+    ``train_distortion`` is sum_{leaves J} E_J over the data of the table
+    it was built from (an oracle's distribution included); None if loaded.
     """
 
     dim: int
@@ -140,6 +143,7 @@ class Quantizer:
     depth_cap: int
     gamma: float | None = None
     beta: float | None = None
+    train_distortion: float | None = None
     deepest: int = field(init=False)
 
     def __post_init__(self):
@@ -236,8 +240,12 @@ def quantizer_from_stats(
 
 def _quantizer_from_levels(stats: StatsTable, levels: list[np.ndarray], eta: float, cap: int,
                            gamma: float | None = None, beta: float | None = None) -> Quantizer:
-    """The quantizer on the outer leaves of the subtree given as codes per depth."""
-    tables = {}
+    """The quantizer on the outer leaves of the subtree given as codes per depth.
+
+    A stored leaf's code vector is the center of mass of its points, so the
+    train distortion is the sum of the stored leaves' E_J; an empty one adds 0.
+    """
+    tables, errors = {}, []
     for depth, codes in outer_leaves(levels, stats.dim).items():
         lv = stats.level(depth)
         rows = lv.rows(codes)
@@ -248,7 +256,10 @@ def _quantizer_from_levels(stats: StatsTable, levels: list[np.ndarray], eta: flo
         empty = kernels.morton_decode(codes[~stored], depth, stats.dim)
         vectors[~stored] = (empty + 0.5) * 2.0 ** (-depth)
         tables[depth] = (codes, vectors)
-    return Quantizer.from_tables(stats.dim, tables, eta, cap, gamma, beta)
+        errors.append(lv.errors[rows[stored]])
+    q = Quantizer.from_tables(stats.dim, tables, eta, cap, gamma, beta)
+    q.train_distortion = math.fsum(np.concatenate(errors).tolist())
+    return q
 
 
 def _schedule_stats(data: Dataset, etas: list[float], schedule: RateSchedule):
@@ -283,14 +294,15 @@ def sweep(
 
     Returns (eta, quantizer, leaf_count, train_distortion) per eta, in the
     given order.  Subtrees nest as eta decreases, so leaf counts are
-    nondecreasing along a descending eta list.
+    nondecreasing along a descending eta list.  ``train_distortion`` is
+    sum_{leaves J} E_J read from the table: no train point is encoded.
     """
     etas = [float(e) for e in etas]
     stats, cap = _schedule_stats(data, etas, schedule)
     out = []
     for eta in etas:
         q = quantizer_from_stats(stats, eta, schedule.gamma, schedule.beta, depth_cap=cap)
-        out.append((eta, q, len(q.leaves), empirical_distortion(q, data)))
+        out.append((eta, q, len(q.leaves), q.train_distortion))
     return out
 
 

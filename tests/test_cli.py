@@ -57,6 +57,20 @@ class TestPipeline:
         assert lines[0] == "eta,leaf_count,train_distortion"
         assert len(lines) == 4
 
+    def test_sweep_train_column_matches_fit_and_distortion(self, workdir):
+        """The sweep reads its train column from the table; fit + distortion encodes."""
+        train, out = workdir / "train.rtds", workdir / "sweep.csv"
+        assert run("sweep", "--data", train, "--etas", "0.5,0.2,0.05,0.01,0.002",
+                   "--output", out) == 0
+        for line in out.read_text().splitlines()[1:]:
+            eta, leaves, value = line.split(",")
+            cb, dist = workdir / f"cb-{eta}.json", workdir / f"dist-{eta}.csv"
+            assert run("fit", "--data", train, "--eta", eta, "--output", cb) == 0
+            assert len(load_codebook(cb).leaves) == int(leaves)
+            assert run("distortion", "--codebook", cb, "--data", train, "--output", dist) == 0
+            encoded = float(dist.read_text().splitlines()[1].split(",")[1])
+            assert float(value) == pytest.approx(encoded, rel=1e-12, abs=0.0)
+
     def test_sweep_generator_mode(self, tmp_path):
         out = tmp_path / "sweepg.csv"
         assert run("sweep", "--generator", "uniform_cube", "--dim", "1", "--n", "300",

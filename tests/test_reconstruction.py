@@ -1,11 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectree import kernels
+from rectree import kernels, reconstruction
 from rectree.errors import DepthCapError, DomainError
 from rectree.reconstruction import (
     Quantizer,
@@ -262,6 +263,51 @@ class TestSweep:
         trains = [r[3] for r in results]
         assert all(a <= b for a, b in zip(leaf_counts, leaf_counts[1:]))
         assert all(a >= b - 1e-15 for a, b in zip(trains, trains[1:]))
+
+    @given(
+        dim=st.integers(1, 4),
+        pool=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_max=True),
+                # Coordinates on dyadic faces k 2**-d.
+                st.builds(lambda k, d: (k % 2**d) / 2**d, st.integers(0, 63), st.integers(0, 6)),
+            ),
+            min_size=4, max_size=64,
+        ),
+        picks=st.lists(st.integers(0, 63), min_size=2, max_size=48),
+        gamma=st.sampled_from([0.01, 1.5, 3.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_train_matches_encoding_the_train_set(self, dim, pool, picks, gamma):
+        # Picks from a small pool of coordinates give duplicate points; gamma
+        # 0.01 gives j_n = 0, and eta 1e-9 puts leaves at the table's depth.
+        coords = np.array(pool)
+        points = np.array([[coords[(p + k) % len(coords)] for k in range(dim)] for p in picks])
+        data = Dataset(points)
+        root_error = build_stats(data, 1).level(0).errors[0]
+        etas = [0.3, 0.05, 0.01, 1e-3, 1e-9]
+        for eta, q, _, train in sweep(data, etas, RateSchedule(1 << dim, gamma)):
+            assert abs(train - empirical_distortion(q, data)) <= 1e-12 * root_error
+
+    def test_reads_train_from_the_table(self, monkeypatch):
+        data = uniform_data(5, 500, 2)
+        calls = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(Quantizer, "_rows")
+        counted(reconstruction, "empirical_distortion")
+        # The traced codebook build wraps this module attribute.
+        counted(reconstruction, "quantizer_from_stats")
+        sweep(data, [0.3, 0.05, 0.01], RateSchedule(branching=4))
+        assert calls == {"quantizer_from_stats": 3}
 
     def test_single_eta(self):
         data = uniform_data(10, 100, 1)
