@@ -10,15 +10,12 @@ harness for distortion-decay runs.
 
 from .baselines import KMeansModel, kmeans_distortion, kmeans_fit
 from .datagen import GeneratorSpec, NormalizationMap, normalize, read_dataset, sample, write_dataset
-from .errors import CapTooSmallError, DepthCapError, DomainError
+from .errors import DepthCapError, DomainError
 from .oracle import (
     DiscreteDistribution,
-    OracleTable,
     approximation_error_from_table,
     isolation_depth,
     oracle_stats,
-    oracle_subtree,
-    quantizer_from_table,
 )
 from .reconstruction import (
     Quantizer,
@@ -28,6 +25,7 @@ from .reconstruction import (
     encode,
     fit,
     load_codebook,
+    quantizer_from_stats,
     save_codebook,
     sweep,
     threshold_subtree,

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .datagen import (
+    KINDS,
     GeneratorSpec,
     normalize,
     read_dataset,
@@ -83,7 +84,12 @@ def _generator_from_args(args) -> GeneratorSpec:
 def _schedule_from_args(args, dim: int) -> RateSchedule:
     branching = 1 << dim
     if args.theoretical_constant:
+        if args.threshold_constant is not None:
+            raise ValueError("rate-experiment takes --threshold-constant or --theoretical-constant, "
+                             "not both")
         return RateSchedule.with_theoretical_constant(branching, args.gamma, args.beta)
+    if args.threshold_constant is None:
+        return RateSchedule(branching, args.gamma, args.beta)
     return RateSchedule(branching, args.gamma, args.beta, args.threshold_constant)
 
 
@@ -254,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-scale vector quantization on dyadic partition trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    kinds = ["uniform_cube", "density_cube", "circle", "sphere", "swiss_roll"]
 
     def add_data_flags(p):
         p.add_argument("--data", required=True, help="dataset (.rtds binary or .csv)")
@@ -297,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_sweep)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--data", help="dataset file: report train distortion")
-    mode.add_argument("--generator", choices=kinds,
+    mode.add_argument("--generator", choices=KINDS,
                       help="sample train and holdout sets: report both distortions")
     p.add_argument("--normalize", action="store_true", help="--data mode only")
     p.add_argument("--dim", type=int, help="--generator mode only (default 1)")
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate-experiment", help="distortion vs n with the eta_n schedule")
     p.set_defaults(run=_cmd_rate_experiment)
-    p.add_argument("--generator", default="uniform_cube", choices=kinds)
+    p.add_argument("--generator", default="uniform_cube", choices=KINDS)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--n-grid", default=",".join(str(2**k) for k in range(8, 17)))
     p.add_argument("--trials", type=int, default=1)
@@ -323,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold-constant",
         type=float,
-        default=1.5,
-        help="calibration constant c in eta_n = sqrt((gamma+beta) ln n / (c n))",
+        help="calibration constant c in eta_n = sqrt((gamma+beta) ln n / (c n)) (default 1.5)",
     )
     p.add_argument(
         "--theoretical-constant",
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="tree vs k-means at matched codebook sizes")
     p.set_defaults(run=_cmd_baseline)
-    p.add_argument("--generator", default="uniform_cube", choices=kinds)
+    p.add_argument("--generator", default="uniform_cube", choices=KINDS)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--n", type=int, default=4096)
     p.add_argument("--holdout-n", type=int, default=None)
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="materialize a synthetic dataset")
     p.set_defaults(run=_cmd_sample)
-    p.add_argument("--generator", required=True, choices=kinds)
+    p.add_argument("--generator", required=True, choices=KINDS)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError
 from .stats import Dataset
 
-_KINDS = ("uniform_cube", "density_cube", "circle", "sphere", "swiss_roll")
+KINDS = ("uniform_cube", "density_cube", "circle", "sphere", "swiss_roll")
 _INTRINSIC = {"uniform_cube": None, "density_cube": None, "circle": 1, "sphere": 2, "swiss_roll": 2}
 _EDGE = 1.0 - 2.0**-20  # keeps embedded manifolds strictly inside the cube
 
@@ -85,8 +85,8 @@ class GeneratorSpec:
     stream: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}; choose from {_KINDS}")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown generator kind {self.kind!r}; choose from {KINDS}")
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be positive")
         minimum = {"circle": 2, "sphere": 3, "swiss_roll": 3}.get(self.kind, 1)

@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class DepthCapError(ValueError):
     """An operation would descend past the configured maximum depth."""
-
-
-class CapTooSmallError(ValueError):
-    """A truncation depth is too small to certify an untruncated result."""

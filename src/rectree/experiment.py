@@ -16,8 +16,8 @@ import numpy as np
 
 from .baselines import kmeans_distortion, kmeans_fit
 from .datagen import GeneratorSpec, sample
-from .oracle import DiscreteDistribution, oracle_stats, quantizer_from_table
-from .reconstruction import RateSchedule, empirical_distortion, fit, sweep
+from .oracle import DiscreteDistribution, oracle_stats
+from .reconstruction import RateSchedule, empirical_distortion, fit, quantizer_from_stats, sweep
 from .stats import Dataset
 
 
@@ -139,15 +139,15 @@ def run_eta_sweep_experiment(
 
 
 def run_approximation_trend(
-    dist: DiscreteDistribution, etas, depth_cap: int | None = None
+    dist: DiscreteDistribution, etas
 ) -> tuple[list[tuple[float, float, int]], float]:
     """Exact (eta, approximation error, leaf count) rows plus the log-log slope.
 
     Rows with zero error (all atoms isolated by the subtree) carry no
     information about the decay and are excluded from the fit.
     """
-    table = oracle_stats(dist, depth_cap)
-    quantizers = [quantizer_from_table(table, float(eta)) for eta in etas]
+    table = oracle_stats(dist)
+    quantizers = [quantizer_from_stats(table, float(eta)) for eta in etas]
     rows = [(q.threshold, q.train_distortion, len(q.leaves)) for q in quantizers]
     slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     return rows, slope

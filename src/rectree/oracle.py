@@ -16,10 +16,14 @@ rho_J in the gain: the between-within identity
 forces the child weight, and a test verifies that only this version
 satisfies the identity.
 
-Atoms separate at a finite depth (every cell below holds at most one
-atom), so gains vanish from that depth on and the eta-selected subtree is
-provably untruncated once the depth cap exceeds the isolation depth.  The
-default cap is isolation depth + 1.
+The table is a :class:`~rectree.stats.StatsTable` with the masses as
+counts and n = 1, so the sample pipeline applies unchanged:
+``threshold_subtree(table, eta)`` is the population subtree and
+``quantizer_from_stats(table, eta)`` the population quantizer.  Atoms
+separate at a finite depth, the isolation depth, below which every cell
+holds at most one atom and has gain exactly 0.  The table stops one level
+past it (or at :func:`~rectree.tree.default_max_depth`, where atoms isolated
+there have nothing below), so it is exact and untruncated for every eta > 0.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import CapTooSmallError, DepthCapError, DomainError
-from .reconstruction import Quantizer, _quantizer_from_levels, _subtree_levels
-from .stats import StatsTable, _Level, gain_bound
-from .tree import Subtree, default_max_depth
+from .errors import DepthCapError, DomainError
+from .reconstruction import quantizer_from_stats
+from .stats import StatsTable, _Level
+from .tree import MORTON_BITS, default_max_depth
 
 
 @dataclass(frozen=True)
@@ -88,17 +92,6 @@ def isolation_depth(dist: DiscreteDistribution) -> int:
     raise DepthCapError(f"atoms not separated by depth {cap}; they are too close")
 
 
-@dataclass
-class OracleTable(StatsTable):
-    """Exact statistics for every nonempty cell of depth <= depth_cap.
-
-    A :class:`~rectree.stats.StatsTable` with n = 1: ``counts`` holds the
-    masses rho_I, and gains are populated down to the cap itself.
-    """
-
-    isolation: int
-
-
 def _weighted_level(points, weights, codes) -> _Level:
     order = np.argsort(codes, kind="stable")
     codes_s, pts, w = codes[order], points[order], weights[order]
@@ -127,78 +120,27 @@ def _gains_from_children(parent: _Level, child: _Level, dim: int) -> np.ndarray:
     return np.sqrt([math.fsum(terms) for terms in gains_sq])
 
 
-def oracle_stats(dist: DiscreteDistribution, depth_cap: int | None = None) -> OracleTable:
-    """Exact weighted statistics for every nonempty cell up to depth_cap.
+def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
+    """Exact weighted statistics for every nonempty cell, one level past isolation.
 
-    Gains are populated at every stored depth.  At the cap itself they are
-    measured from one hidden extra level when atoms are not yet isolated
-    there, and are exactly zero otherwise (a cell holding at most one atom
-    cannot improve by splitting).
+    The table stops at min(isolation depth + 1, default_max_depth(D)).  A
+    cell at or below the isolation depth holds at most one atom, so it
+    cannot improve by splitting and its gain is exactly 0; gains are
+    populated at every stored depth, and thresholding the table at any
+    eta > 0 gives the untruncated population subtree.
     """
-    iso = isolation_depth(dist)
-    cap = iso + 1 if depth_cap is None else depth_cap
-    # Outer leaves of any subtree reach depth >= 1, so a one-level table is
-    # the smallest that can describe a quantizer.
-    if cap < 1 or cap > default_max_depth(dist.dim):
-        raise DepthCapError(f"depth_cap {cap} outside 1..{default_max_depth(dist.dim)}")
-    deep = cap + 1 if cap < iso else cap
-    deep_codes = kernels.morton_encode(dist.points, deep)
-    levels = [_weighted_level(dist.points, dist.weights, deep_codes >> dist.dim * (deep - depth))
-              for depth in range(deep + 1)]
-    for depth in range(min(cap + 1, deep)):
+    cap = min(isolation_depth(dist) + 1, default_max_depth(dist.dim))
+    if cap < 1:  # outer leaves reach depth 1, so the table needs that level
+        raise DepthCapError(f"dim {dist.dim} has no depth-1 cells in a {MORTON_BITS}-bit code")
+    deep_codes = kernels.morton_encode(dist.points, cap)
+    levels = [_weighted_level(dist.points, dist.weights, deep_codes >> dist.dim * (cap - depth))
+              for depth in range(cap + 1)]
+    for depth in range(cap):
         levels[depth].gains = _gains_from_children(levels[depth], levels[depth + 1], dist.dim)
-    levels = levels[: cap + 1]
-    if levels[cap].gains is None:
-        levels[cap].gains = np.zeros(levels[cap].codes.shape[0])
-    return OracleTable(dim=dist.dim, n=1, depth_cap=cap, _levels=levels, isolation=iso)
+    levels[cap].gains = np.zeros(levels[cap].codes.shape[0])
+    return StatsTable(dim=dist.dim, n=1, depth_cap=cap, _levels=levels)
 
 
-def _certified_levels(table: OracleTable, eta: float) -> list[np.ndarray]:
-    """Subtree codes per depth: the closure of every cell with gain >= eta.
-
-    Raises when the cap cannot certify the untruncated subtree: either a
-    selected cell sits at the cap itself, or atoms are not yet isolated by
-    the cap and :func:`~rectree.stats.gain_bound` does not yet rule out
-    selected cells below it (a cell below the cap holds at most the
-    largest mass of a cell at the cap).
-    """
-    levels = _subtree_levels(table, eta, None)
-    cap = table.depth_cap
-    heaviest = table.level(cap).counts.max()
-    certified = cap >= table.isolation or gain_bound(heaviest, cap + 1, table.dim) < eta
-    if not certified:
-        raise CapTooSmallError(
-            f"depth_cap {cap} cannot certify the subtree at eta={eta}: atoms only "
-            f"separate at depth {table.isolation}"
-        )
-    if np.any(table.level(cap).gains >= eta):
-        raise CapTooSmallError(
-            f"cell with gain >= {eta} found at depth_cap {cap}; "
-            "deeper selected cells may exist, raise the cap"
-        )
-    return levels
-
-
-def subtree_from_table(table: OracleTable, eta: float) -> Subtree:
-    """Ancestor closure of all cells with gain >= eta; {root} when none."""
-    return Subtree.from_codes(_certified_levels(table, eta), table.dim)
-
-
-def oracle_subtree(
-    dist: DiscreteDistribution, eta: float, depth_cap: int | None = None
-) -> Subtree:
-    return subtree_from_table(oracle_stats(dist, depth_cap), eta)
-
-
-def quantizer_from_table(table: OracleTable, eta: float) -> Quantizer:
-    """The population quantizer: outer leaves with centers of mass as codes.
-
-    The table has the level layout of a :class:`StatsTable`, so the
-    empirical extraction applies once the cap is known to certify the subtree.
-    """
-    return _quantizer_from_levels(table, _certified_levels(table, eta), eta, table.depth_cap)
-
-
-def approximation_error_from_table(table: OracleTable, eta: float) -> float:
+def approximation_error_from_table(table: StatsTable, eta: float) -> float:
     """Exact expected distortion sum_{leaves} E_I: the population quantizer's train distortion."""
-    return quantizer_from_table(table, eta).train_distortion
+    return quantizer_from_stats(table, eta).train_distortion

@@ -79,7 +79,7 @@ class RateSchedule:
     @classmethod
     def with_theoretical_constant(cls, branching: int, gamma: float = 1.5, beta: float = 1.0):
         """Schedule using the analysis constant c_a = 1/(128(a+1)) verbatim."""
-        return cls(branching, gamma, beta, threshold_constant=1.0 / (128.0 * (branching + 1)))
+        return cls(branching, gamma, beta, threshold_constant=cls(branching).c_a)
 
     @property
     def c_a(self) -> float:
@@ -180,8 +180,8 @@ class Quantizer:
         """The leaves as a set of CellIds."""
         return self.codebook.keys()
 
-    def _rows(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(leaf row, depth-m code) per point: one encode and one search."""
+    def assign(self, points: np.ndarray) -> np.ndarray:
+        """Leaf row of each point: the run holding its depth-m code (one encode, one search)."""
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"point dim {points.shape[-1]} != quantizer dim {self.dim}")
         deep = kernels.morton_encode(points, self.deepest)
@@ -189,21 +189,11 @@ class Quantizer:
         size = 1 << self.dim * (self.deepest - self.depths[rows].astype(np.int64))
         if np.any((rows < 0) | (deep >= self.starts[rows] + size)):
             raise DomainError("some points were not covered by any leaf")
-        return rows, deep
-
-    def assign(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf (depth, Morton code) per point.
-
-        The leaf is the run that holds the point's depth-m code, and its own
-        code is that code shifted, since floor(x 2**m) >> (m - d) == floor(x 2**d).
-        """
-        rows, deep = self._rows(points)
-        depths = self.depths[rows].astype(np.int64)
-        return depths, deep >> self.dim * (self.deepest - depths)
+        return rows
 
     def reconstruct(self, points: np.ndarray) -> np.ndarray:
         """Code vector of the leaf containing each point."""
-        return np.take(self.vectors, self._rows(points)[0], axis=0)
+        return np.take(self.vectors, self.assign(points), axis=0)
 
 
 class Codebook(Mapping):
@@ -233,20 +223,14 @@ def quantizer_from_stats(
     beta: float | None = None,
     depth_cap: int | None = None,
 ) -> Quantizer:
-    """Threshold, take outer leaves, and attach code vectors."""
-    cap = stats.depth_cap if depth_cap is None else depth_cap
-    return _quantizer_from_levels(stats, _subtree_levels(stats, eta, cap), eta, cap, gamma, beta)
-
-
-def _quantizer_from_levels(stats: StatsTable, levels: list[np.ndarray], eta: float, cap: int,
-                           gamma: float | None = None, beta: float | None = None) -> Quantizer:
-    """The quantizer on the outer leaves of the subtree given as codes per depth.
+    """Threshold, take outer leaves, and attach code vectors.
 
     A stored leaf's code vector is the center of mass of its points, so the
     train distortion is the sum of the stored leaves' E_J; an empty one adds 0.
     """
+    cap = stats.depth_cap if depth_cap is None else depth_cap
     tables, errors = {}, []
-    for depth, codes in outer_leaves(levels, stats.dim).items():
+    for depth, codes in outer_leaves(_subtree_levels(stats, eta, cap), stats.dim).items():
         lv = stats.level(depth)
         rows = lv.rows(codes)
         stored = rows >= 0
@@ -309,7 +293,7 @@ def sweep(
 def encode(q: Quantizer, points) -> tuple[np.ndarray, np.ndarray]:
     """Leaf of each point as (depths, lattice indices): int64 arrays (n,) and (n, dim)."""
     points = Dataset(points).points
-    depths = q.depths[q._rows(points)[0]].astype(np.int64)
+    depths = q.depths[q.assign(points)].astype(np.int64)
     # Scaling by 2**d is exact, so this is floor(x 2**d), the leaf's index.
     return depths, np.floor(points * 2.0 ** depths[:, None]).astype(np.int64)
 

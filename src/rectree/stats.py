@@ -34,8 +34,9 @@ ever inspects cells strictly above it.
 Empty cells are not stored.  They contribute zero to every sum above, so
 sparse storage is exact: :meth:`_Level.rows` finds the stored row of each
 code of a level, or -1 for an empty cell.  The oracle's exact population
-table (:class:`~rectree.oracle.OracleTable`) has the same levels with the
-masses as counts and n = 1, so ``counts / n`` is a cell's share in both.
+table (:func:`~rectree.oracle.oracle_stats`) is a table of this type with
+the masses as counts and n = 1, so ``counts / n`` is a cell's share in
+both; it populates gains at its deepest level too, where they are 0.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ from typing import Iterable
 import numpy as np
 
 from rectree.errors import DepthCapError, DomainError
-from rectree.oracle import oracle_stats, subtree_from_table
+from rectree.oracle import oracle_stats
+from rectree.reconstruction import threshold_subtree
 from rectree.tree import CellId, Subtree, cell_to_code, cells_from_codes, default_max_depth
 
 
@@ -57,7 +58,7 @@ class CellStats:
 
 
 def lookup(table, cell: CellId) -> CellStats:
-    """A cell of a StatsTable or OracleTable; count 0 and the cube center if empty."""
+    """A cell of a sample or oracle StatsTable; count 0 and the cube center if empty."""
     lv = table.level(cell.depth)
     hit = np.flatnonzero(lv.codes == cell_to_code(cell))
     if not hit.size:
@@ -204,17 +205,15 @@ def cell_contains(cell: CellId, point) -> bool:
 
 def approximation_error_from_table(table, eta: float) -> float:
     """Exact expected distortion sum_{leaves} E_I, one table lookup per leaf."""
-    leaves = outer_leaves(subtree_from_table(table, eta))
+    leaves = outer_leaves(threshold_subtree(table, eta))
     return math.fsum(lookup(table, cell).error for cell in leaves)
 
 
-def leaf_count_bound_monitor(
-    dist, etas, depth_cap: int | None = None
-) -> list[tuple[float, int, int]]:
+def leaf_count_bound_monitor(dist, etas) -> list[tuple[float, int, int]]:
     """(eta, #subtree, #leaves) rows for trend inspection; no hard assertion."""
-    table = oracle_stats(dist, depth_cap)
+    table = oracle_stats(dist)
     rows = []
     for eta in etas:
-        sub = subtree_from_table(table, float(eta))
+        sub = threshold_subtree(table, float(eta))
         rows.append((float(eta), len(sub), len(outer_leaves(sub))))
     return rows

@@ -15,14 +15,7 @@ from rectree.baselines import kmeans_fit
 from rectree.cli import main as cli_main
 from rectree.datagen import GeneratorSpec, sample
 from rectree.experiment import RateExperimentConfig, run_approximation_trend, run_rate_experiment
-from rectree.oracle import (
-    DiscreteDistribution,
-    isolation_depth,
-    oracle_stats,
-    oracle_subtree,
-    quantizer_from_table,
-    subtree_from_table,
-)
+from rectree.oracle import DiscreteDistribution, isolation_depth, oracle_stats
 from rectree.reconstruction import quantizer_from_stats, threshold_subtree
 from rectree.stats import Dataset, build_stats
 from rectree.tree import default_max_depth
@@ -117,14 +110,14 @@ def test_criterion_03_oracle_equivalence():
     for trial in range(50):
         dim = int(rng.integers(1, 3))
         dist, data = replicated_fixture(rng, dim)
-        cap = min(isolation_depth(dist) + 1, default_max_depth(dim))
-        table = build_stats(data, cap)
-        table_o = oracle_stats(dist, cap)
+        table_o = oracle_stats(dist)
+        assert table_o.depth_cap == min(isolation_depth(dist) + 1, default_max_depth(dim))
+        table = build_stats(data, table_o.depth_cap)
         for eta in np.exp(rng.uniform(np.log(1e-3), np.log(1.2), size=10)):
-            sub_o = subtree_from_table(table_o, float(eta))
+            sub_o = threshold_subtree(table_o, float(eta))
             sub_e = threshold_subtree(table, float(eta))
             assert sub_o.cells == sub_e.cells, f"trial {trial} eta={eta}"
-            q_o = quantizer_from_table(table_o, float(eta))
+            q_o = quantizer_from_stats(table_o, float(eta))
             q_e = quantizer_from_stats(table, float(eta))
             assert set(q_o.leaves) == set(q_e.leaves)
             for cell in q_o.leaves:
@@ -166,7 +159,7 @@ def test_criterion_05_degenerate_thresholds():
         dim = int(rng.integers(1, 3))
         dist, _ = replicated_fixture(rng, dim, max_atoms=16)
         for eta in (1.0, 2.5):
-            assert oracle_subtree(dist, eta).cells == {root_cell(dim)}
+            assert threshold_subtree(oracle_stats(dist), eta).cells == {root_cell(dim)}
         fixtures += 1
     report(5, f"eta >= 1 keeps the root-only subtree on {fixtures} fixtures", started)
 

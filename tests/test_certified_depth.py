@@ -154,9 +154,10 @@ def probe_points(rng, tables, dim, n_random):
 
 def assert_matches_per_depth(q, tables, points):
     depths, codes, vectors = per_depth_assign(tables, q.dim, points)
-    got_depths, got_codes = q.assign(points)
-    assert got_depths.dtype == np.int64 and np.array_equal(got_depths, depths)
-    assert got_codes.dtype == np.int64 and np.array_equal(got_codes, codes)
+    rows = q.assign(points)
+    got_depths = q.depths[rows].astype(np.int64)
+    assert np.array_equal(got_depths, depths)
+    assert np.array_equal(q.starts[rows] >> q.dim * (q.deepest - got_depths), codes)
     assert np.array_equal(q.reconstruct(points), vectors)
 
 

@@ -171,6 +171,23 @@ class TestExperimentCommands:
                    "--etas", "0.5,0.125,0.03125", "--output", out) == 0
         assert out.read_text().splitlines()[0] == "eta,approx_error,leaf_count"
 
+    def test_approx_trend_atoms_isolated_at_the_deepest_depth(self, tmp_path, capsys):
+        # Two D = 1 atoms first split at depth 32, the deepest storable one:
+        # the subtree is the path to their depth-31 cell, with 33 leaves.
+        atoms, out = tmp_path / "atoms.csv", tmp_path / "trend.csv"
+        atoms.write_text(f"x0\n0.5\n{0.5 + 2.0**-32!r}\n")
+        assert run("approx-trend", "--atoms-csv", atoms, "--etas", "1e-12", "--output", out) == 0
+        assert out.read_text().splitlines()[1:] == ["1e-12,0.0,33"]
+        assert capsys.readouterr().err == ""
+
+    def test_approx_trend_atoms_too_close(self, tmp_path, capsys):
+        atoms, out = tmp_path / "atoms.csv", tmp_path / "trend.csv"
+        atoms.write_text(f"x0\n0.5\n{0.5 + 2.0**-33!r}\n")
+        assert run("approx-trend", "--atoms-csv", atoms, "--etas", "1e-12", "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: atoms not separated by depth 32") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_baseline(self, tmp_path):
         out = tmp_path / "base.csv"
         assert run("baseline", "--dim", "1", "--n", "256", "--holdout-n", "400",
@@ -226,6 +243,25 @@ class TestScheduleFlags:
             run(*argv, *flag, "--output", tmp_path / "out")
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({}, ["--threshold-constant", "3", "--theoretical-constant"]),
+            ({"threshold_constant": 3}, ["--theoretical-constant"]),
+            ({"theoretical_constant": True}, ["--threshold-constant", "3"]),
+            ({"threshold_constant": 3, "theoretical_constant": True}, []),
+        ],
+        ids=["flags", "config-constant", "config-theoretical", "config-both"],
+    )
+    def test_both_threshold_constants_are_refused(self, tmp_path, capsys, config, flags):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "rate.csv"
+        cfg.write_text(json.dumps(config))
+        assert run("rate-experiment", "--n-grid", "128", "--config", cfg, *flags,
+                   "--output", out) == 2
+        assert capsys.readouterr().err == ("error: rate-experiment takes --threshold-constant "
+                                           "or --theoretical-constant, not both\n")
+        assert not out.exists()
 
 
 class TestErrors:

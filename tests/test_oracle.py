@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectree import oracle, reconstruction
-from rectree.errors import CapTooSmallError
+from rectree import reconstruction
+from rectree.errors import DepthCapError
 from rectree.experiment import run_approximation_trend
 from rectree.oracle import (
     DiscreteDistribution,
     approximation_error_from_table,
     isolation_depth,
     oracle_stats,
-    oracle_subtree,
-    quantizer_from_table,
 )
+from rectree.reconstruction import quantizer_from_stats, threshold_subtree
 from rectree.stats import Dataset, build_stats
-from rectree.tree import CellId
+from rectree.tree import CellId, default_max_depth
 
 import reference_tree
 from reference_tree import (
@@ -32,6 +31,10 @@ from reference_tree import (
 )
 
 TWO_ATOM = DiscreteDistribution(np.array([[0.1], [0.9]]), np.array([0.5, 0.5]))
+
+
+def oracle_subtree(dist, eta):
+    return threshold_subtree(oracle_stats(dist), eta)
 
 
 def random_distribution(seed, m=16, dim=2):
@@ -102,10 +105,25 @@ class TestOracleStats:
         assert root.error == pytest.approx(0.16, rel=1e-12)
         assert root.gain == pytest.approx(0.4, rel=1e-12)
 
+    def test_table_stops_one_level_past_isolation(self):
+        d = DiscreteDistribution(np.array([[0.5], [0.5 + 2.0**-6]]), np.array([0.5, 0.5]))
+        assert isolation_depth(d) == 6 and oracle_stats(d).depth_cap == 7
+        # Atoms isolated only at the deepest storable depth stop the table there.
+        d = DiscreteDistribution(np.array([[0.5], [0.5 + 2.0**-32]]), np.array([0.5, 0.5]))
+        table = oracle_stats(d)
+        assert isolation_depth(d) == table.depth_cap == default_max_depth(1)
+        assert np.array_equal(table.level(table.depth_cap).gains, [0.0, 0.0])
+
+    def test_refuses_a_dim_without_depth_one_cells(self):
+        d = DiscreteDistribution(np.full((1, 63), 0.3), np.array([1.0]))
+        with pytest.raises(DepthCapError, match="dim 63 has no depth-1 cells"):
+            oracle_stats(d)
+
     def test_single_atom_all_zero_error(self):
         d = DiscreteDistribution(np.array([[0.3, 0.7]]), np.array([1.0]))
-        table = oracle_stats(d, 4)
-        for depth in range(5):
+        table = oracle_stats(d)
+        assert table.depth_cap == 1
+        for depth in range(table.depth_cap + 1):
             for _, entry in cells(table, depth):
                 assert entry.error <= 1e-30
                 assert entry.gain == 0.0
@@ -117,8 +135,9 @@ class TestOracleStats:
         n = int(counts.sum())
         data = Dataset(np.repeat(atoms, counts, axis=0))
         dist = DiscreteDistribution(atoms, counts / n)
-        cap = isolation_depth(dist) + 1
-        table_o = oracle_stats(dist, cap)
+        table_o = oracle_stats(dist)
+        cap = table_o.depth_cap
+        assert cap == isolation_depth(dist) + 1
         table_e = build_stats(data, cap)
         for depth in range(cap + 1):
             lv_o, lv_e = table_o.level(depth), table_e.level(depth)
@@ -192,16 +211,6 @@ class TestOracleSubtree:
                 expected = brute_force_population_subtree(d, eta, search)
                 assert oracle_subtree(d, eta).cells == expected
 
-    def test_cap_too_small(self):
-        d = DiscreteDistribution(
-            np.array([[0.5], [0.5 + 2.0**-6]]), np.array([0.5, 0.5])
-        )
-        assert isolation_depth(d) == 6
-        with pytest.raises(CapTooSmallError):
-            oracle_subtree(d, 0.01, depth_cap=3)
-        # a large eta is certifiable even below the isolation depth
-        assert oracle_subtree(d, 0.5, depth_cap=3).cells == {root_cell(1)}
-
     def test_rejects_nonfinite_or_nonpositive_eta(self):
         for eta in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="must be finite and positive"):
@@ -228,7 +237,7 @@ class TestApproximationError:
         d = random_distribution(21, m=40, dim=2)
         table = oracle_stats(d)
         for eta in (0.5, 0.1, 0.02):
-            q = quantizer_from_table(table, eta)
+            q = quantizer_from_stats(table, eta)
             rec = q.reconstruct(d.points)
             direct = math.fsum(
                 float(w * ((x - r) ** 2).sum())
@@ -246,12 +255,10 @@ class TestApproximationError:
             calls.append(args[1])
             return subtree_levels(*args)
 
-        # oracle binds the name at import, so both modules get the counter.
         subtree_levels = reconstruction._subtree_levels
         monkeypatch.setattr(reconstruction, "_subtree_levels", counted)
-        monkeypatch.setattr(oracle, "_subtree_levels", counted)
         for eta in (0.3, 0.05, 0.01):
-            quantizer_from_table(table, eta)
+            quantizer_from_stats(table, eta)
         assert calls == [0.3, 0.05, 0.01]
 
     def test_monitor_rows(self):
@@ -315,22 +322,19 @@ class TestArrayLeafErrors:
 
 class TestOracleEmpiricalEquivalence:
     def test_subtree_and_codebook_match(self):
-        from rectree.reconstruction import quantizer_from_stats, threshold_subtree
-
         rng = np.random.default_rng(42)
         atoms = rng.random((12, 2))
         counts = rng.integers(1, 6, size=12)
         n = int(counts.sum())
         dist = DiscreteDistribution(atoms, counts / n)
         data = Dataset(np.repeat(atoms, counts, axis=0))
-        cap = isolation_depth(dist) + 1
-        table_e = build_stats(data, cap)
-        table_o = oracle_stats(dist, cap)
+        table_o = oracle_stats(dist)
+        table_e = build_stats(data, table_o.depth_cap)
         for eta in (0.7, 0.31, 0.11, 0.042, 0.013):
-            sub_o = oracle_subtree(dist, eta, depth_cap=cap)
+            sub_o = threshold_subtree(table_o, eta)
             sub_e = threshold_subtree(table_e, eta)
             assert sub_o.cells == sub_e.cells
-            q_o = quantizer_from_table(table_o, eta)
+            q_o = quantizer_from_stats(table_o, eta)
             q_e = quantizer_from_stats(table_e, eta)
             assert set(q_o.leaves) == set(q_e.leaves)
             for cell in q_o.leaves:
@@ -350,7 +354,7 @@ class TestRegularityLaws:
         # For uniform mass on dyadic cells, diam(I) = sqrt(D) * mass^(1/D):
         # the depth-free regularity with exponent s = 1/D.
         d1 = self.uniform_grid()
-        table = oracle_stats(d1, 6)
+        table = oracle_stats(d1)
         for depth in range(7):
             for cell, entry in cells(table, depth):
                 assert cell_diameter(cell) == pytest.approx(
@@ -358,7 +362,7 @@ class TestRegularityLaws:
                 )
         atoms2 = (np.indices((16, 16)).reshape(2, -1).T + 0.5) / 16
         d2 = DiscreteDistribution(atoms2, np.full(256, 1.0 / 256))
-        table2 = oracle_stats(d2, 3)
+        table2 = oracle_stats(d2)
         for depth in range(4):
             for cell, entry in cells(table2, depth):
                 assert cell_diameter(cell) == pytest.approx(

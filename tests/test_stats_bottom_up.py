@@ -134,8 +134,10 @@ def replicated(seed, dim, m, n):
 @pytest.mark.parametrize("dim,m,n", [(1, 5, 64), (2, 12, 256), (3, 30, 300), (4, 7, 128)])
 def test_matches_oracle_on_exact_duplicates(dim, m, n):
     data, dist = replicated(dim * 100 + m, dim, m, n)
-    cap = isolation_depth(dist) + 1
-    table, oracle = build_stats(data, cap), oracle_stats(dist, cap)
+    oracle = oracle_stats(dist)
+    cap = oracle.depth_cap
+    assert cap == isolation_depth(dist) + 1
+    table = build_stats(data, cap)
     for depth in range(cap + 1):
         lv, lv_o = table.level(depth), oracle.level(depth)
         assert np.array_equal(lv.codes, lv_o.codes)
