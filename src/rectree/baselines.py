@@ -22,6 +22,8 @@ import numpy as np
 from . import kernels
 from .stats import Dataset
 
+_TOL = 1e-10  # relative objective improvement below which Lloyd's iterations stop
+
 
 @dataclass(frozen=True)
 class KMeansModel:
@@ -58,9 +60,8 @@ def kmeans_fit(
     k: int,
     seed: int = 0,
     max_iters: int = 300,
-    tol: float = 1e-10,
 ) -> KMeansModel:
-    """Lloyd iterations until the relative objective improvement drops below tol."""
+    """Lloyd iterations until the relative objective improvement drops below ``_TOL``."""
     points = data.points
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -76,7 +77,7 @@ def kmeans_fit(
         labels, sqd = kernels.nearest_centers(points, centers)
         objective = float(np.mean(sqd))
         trace.append(objective)
-        if prev - objective <= tol * max(objective, np.finfo(float).tiny):
+        if prev - objective <= _TOL * max(objective, np.finfo(float).tiny):
             break
         prev = objective
         if it == max_iters - 1:

@@ -10,6 +10,7 @@ JSON config file (--config); explicit flags win over config values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -22,21 +23,17 @@ from .datagen import (
     read_dataset,
     read_points_csv,
     sample,
+    write_csv,
     write_dataset,
-    write_points_csv,
 )
 from .errors import DomainError
 from .experiment import (
     RateExperimentConfig,
+    RateRow,
     run_approximation_trend,
     run_baseline_comparison,
     run_eta_sweep_experiment,
     run_rate_experiment,
-    write_baseline_csv,
-    write_csv,
-    write_rate_csv,
-    write_sweep_csv,
-    write_trend_csv,
 )
 from .oracle import DiscreteDistribution
 from .reconstruction import (
@@ -56,7 +53,7 @@ from .stats import Dataset
 _CONFIG_COMMANDS = ("rate-experiment", "approx-trend", "baseline")
 
 
-def _load_data(path: str, do_normalize: bool) -> Dataset:
+def _load_data(path: str, do_normalize: bool = False) -> Dataset:
     if path.endswith(".csv"):
         pts = read_points_csv(path)
         if do_normalize:
@@ -130,7 +127,7 @@ def _cmd_fit(args) -> int:
 
 def _codebook_and_data(args) -> tuple[Quantizer, Dataset]:
     q = load_codebook(args.codebook)
-    data = _load_data(args.data, args.normalize)
+    data = _load_data(args.data)
     if data.dim != q.dim:
         raise ValueError(f"{args.data}: data dim {data.dim} != codebook dim {q.dim}")
     return q, data
@@ -154,7 +151,7 @@ def _cmd_decode(args) -> int:
         vectors = decode(q, ids[:, 0], ids[:, 1:])
     except ValueError as exc:
         raise ValueError(f"{args.ids}: {exc}") from None
-    write_points_csv(args.output, vectors)
+    write_csv(args.output, [f"x{k}" for k in range(q.dim)], vectors.tolist())
     print(f"decode: {ids.shape[0]} ids -> {args.output}")
     return 0
 
@@ -169,6 +166,7 @@ def _cmd_distortion(args) -> int:
 
 # The generator-mode flags of sweep, with their defaults; --data mode refuses them.
 _SWEEP_GENERATOR = {"n": 1024, "dim": 1, "seed": 0, "holdout_n": None, "density_bounds": None}
+_SWEEP_HEADER = ["eta", "leaf_count", "train_distortion"]
 
 
 def _cmd_sweep(args) -> int:
@@ -183,12 +181,12 @@ def _cmd_sweep(args) -> int:
         data = _load_data(args.data, args.normalize)
         schedule = RateSchedule(1 << data.dim, args.gamma)
         rows = [(eta, leaves, train) for eta, _, leaves, train in sweep(data, etas, schedule)]
-        write_sweep_csv(rows, args.output, with_holdout=False)
+        write_csv(args.output, _SWEEP_HEADER, rows)
     else:
         vars(args).update({k: v for k, v in _SWEEP_GENERATOR.items() if vars(args)[k] is None})
         spec = _generator_from_args(args)
         rows = run_eta_sweep_experiment(spec, args.n, etas, args.gamma, args.holdout_n)
-        write_sweep_csv(rows, args.output, with_holdout=True)
+        write_csv(args.output, _SWEEP_HEADER + ["holdout_distortion"], rows)
     print(f"sweep: {len(rows)} rows -> {args.output}")
     return 0
 
@@ -207,7 +205,8 @@ def _cmd_rate_experiment(args) -> int:
         threshold_constant=schedule.threshold_constant,
     )
     result = run_rate_experiment(cfg)
-    write_rate_csv(result, args.output)
+    header = [field.name for field in dataclasses.fields(RateRow)]
+    write_csv(args.output, header, [dataclasses.astuple(row) for row in result.rows])
     print(f"rate-experiment: fitted_slope={result.fitted_slope!r} -> {args.output}")
     return 0
 
@@ -223,14 +222,17 @@ def _uniform_grid_atoms(count: int, dim: int) -> DiscreteDistribution:
 def _cmd_approx_trend(args) -> int:
     if args.atoms_csv:
         raw = read_points_csv(args.atoms_csv)
-        if args.weighted:
-            dist = DiscreteDistribution(raw[:, :-1], raw[:, -1])
-        else:
-            dist = DiscreteDistribution(raw, np.full(raw.shape[0], 1.0 / raw.shape[0]))
+        try:
+            if args.weighted:
+                dist = DiscreteDistribution(raw[:, :-1], raw[:, -1])
+            else:
+                dist = DiscreteDistribution(raw, np.full(raw.shape[0], 1.0 / raw.shape[0]))
+        except ValueError as exc:
+            raise ValueError(f"{args.atoms_csv}: {exc}") from None
     else:
         dist = _uniform_grid_atoms(args.uniform_atoms, args.dim)
     rows, slope = run_approximation_trend(dist, _float_list(args.etas))
-    write_trend_csv(rows, args.output)
+    write_csv(args.output, ["eta", "approx_error", "leaf_count"], rows)
     print(f"approx-trend: fitted_slope={slope!r} -> {args.output}")
     return 0
 
@@ -238,7 +240,9 @@ def _cmd_approx_trend(args) -> int:
 def _cmd_baseline(args) -> int:
     spec = _generator_from_args(args)
     rows = run_baseline_comparison(spec, args.n, _float_list(args.etas), args.gamma, args.holdout_n)
-    write_baseline_csv(rows, args.output)
+    header = ["eta", "leaf_count", "tree_train_distortion", "tree_holdout_distortion",
+              "k", "kmeans_train_distortion", "kmeans_holdout_distortion"]
+    write_csv(args.output, header, rows)
     print(f"baseline: {len(rows)} matched rows -> {args.output}")
     return 0
 
@@ -247,7 +251,7 @@ def _cmd_sample(args) -> int:
     spec = _generator_from_args(args)
     data = sample(spec, args.n)
     if args.output.endswith(".csv"):
-        write_points_csv(args.output, data.points)
+        write_csv(args.output, [f"x{k}" for k in range(data.dim)], data.points.tolist())
     else:
         write_dataset(args.output, data)
     print(f"sample: {data.n} points ({spec.kind}, dim {spec.ambient_dim}) -> {args.output}")
@@ -261,13 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_data_flags(p):
+    def add_data_flag(p):
         p.add_argument("--data", required=True, help="dataset (.rtds binary or .csv)")
-        p.add_argument(
-            "--normalize",
-            action="store_true",
-            help="map ingested data into the unit cube before use",
-        )
 
     def add_gamma_flag(p):
         p.add_argument("--gamma", type=float, default=1.5,
@@ -275,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a quantizer at one threshold")
     p.set_defaults(run=_cmd_fit)
-    add_data_flags(p)
+    add_data_flag(p)
+    p.add_argument("--normalize", action="store_true",
+                   help="map ingested data into the unit cube before use")
     p.add_argument("--eta", type=float, required=True)
     add_gamma_flag(p)
     p.add_argument("--output", required=True, help="codebook JSON path")
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="map points to leaf cell ids")
     p.set_defaults(run=_cmd_encode)
     p.add_argument("--codebook", required=True)
-    add_data_flags(p)
+    add_data_flag(p)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("decode", help="map leaf cell ids to code vectors")
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distortion", help="mean squared reconstruction error")
     p.set_defaults(run=_cmd_distortion)
     p.add_argument("--codebook", required=True)
-    add_data_flags(p)
+    add_data_flag(p)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("sweep", help="quantizers over a list of thresholds")

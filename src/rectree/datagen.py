@@ -307,11 +307,18 @@ def read_points_csv(path, dtype=np.float64) -> np.ndarray:
     return pts
 
 
-def write_points_csv(path, points: np.ndarray) -> None:
-    """Coordinates under an ``x0,x1,...`` header, each value as ``repr`` of its double."""
-    pts = np.asarray(points, dtype=np.float64)
-    row = ",".join(["%r"] * pts.shape[1]) + "\n"
+def write_csv(path, header: list[str], rows) -> None:
+    """The one CSV writer: a header line, then each row's ``repr`` values, LF endings.
+
+    Values must be Python ints and floats, as ``ndarray.tolist()`` gives, so
+    a float is written as its shortest round-trip form whatever the numpy
+    version.  A first row holding anything else (an ``np.float64``, whose
+    ``repr`` differs across numpy versions) raises a TypeError.
+    """
+    rows = list(rows)
+    if rows and not all(type(v) in (int, float) for v in rows[0]):
+        raise TypeError(f"CSV rows must hold Python ints and floats, not {rows[0]!r}")
+    template = ",".join(["%r"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{k}" for k in range(pts.shape[1])) + "\n")
-        for values in pts.tolist():
-            fh.write(row % tuple(values))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(template % tuple(row) for row in rows)

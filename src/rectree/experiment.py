@@ -5,6 +5,10 @@ population quantity prescribes no estimator; holdout keeps it unbiased
 for a fixed quantizer).  Every run derives its generator seeds from the
 experiment seed with counter-based streams, so outputs are byte-identical
 across repeat runs with the same configuration.
+
+Each run returns rows of Python ints and floats (the rate run as
+``RateRow`` records); the command line writes them through
+:func:`~rectree.datagen.write_csv`, so this module does no file I/O.
 """
 
 from __future__ import annotations
@@ -168,55 +172,3 @@ def run_baseline_comparison(
         model = kmeans_fit(train, k, seed=_child_seed(generator.seed, n, i, 2))
         rows.append((*row, k, model.final_objective, kmeans_distortion(model, holdout)))
     return rows
-
-
-def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_, int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def write_csv(path, header: list[str], rows) -> None:
-    """Deterministic CSV: repr floats (shortest round-trip), LF newlines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
-
-
-def write_rate_csv(result: RateResult, path) -> None:
-    write_csv(
-        path,
-        ["n", "eta_n", "j_n", "leaf_count", "holdout_distortion_mean", "holdout_distortion_std"],
-        [
-            (r.n, r.eta_n, r.j_n, r.leaf_count, r.holdout_distortion_mean, r.holdout_distortion_std)
-            for r in result.rows
-        ],
-    )
-
-
-def write_sweep_csv(rows, path, with_holdout: bool = True) -> None:
-    header = ["eta", "leaf_count", "train_distortion"]
-    if with_holdout:
-        header.append("holdout_distortion")
-    write_csv(path, header, rows)
-
-
-def write_trend_csv(rows, path) -> None:
-    write_csv(path, ["eta", "approx_error", "leaf_count"], rows)
-
-
-def write_baseline_csv(rows, path) -> None:
-    write_csv(
-        path,
-        [
-            "eta",
-            "leaf_count",
-            "tree_train_distortion",
-            "tree_holdout_distortion",
-            "k",
-            "kmeans_train_distortion",
-            "kmeans_holdout_distortion",
-        ],
-        rows,
-    )

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DepthCapError, DomainError
+from .errors import DepthCapError
 from .reconstruction import quantizer_from_stats
-from .stats import StatsTable, _Level
+from .stats import Dataset, StatsTable, _Level
 from .tree import MORTON_BITS, default_max_depth
 
 
@@ -52,16 +52,13 @@ class DiscreteDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
+        pts = Dataset(self.points).points  # names the first atom outside [0, 1)^D
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if pts.ndim != 2 or w.ndim != 1 or pts.shape[0] != w.shape[0]:
-            raise ValueError("points must be (m, dim) with one weight per atom")
-        if pts.shape[0] < 1:
-            raise ValueError("distribution needs at least one atom")
-        if np.any(~np.isfinite(pts)) or np.any(pts < 0.0) or np.any(pts >= 1.0):
-            raise DomainError("atoms must lie in [0, 1)^D")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be positive")
+        if w.shape != (pts.shape[0],):
+            raise ValueError(f"{pts.shape[0]} atoms need one weight each, got shape {w.shape}")
+        bad = np.flatnonzero(~(w > 0.0))
+        if bad.size:
+            raise ValueError(f"weight {bad[0]} = {float(w[bad[0]])!r} must be positive")
         uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
         if uniq.shape[0] != pts.shape[0]:
             merged = np.zeros(uniq.shape[0])

@@ -59,8 +59,8 @@ class Dataset:
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError(f"points must be 2-d (n, dim), got shape {pts.shape}")
+        if pts.ndim != 2 or pts.shape[1] < 1:
+            raise ValueError(f"points must be 2-d (n, dim) with dim >= 1, got shape {pts.shape}")
         if pts.shape[0] < 1:
             raise ValueError("dataset must contain at least one point")
         bad = ~np.isfinite(pts) | (pts < 0.0) | (pts >= 1.0)

@@ -88,6 +88,20 @@ class TestPipeline:
                    "--output", cb) == 0
         assert load_codebook(cb).dim == 2
 
+    @pytest.mark.parametrize("command", ["encode", "distortion"])
+    def test_codebook_commands_refuse_normalize(self, tmp_path, capsys, command):
+        # A --normalize codebook lives in the normalized cube, and the codebook
+        # does not store the map: normalizing the input by its own bounding box
+        # would encode a subset of the fitted data into other leaves.
+        raw, cb, out = tmp_path / "raw.csv", tmp_path / "cb.json", tmp_path / "out.csv"
+        np.savetxt(raw, np.random.default_rng(0).normal(10.0, 5.0, size=(200, 2)), delimiter=",")
+        assert run("fit", "--data", raw, "--normalize", "--eta", "0.05", "--output", cb) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--codebook", cb, "--data", raw, "--normalize", "--output", out)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --normalize" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sample_csv_output(self, tmp_path):
         out = tmp_path / "pts.csv"
         assert run("sample", "--generator", "circle", "--dim", "3", "--n", "20",
@@ -186,6 +200,26 @@ class TestExperimentCommands:
         assert run("approx-trend", "--atoms-csv", atoms, "--etas", "1e-12", "--output", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: atoms not separated by depth 32") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("x0\n0.5\n1.5\n", [], "point 1 = [1.5] outside [0, 1)^1"),
+            ("x0,w\n0.25,0.5\n0.75,-0.5\n", ["--weighted"], "weight 1 = -0.5 must be positive"),
+            ("x0,w\n0.25,nan\n0.75,1.0\n", ["--weighted"], "weight 0 = nan must be positive"),
+            ("x0,w\n0.25,0.5\n0.75,0.6\n", ["--weighted"],
+             "weights sum to 1.1, not 1 within 1e-12"),
+            ("w\n1.0\n", ["--weighted"],
+             "points must be 2-d (n, dim) with dim >= 1, got shape (1, 0)"),
+        ],
+        ids=["outside-cube", "negative-weight", "nan-weight", "weights-sum", "weights-only"],
+    )
+    def test_bad_atoms_csv_is_one_line_error(self, tmp_path, capsys, text, flags, message):
+        atoms, out = tmp_path / "atoms.csv", tmp_path / "trend.csv"
+        atoms.write_text(text)
+        assert run("approx-trend", "--atoms-csv", atoms, *flags, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {atoms}: {message}\n"
         assert not out.exists()
 
     def test_baseline(self, tmp_path):

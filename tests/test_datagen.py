@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectree.datagen import (
     GeneratorSpec,
@@ -8,8 +12,8 @@ from rectree.datagen import (
     read_dataset,
     read_points_csv,
     sample,
+    write_csv,
     write_dataset,
-    write_points_csv,
 )
 from rectree.errors import DomainError
 from rectree.stats import Dataset
@@ -205,7 +209,7 @@ class TestFileFormats:
     def test_csv_roundtrip(self, tmp_path):
         pts = np.random.default_rng(1).random((20, 3))
         path = tmp_path / "pts.csv"
-        write_points_csv(path, pts)
+        write_csv(path, ["x0", "x1", "x2"], pts.tolist())
         assert np.array_equal(read_points_csv(path), pts)
 
     def test_csv_matches_per_value_writer(self, tmp_path):
@@ -213,7 +217,7 @@ class TestFileFormats:
         pts[:5] = [[-0.0, 1e-7, 1e17, 5e-324], [2.5e-310, -1e-7, 1 / 3, 0.0],
                    [1e16, 1e-5, 1e-4, -1e17], [0.1, 0.2, 0.3, 1.0], [2.0**-1074, 2.0**53, 1e22, 9.5]]
         path = tmp_path / "pts.csv"
-        write_points_csv(path, pts)
+        write_csv(path, ["x0", "x1", "x2", "x3"], pts.tolist())
         want = "x0,x1,x2,x3\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in pts)
         assert path.read_text(encoding="utf-8") == want
@@ -223,3 +227,38 @@ class TestFileFormats:
         path = tmp_path / "raw.csv"
         path.write_text("0.25,0.5\n0.75,0.125\n")
         assert np.array_equal(read_points_csv(path), [[0.25, 0.5], [0.75, 0.125]])
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.5e-310, -2.2250738585072014e-308, 1e308, -1e308, 1e16, 1e-7])
+_INTS = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([2**53 + 1, -(2**53) - 1, 2**62 + 3])
+
+
+def _tables(values):
+    return st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.lists(values, min_size=width, max_size=width),
+                               min_size=1, max_size=6))
+
+
+class TestWriteCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(_tables(_FLOATS), _tables(_INTS), _tables(_FLOATS | _INTS))
+    def test_round_trip_and_text(self, floats, ints, mixed):
+        with tempfile.TemporaryDirectory() as tmp:
+            for rows, dtype in [(floats, np.float64), (ints, np.int64), (mixed, None)]:
+                header = [f"c{j}" for j in range(len(rows[0]))]
+                path = Path(tmp) / "rows.csv"
+                write_csv(path, header, rows)
+                text = path.read_text(encoding="utf-8")
+                assert text == ",".join(header) + "\n" + "".join(
+                    ",".join(map(repr, row)) + "\n" for row in rows)
+                if dtype is not None:
+                    assert read_points_csv(path, dtype=dtype).tolist() == rows
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.int64(3), True],
+                             ids=["float64", "int64", "bool"])
+    def test_refuses_other_than_python_numbers(self, tmp_path, value):
+        path = tmp_path / "rows.csv"
+        with pytest.raises(TypeError, match="Python ints and floats"):
+            write_csv(path, ["a", "b"], [(1, value)])
+        assert not path.exists()

@@ -1,18 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rectree.datagen import GeneratorSpec, sample
+from rectree.datagen import GeneratorSpec, sample, write_csv
 from rectree.experiment import (
     RateExperimentConfig,
+    RateRow,
     fit_loglog_slope,
     run_approximation_trend,
     run_baseline_comparison,
     run_eta_sweep_experiment,
     run_rate_experiment,
-    write_baseline_csv,
-    write_rate_csv,
-    write_sweep_csv,
-    write_trend_csv,
 )
 from rectree.oracle import DiscreteDistribution
 from rectree.reconstruction import RateSchedule, fit
@@ -46,8 +45,10 @@ class TestRateExperiment:
     def test_deterministic_csv(self, tmp_path):
         cfg = small_config()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_rate_csv(run_rate_experiment(cfg), p1)
-        write_rate_csv(run_rate_experiment(cfg), p2)
+        header = [field.name for field in dataclasses.fields(RateRow)]
+        for path in (p1, p2):
+            rows = [dataclasses.astuple(row) for row in run_rate_experiment(cfg).rows]
+            write_csv(path, header, rows)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_config_validation(self):
@@ -85,8 +86,9 @@ class TestEtaSweepExperiment:
     def test_csv_deterministic(self, tmp_path):
         args = (GeneratorSpec("uniform_cube", 1, seed=9), 500, [0.5, 0.1])
         p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        write_sweep_csv(run_eta_sweep_experiment(*args, holdout_n=1000), p1)
-        write_sweep_csv(run_eta_sweep_experiment(*args, holdout_n=1000), p2)
+        header = ["eta", "leaf_count", "train_distortion", "holdout_distortion"]
+        write_csv(p1, header, run_eta_sweep_experiment(*args, holdout_n=1000))
+        write_csv(p2, header, run_eta_sweep_experiment(*args, holdout_n=1000))
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -118,8 +120,8 @@ class TestApproximationTrend:
     def test_csv_deterministic(self, tmp_path):
         rows, _ = run_approximation_trend(self.grid_atoms(), [0.5, 0.1])
         p1, p2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-        write_trend_csv(rows, p1)
-        write_trend_csv(rows, p2)
+        write_csv(p1, ["eta", "approx_error", "leaf_count"], rows)
+        write_csv(p2, ["eta", "approx_error", "leaf_count"], rows)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -132,8 +134,9 @@ class TestBaselineComparison:
             assert tree_train >= 0 and km_train >= 0
             assert tree_hold > 0 and km_hold > 0
         p1, p2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
-        write_baseline_csv(run_baseline_comparison(spec, 512, [1.0, 0.2], holdout_n=1000), p1)
-        write_baseline_csv(run_baseline_comparison(spec, 512, [1.0, 0.2], holdout_n=1000), p2)
+        header = ["eta", "leaf_count", "tree_train", "tree_holdout", "k", "km_train", "km_hold"]
+        write_csv(p1, header, run_baseline_comparison(spec, 512, [1.0, 0.2], holdout_n=1000))
+        write_csv(p2, header, run_baseline_comparison(spec, 512, [1.0, 0.2], holdout_n=1000))
         assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -26,6 +26,10 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)))
 
+    def test_rejects_zero_dim(self):
+        with pytest.raises(ValueError, match="dim >= 1"):
+            Dataset(np.zeros((3, 0)))
+
 
 class TestBuildStats:
     def test_single_point_all_ancestors(self):
