@@ -90,6 +90,10 @@ def _schedule_from_args(args, dim: int) -> RateSchedule:
     return RateSchedule(branching, args.gamma, args.beta, args.threshold_constant)
 
 
+def _flag_names(keys) -> str:
+    return ", ".join("--" + k.replace("_", "-") for k in keys)
+
+
 def _float_list(text: str) -> list[float]:
     values = [float(tok) for tok in text.split(",") if tok.strip()]
     if not values:
@@ -173,8 +177,7 @@ def _cmd_sweep(args) -> int:
     etas = _float_list(args.etas)
     given = [k for k in _SWEEP_GENERATOR if vars(args)[k] is not None]
     if args.data and given:
-        flags = ", ".join("--" + k.replace("_", "-") for k in given)
-        raise ValueError(f"sweep --data does not take {flags}")
+        raise ValueError(f"sweep --data does not take {_flag_names(given)}")
     if args.generator and args.normalize:
         raise ValueError("sweep --generator does not take --normalize")
     if args.data:
@@ -212,14 +215,29 @@ def _cmd_rate_experiment(args) -> int:
 
 
 def _uniform_grid_atoms(count: int, dim: int) -> DiscreteDistribution:
+    if count < 1 or dim < 1:
+        raise ValueError(f"--uniform-atoms {count} and --dim {dim} must be positive")
     per_axis = max(1, round(count ** (1.0 / dim)))
-    axes = [(np.arange(per_axis) + 0.5) / per_axis] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    if per_axis**dim >= 1 << 63:
+        raise ValueError(f"a grid of {per_axis}^{dim} atoms does not fit in int64")
+    # Row r holds the base-per_axis digits of r, most significant first: the
+    # grid in np.meshgrid's "ij" order, without its limit of 32 axes.
+    place = per_axis ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(per_axis**dim, dtype=np.int64)[:, None] // place % per_axis
+    pts = (digits + 0.5) / per_axis
     return DiscreteDistribution(pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
 
 
+# The uniform-grid flags of approx-trend, with their defaults; --atoms-csv refuses them.
+_TREND_GRID = {"uniform_atoms": 4096, "dim": 1}
+
+
 def _cmd_approx_trend(args) -> int:
+    given = [k for k in _TREND_GRID if vars(args)[k] is not None]
+    if args.atoms_csv and given:
+        raise ValueError(f"approx-trend --atoms-csv does not take {_flag_names(given)}")
+    if args.weighted and not args.atoms_csv:
+        raise ValueError("approx-trend --weighted needs --atoms-csv")
     if args.atoms_csv:
         raw = read_points_csv(args.atoms_csv)
         try:
@@ -230,6 +248,7 @@ def _cmd_approx_trend(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{args.atoms_csv}: {exc}") from None
     else:
+        vars(args).update({k: v for k, v in _TREND_GRID.items() if vars(args)[k] is None})
         dist = _uniform_grid_atoms(args.uniform_atoms, args.dim)
     rows, slope = run_approximation_trend(dist, _float_list(args.etas))
     write_csv(args.output, ["eta", "approx_error", "leaf_count"], rows)
@@ -340,11 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx-trend", help="exact oracle approximation error vs eta")
     p.set_defaults(run=_cmd_approx_trend)
-    p.add_argument("--uniform-atoms", type=int, default=4096)
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--uniform-atoms", type=int,
+                   help="grid atoms (default 4096); not with --atoms-csv")
+    p.add_argument("--dim", type=int, help="grid dimension (default 1); not with --atoms-csv")
     p.add_argument("--atoms-csv", default=None)
     p.add_argument("--weighted", action="store_true",
-                   help="treat the last CSV column as atom weights")
+                   help="treat the last CSV column as atom weights (--atoms-csv only)")
     p.add_argument("--etas", default=",".join(repr(2.0**-k) for k in range(1, 9)))
     p.add_argument("--output", required=True)
 
@@ -388,6 +408,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

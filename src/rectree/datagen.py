@@ -186,35 +186,6 @@ def sample(spec: GeneratorSpec, n: int) -> Dataset:
     return Dataset(points, NormalizationMap(scale, np.full(d, 0.5)))
 
 
-def manifold_residual(spec: GeneratorSpec, data: Dataset) -> np.ndarray:
-    """Per-point deviation from the manifold's defining equations.
-
-    Undoes the cube map and the embedding rotation, then evaluates the
-    canonical constraints; exact samples give residuals at rounding level.
-    """
-    if _INTRINSIC[spec.kind] is None:
-        raise ValueError(f"{spec.kind} is not a manifold kind")
-    rotation = embedding_rotation(spec)
-    nm = data.normalization
-    if not isinstance(nm, NormalizationMap):
-        raise ValueError("dataset does not carry the generator's normalization map")
-    canonical = nm.invert(data.points) @ rotation
-    tail = canonical[:, 3:] if spec.kind != "circle" else canonical[:, 2:]
-    tail_res = np.abs(tail).max(axis=1) if tail.shape[1] else np.zeros(len(canonical))
-    if spec.kind == "circle":
-        res = np.abs(np.linalg.norm(canonical[:, :2], axis=1) - 1.0)
-    elif spec.kind == "sphere":
-        res = np.abs(np.linalg.norm(canonical[:, :3], axis=1) - 1.0)
-    else:
-        x = canonical[:, 0]
-        y = canonical[:, 1] + _SWISS_HEIGHT / 2.0
-        z = canonical[:, 2]
-        r = np.hypot(x, z)
-        res = np.hypot(x / r - np.cos(r), z / r - np.sin(r))
-        res = np.maximum(res, np.maximum(0.0 - y, y - _SWISS_HEIGHT))
-    return np.maximum(res, tail_res)
-
-
 def normalize(points) -> Dataset:
     """Map raw vectors into [0, 1 - ulp]^D by one scale plus a translation.
 

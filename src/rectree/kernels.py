@@ -1,4 +1,4 @@
-"""The hot kernels: Morton codes, grouped moments and nearest centers.
+"""The hot kernels: Morton codes and their sort, grouped moments and nearest centers.
 
 Conventions:
 
@@ -7,7 +7,9 @@ Conventions:
 * a cell at depth j is addressed by the bit-interleaved (Morton) code of
   its lattice index, which requires depth * dim <= 62 so codes fit in a
   signed 64-bit integer;
-* the code of the enclosing cell at depth j - 1 is ``code >> dim``.
+* the code of the enclosing cell at depth j - 1 is ``code >> dim``;
+* codes are ordered by :func:`morton_argsort`, a radix sort whose
+  permutation is exactly that of ``np.argsort(codes, kind="stable")``.
 """
 
 import numpy as np
@@ -23,23 +25,31 @@ def morton_encode(points, depth):
     convention.  For dim 1 the code is the lattice index itself; otherwise
     each byte of an index is spread through a 256-entry table, one gather
     per coordinate and byte instead of one pass per coordinate and bit.
-    Codes of points outside [0, 1)^dim are unspecified.
+    A point outside [0, 1)^dim (NaN included) has a lattice index outside
+    0..2**depth - 1 and gets code -1, which no cell has.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, dim = points.shape
     if depth * dim > 62:
         raise ValueError(f"depth {depth} with dim {dim} overflows 62-bit Morton codes")
-    idx = np.floor(points * np.float64(2.0**depth)).astype("<i8")
+    with np.errstate(invalid="ignore"):  # NaN casts to an index outside the range
+        idx = np.floor(points * np.float64(2.0**depth)).astype("<i8")
     if dim == 1:
-        return idx.reshape(n)
-    codes = np.zeros(n, dtype=np.int64)
-    spread = _spread_table(dim)
-    index_bytes = idx.view(np.uint8).reshape(n, dim, 8)
-    part = np.empty(n, dtype=np.int64)
-    for i in range((depth + 7) // 8):
-        for k in range(dim):
-            np.take(spread << (8 * i * dim + k), index_bytes[:, k, i], out=part)
-            codes |= part
+        codes = idx.reshape(n)
+    else:
+        codes = np.zeros(n, dtype=np.int64)
+        spread = _spread_table(dim)
+        index_bytes = idx.view(np.uint8).reshape(n, dim, 8)
+        part = np.empty(n, dtype=np.int64)
+        for i in range((depth + 7) // 8):
+            for k in range(dim):
+                np.take(spread << (8 * i * dim + k), index_bytes[:, k, i], out=part)
+                codes |= part
+    # The spread reads only the low bytes of an index, so an index outside
+    # the range (negative, 2**depth or more, a NaN cast) could wrap onto a
+    # valid code.  One OR over all indices shows whether any is outside.
+    if np.bitwise_or.reduce(idx, axis=None) >> depth:
+        codes[(idx >> depth != 0).any(axis=1)] = -1
     return codes
 
 
@@ -60,6 +70,24 @@ def morton_decode(codes, depth, dim):
         for k in range(dim):
             idx[:, k] |= ((codes >> (b * dim + k)) & 1) << b
     return idx
+
+
+def morton_argsort(codes, bits):
+    """The stable sort of nonnegative codes below 2**bits: ``np.argsort(codes, kind="stable")``.
+
+    A least-significant-digit radix sort (Knuth, TAOCP vol. 3, 5.2.5) in
+    max(1, ceil(bits / 16)) passes, linear in n where the comparison sort
+    is n log n.  Each pass sorts one 16-bit digit with numpy's stable sort,
+    a radix sort for uint16 keys, and composes it onto the order so far.
+    Every pass is stable, so codes equal in all digits keep their input
+    order and the permutation is the stable sort's, element for element.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    order = np.argsort(codes.astype(np.uint16), kind="stable")
+    for shift in range(16, bits, 16):
+        digit = (codes[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 def group_moments(points, starts):

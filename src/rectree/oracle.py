@@ -35,7 +35,6 @@ import numpy as np
 
 from . import kernels
 from .errors import DepthCapError
-from .reconstruction import quantizer_from_stats
 from .stats import Dataset, StatsTable, _Level
 from .tree import MORTON_BITS, default_max_depth
 
@@ -89,8 +88,8 @@ def isolation_depth(dist: DiscreteDistribution) -> int:
     raise DepthCapError(f"atoms not separated by depth {cap}; they are too close")
 
 
-def _weighted_level(points, weights, codes) -> _Level:
-    order = np.argsort(codes, kind="stable")
+def _weighted_level(points, weights, codes, bits) -> _Level:
+    order = kernels.morton_argsort(codes, bits)
     codes_s, pts, w = codes[order], points[order], weights[order]
     starts = np.concatenate([[0], np.flatnonzero(np.diff(codes_s)) + 1])
     ends = np.concatenate([starts[1:], [codes_s.shape[0]]])
@@ -130,14 +129,9 @@ def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
     if cap < 1:  # outer leaves reach depth 1, so the table needs that level
         raise DepthCapError(f"dim {dist.dim} has no depth-1 cells in a {MORTON_BITS}-bit code")
     deep_codes = kernels.morton_encode(dist.points, cap)
-    levels = [_weighted_level(dist.points, dist.weights, deep_codes >> dist.dim * (cap - depth))
-              for depth in range(cap + 1)]
+    levels = [_weighted_level(dist.points, dist.weights, deep_codes >> dist.dim * (cap - depth),
+                              dist.dim * depth) for depth in range(cap + 1)]
     for depth in range(cap):
         levels[depth].gains = _gains_from_children(levels[depth], levels[depth + 1], dist.dim)
     levels[cap].gains = np.zeros(levels[cap].codes.shape[0])
     return StatsTable(dim=dist.dim, n=1, depth_cap=cap, _levels=levels)
-
-
-def approximation_error_from_table(table: StatsTable, eta: float) -> float:
-    """Exact expected distortion sum_{leaves} E_I: the population quantizer's train distortion."""
-    return quantizer_from_stats(table, eta).train_distortion

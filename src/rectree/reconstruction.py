@@ -158,7 +158,7 @@ class Quantizer:
         starts = np.concatenate([codes << dim * (deepest - d) for d, (codes, _) in tables.items()])
         depths = np.concatenate([np.full(len(c), d, np.int8) for d, (c, _) in tables.items()])
         vectors = np.concatenate([vectors for _, vectors in tables.values()])
-        order = np.argsort(starts, kind="stable")
+        order = kernels.morton_argsort(starts, dim * deepest)
         return cls(dim, starts[order], depths[order], vectors[order],
                    threshold, depth_cap, gamma, beta)
 
@@ -437,7 +437,7 @@ def load_codebook(path) -> Quantizer:
         start = _lower_corners(depths, index, deepest)
     except ValueError as exc:
         raise ValueError(f"codebook {exc}") from None
-    order = np.argsort(start, kind="stable")
+    order = kernels.morton_argsort(start, dim * deepest)
     s, e = start[order], start[order] + (1 << dim * (deepest - depths[order]))
     bad = np.flatnonzero(s[1:] != e[:-1])
     if bad.size and s[bad[0] + 1] < e[bad[0]]:

@@ -14,10 +14,12 @@ at which no cell can reach eta, since eps_I <= sqrt(n_I D / n) 2^-(j+1)
 (:func:`gain_bound`).  A threshold at eta or above selects the same cells
 from either table.
 
-The points are Morton-sorted once at the cap, so every cell is a run of
-the sorted points.  Each level's point sums are one reduction over the
-sorted points at that level's run starts, so a center does not depend on
-the depth the table stops at.  Only the deepest level computes a scatter
+The points are Morton-sorted once at the cap, by the linear-time radix
+sort :func:`~rectree.kernels.morton_argsort` (the permutation of a stable
+comparison sort), so every cell is a run of the sorted points.  Each
+level's point sums are one reduction over the sorted points at that
+level's run starts, so a center does not depend on the depth the table
+stops at.  Only the deepest level computes a scatter
 from the points, with a two-pass (mean, then scatter) reduction per cell
 that avoids the cancellation of a running sum-of-squares.  Each coarser
 scatter merges its children (Chan, Golub & LeVeque): b_I =
@@ -147,7 +149,10 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
     depth_cap may exceed :func:`~rectree.tree.default_max_depth` as long
     as j* does not.
 
-    One Morton sort orders the points at the deepest depth searched; a
+    One Morton sort orders the points at the deepest depth searched: an
+    LSD radix sort of the dim * deepest code bits in 16-bit digits
+    (:func:`~rectree.kernels.morton_argsort`), which gives exactly the
+    permutation of ``np.argsort(codes, kind="stable")`` in linear time.  A
     coarse code is a prefix of a fine one, so every cell is a run of the
     sorted points and its children are a contiguous run of the level
     below.  Each level's runs and counts come from one pass over the
@@ -158,7 +163,7 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
         raise DepthCapError(f"depth_cap {depth_cap} outside 0..{max_depth}")
     deepest = min(depth_cap, max_depth)
     deep_codes = kernels.morton_encode(data.points, deepest)
-    order = np.argsort(deep_codes, kind="stable")
+    order = kernels.morton_argsort(deep_codes, dim * deepest)
     pts = np.take(data.points, order, axis=0)
     deep_codes = deep_codes[order]
 

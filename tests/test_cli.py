@@ -1,4 +1,5 @@
 import json
+import resource
 
 import numpy as np
 import pytest
@@ -200,6 +201,52 @@ class TestExperimentCommands:
         assert run("approx-trend", "--atoms-csv", atoms, "--etas", "1e-12", "--output", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: atoms not separated by depth 32") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_approx_trend_above_32_dims_is_one_line_error(self, tmp_path, capsys):
+        # The 40-axis grid is built (np.meshgrid takes at most 32 axes), and
+        # numpy then refuses the 2**40 depth-1 leaves.  The address-space cap
+        # makes it refuse on a host that overcommits memory as well.
+        out = tmp_path / "trend.csv"
+        with open("/proc/self/status", encoding="utf-8") as fh:
+            size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = size + 2**31 if hard == resource.RLIM_INFINITY else min(size + 2**31, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            code = run("approx-trend", "--dim", "40", "--uniform-atoms", "1", "--output", out)
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--atoms-csv", "{atoms}", "--dim", "3"],
+             "approx-trend --atoms-csv does not take --dim"),
+            (["--atoms-csv", "{atoms}", "--uniform-atoms", "5"],
+             "approx-trend --atoms-csv does not take --uniform-atoms"),
+            (["--atoms-csv", "{atoms}", "--dim", "7", "--uniform-atoms", "5"],
+             "approx-trend --atoms-csv does not take --uniform-atoms, --dim"),
+            (["--weighted"], "approx-trend --weighted needs --atoms-csv"),
+            (["--uniform-atoms", "64", "--dim", "2", "--weighted"],
+             "approx-trend --weighted needs --atoms-csv"),
+            (["--uniform-atoms", "0"], "--uniform-atoms 0 and --dim 1 must be positive"),
+            (["--dim", "0"], "--uniform-atoms 4096 and --dim 0 must be positive"),
+            (["--uniform-atoms", str(10**20)], f"a grid of {10**20}^1 atoms does not fit in int64"),
+        ],
+        ids=["csv-dim", "csv-uniform-atoms", "csv-both", "weighted", "weighted-grid",
+             "no-atoms", "no-dim", "huge-grid"],
+    )
+    def test_approx_trend_refuses_the_other_sources_flags(self, tmp_path, capsys, flags, message):
+        atoms, out = tmp_path / "atoms.csv", tmp_path / "trend.csv"
+        atoms.write_text("x0\n0.25\n0.75\n")
+        flags = [f.format(atoms=atoms) for f in flags]
+        assert run("approx-trend", *flags, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

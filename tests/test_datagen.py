@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectree.datagen import (
+    _INTRINSIC,
+    _SWISS_HEIGHT,
     GeneratorSpec,
-    manifold_residual,
+    NormalizationMap,
+    embedding_rotation,
     normalize,
     read_dataset,
     read_points_csv,
@@ -17,6 +20,35 @@ from rectree.datagen import (
 )
 from rectree.errors import DomainError
 from rectree.stats import Dataset
+
+
+def manifold_residual(spec: GeneratorSpec, data: Dataset) -> np.ndarray:
+    """Per-point deviation from the manifold's defining equations.
+
+    Undoes the cube map and the embedding rotation, then evaluates the
+    canonical constraints; exact samples give residuals at rounding level.
+    """
+    if _INTRINSIC[spec.kind] is None:
+        raise ValueError(f"{spec.kind} is not a manifold kind")
+    rotation = embedding_rotation(spec)
+    nm = data.normalization
+    if not isinstance(nm, NormalizationMap):
+        raise ValueError("dataset does not carry the generator's normalization map")
+    canonical = nm.invert(data.points) @ rotation
+    tail = canonical[:, 3:] if spec.kind != "circle" else canonical[:, 2:]
+    tail_res = np.abs(tail).max(axis=1) if tail.shape[1] else np.zeros(len(canonical))
+    if spec.kind == "circle":
+        res = np.abs(np.linalg.norm(canonical[:, :2], axis=1) - 1.0)
+    elif spec.kind == "sphere":
+        res = np.abs(np.linalg.norm(canonical[:, :3], axis=1) - 1.0)
+    else:
+        x = canonical[:, 0]
+        y = canonical[:, 1] + _SWISS_HEIGHT / 2.0
+        z = canonical[:, 2]
+        r = np.hypot(x, z)
+        res = np.hypot(x / r - np.cos(r), z / r - np.sin(r))
+        res = np.maximum(res, np.maximum(0.0 - y, y - _SWISS_HEIGHT))
+    return np.maximum(res, tail_res)
 
 
 def pairwise_distances(pts, limit=200):

@@ -85,6 +85,65 @@ def test_morton_overflow_guard(impl):
         impl.morton_encode(np.zeros((1, 8)), 10)
 
 
+OUTSIDE = [-2.0**-40, -0.5, 1.0, 1.5, 2.0**40, np.nan, np.inf, -np.inf]
+
+
+@given(st.integers(1, 13), st.data())
+@settings(max_examples=100, deadline=None)
+def test_morton_encode_outside_the_cube_is_minus_one(impl, dim, data):
+    # The byte spread reads only an index's low bytes: without the range
+    # test, x = 1.0 at a depth that is a multiple of 8 wrapped onto index 0.
+    depth = data.draw(st.integers(0, 62 // dim))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = rng.random((20, dim))
+    bad = data.draw(st.lists(st.integers(0, 20 * dim - 1), min_size=1, max_size=5, unique=True))
+    pts.reshape(-1)[bad] = [data.draw(st.sampled_from(OUTSIDE)) for _ in bad]
+    outside = np.zeros(20 * dim, dtype=bool)
+    outside[bad] = True
+    outside = outside.reshape(20, dim).any(axis=1)
+    codes = impl.morton_encode(pts, depth)
+    assert np.all(codes[outside] == -1)
+    assert np.array_equal(codes[~outside], per_bit_morton_encode(pts[~outside], depth))
+
+
+def _stable(codes):
+    return np.argsort(codes, kind="stable")
+
+
+@given(st.integers(0, 62), st.data())
+@settings(max_examples=200, deadline=None)
+def test_morton_argsort_is_the_stable_sort(impl, bits, data):
+    codes = np.array(data.draw(st.lists(st.integers(0, 2**bits - 1), max_size=64)), dtype=np.int64)
+    assert np.array_equal(impl.morton_argsort(codes, bits), _stable(codes))
+
+
+def tied_codes(rng, n, bits):
+    """Codes below 2**bits whose every 16-bit digit is one of three values: heavy ties."""
+    pools = np.stack([np.zeros(4, np.int64), np.full(4, 0xFFFF), rng.integers(0, 1 << 16, 4)])
+    digits = pools[rng.integers(0, 3, (n, 4)), np.arange(4)] << np.arange(0, 64, 16)
+    return np.bitwise_or.reduce(digits, axis=1) & ((1 << bits) - 1)
+
+
+@given(st.integers(0, 62), st.integers(0, 4000), st.integers(0, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_morton_argsort_with_heavy_ties(impl, bits, n, distinct_bits, seed):
+    # One to four 16-bit passes; few distinct codes, or codes equal in some digits only.
+    rng = np.random.default_rng(seed)
+    pool = np.append(rng.integers(0, 1 << bits, 1 << distinct_bits), [0, (1 << bits) - 1])
+    for codes in (pool[rng.integers(0, pool.size, n)], tied_codes(rng, n, bits)):
+        assert np.array_equal(impl.morton_argsort(codes, bits), _stable(codes))
+
+
+@pytest.mark.parametrize("dim,depths", [(1, [0, 16, 27, 62]), (3, [0, 5, 9, 20]), (13, [1, 4])])
+def test_morton_argsort_of_encoded_points(impl, dim, depths):
+    # Repeated points tie at every depth.
+    pts = np.random.default_rng(dim).random((3000, dim))
+    pts = np.vstack([pts, pts[:500]])
+    for depth in depths:
+        codes = impl.morton_encode(pts, depth)
+        assert np.array_equal(impl.morton_argsort(codes, dim * depth), _stable(codes))
+
+
 def test_group_moments_against_bruteforce(impl):
     rng, pts = random_case(7, n=400, dim=3)
     starts = np.unique(rng.integers(1, 400, size=17))

@@ -7,12 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rectree import reconstruction
 from rectree.errors import DepthCapError
 from rectree.experiment import run_approximation_trend
-from rectree.oracle import (
-    DiscreteDistribution,
-    approximation_error_from_table,
-    isolation_depth,
-    oracle_stats,
-)
+from rectree.oracle import DiscreteDistribution, isolation_depth, oracle_stats
 from rectree.reconstruction import quantizer_from_stats, threshold_subtree
 from rectree.stats import Dataset, build_stats
 from rectree.tree import CellId, default_max_depth
@@ -225,13 +220,13 @@ class TestApproximationError:
         table = oracle_stats(d)
         root = lookup(table, root_cell(1))
         expected = root.error - root.gain**2
-        assert approximation_error_from_table(table, 1.5) == pytest.approx(
+        assert quantizer_from_stats(table, 1.5).train_distortion == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_tiny_eta_isolates(self):
         d = random_distribution(17, m=10, dim=1)
-        assert approximation_error_from_table(oracle_stats(d), 1e-9) <= 1e-25
+        assert quantizer_from_stats(oracle_stats(d), 1e-9).train_distortion <= 1e-25
 
     def test_agrees_with_direct_projection(self):
         d = random_distribution(21, m=40, dim=2)
@@ -243,7 +238,7 @@ class TestApproximationError:
                 float(w * ((x - r) ** 2).sum())
                 for w, x, r in zip(d.weights, d.points, rec)
             )
-            assert approximation_error_from_table(table, eta) == pytest.approx(
+            assert quantizer_from_stats(table, eta).train_distortion == pytest.approx(
                 direct, rel=1e-12, abs=1e-15
             )
 
@@ -304,7 +299,7 @@ class TestArrayLeafErrors:
         rows, _ = run_approximation_trend(dist, etas)
         for eta, (row_eta, error, leaf_count) in zip(etas, rows):
             expected = reference_tree.approximation_error_from_table(table, eta)
-            assert approximation_error_from_table(table, eta) == expected
+            assert quantizer_from_stats(table, eta).train_distortion == expected
             assert row_eta == eta and error == expected
             assert leaf_count == len(outer_leaves(oracle_subtree(dist, eta)))
 
@@ -314,10 +309,12 @@ class TestArrayLeafErrors:
         table = oracle_stats(dist)
         leaves = outer_leaves(oracle_subtree(dist, 2.0))
         assert sum(lookup(table, cell).mass == 0 for cell in leaves) == 3
-        assert approximation_error_from_table(table, 2.0) == (
+        assert quantizer_from_stats(table, 2.0).train_distortion == (
             reference_tree.approximation_error_from_table(table, 2.0)
         )
-        assert approximation_error_from_table(table, 2.0) == lookup(table, root_cell(2)).error
+        assert quantizer_from_stats(table, 2.0).train_distortion == (
+            lookup(table, root_cell(2)).error
+        )
 
 
 class TestOracleEmpiricalEquivalence:

@@ -206,6 +206,41 @@ class TestEncodeDecode:
         with pytest.raises(DomainError):
             encode(q, np.array([[1.0]]))
 
+    @staticmethod
+    def corner_quantizer(dim, deepest):
+        """Leaves down to ``deepest`` along the corner at the origin: every child
+        of the depth-(d - 1) corner cell but the corner itself is a depth-d leaf."""
+        tables = {}
+        for depth in range(1, deepest + 1):
+            codes = np.arange(0 if depth == deepest else 1, 1 << dim)
+            centers = (kernels.morton_decode(codes, depth, dim) + 0.5) * 2.0**-depth
+            tables[depth] = (codes, centers)
+        return Quantizer.from_tables(dim, tables, threshold=0.1, depth_cap=deepest)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("deepest", [3, 8, 16])
+    def test_points_outside_the_cube_at_every_depth(self, dim, deepest):
+        q = self.corner_quantizer(dim, deepest)
+        inside = np.full((1, dim), 0.5)
+        assert np.array_equal(q.reconstruct(inside), inside + 0.25)
+        for x in (1.0, -0.001, np.nan, 2.0, -np.inf):
+            for k in range(dim):
+                point = inside.copy()
+                point[0, k] = x
+                for call in (q.assign, q.reconstruct):
+                    with pytest.raises(DomainError):
+                        call(np.vstack([inside, point]))
+
+    def test_uniform_depth_8_leaves_refuse_the_cube_edge(self):
+        # The byte spread used to wrap x = 1.0 onto index 0: [[1.0, 0.5]]
+        # reconstructed as [[0.00195, 0.50195]].
+        codes = np.arange(1 << 16)
+        centers = (kernels.morton_decode(codes, 8, 2) + 0.5) / 256
+        q = Quantizer.from_tables(2, {8: (codes, centers)}, threshold=0.1, depth_cap=8)
+        for point in ([1.0, 0.5], [-0.001, 0.5], [np.nan, 0.5]):
+            with pytest.raises(DomainError):
+                q.reconstruct(np.array([point]))
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_wrong_width_names_both_dims(self, width):
         q = fit(uniform_data(1, 800, 2), 0.05, RateSchedule(branching=4))

@@ -139,8 +139,11 @@ class TestOuterLeaves:
         part = outer_leaves(sub)
         a = 1 << dim
         assert len(part) <= (a - 1) * len(sub) + 1
+        depths = {cell.depth for cell in part}
         for point in rng.random((50, dim)):
-            hits = [cell for cell in part if cell == locate(point, cell.depth)]
+            # The point's cell at each leaf depth, located once per depth.
+            home = {depth: locate(point, depth) for depth in depths}
+            hits = [cell for cell in part if cell == home[cell.depth]]
             assert len(hits) == 1
 
 
