@@ -54,22 +54,14 @@ _CONFIG_COMMANDS = ("rate-experiment", "approx-trend", "baseline")
 
 
 def _load_data(path: str, do_normalize: bool = False) -> Dataset:
-    if path.endswith(".csv"):
-        pts = read_points_csv(path)
-        if do_normalize:
-            return normalize(pts)
-        return Dataset(pts)
-    data = read_dataset(path)
-    if do_normalize:
-        return normalize(data.points)
-    return data
+    pts = read_points_csv(path) if path.endswith(".csv") else read_dataset(path).points
+    return normalize(pts) if do_normalize else Dataset(pts)
 
 
 def _generator_from_args(args) -> GeneratorSpec:
     bounds = None
     if getattr(args, "density_bounds", None):
-        p1, p2 = (float(t) for t in args.density_bounds.split(","))
-        bounds = (p1, p2)
+        bounds = tuple(_list_flag("--density-bounds", args.density_bounds, float, length=2))
     return GeneratorSpec(
         kind=args.generator,
         ambient_dim=args.dim,
@@ -94,15 +86,26 @@ def _flag_names(keys) -> str:
     return ", ".join("--" + k.replace("_", "-") for k in keys)
 
 
-def _float_list(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise ValueError(f"--etas {text!r}: no thresholds given")
+def _list_flag(flag: str, text: str, kind, length: int | None = None) -> list:
+    """The comma-separated values of a list flag; ValueError naming the flag and a bad token."""
+    values = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            values.append(kind(tok))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag} {text!r}: {tok.strip()!r} is not {noun}") from None
+    if length is not None and len(values) != length:
+        raise ValueError(f"{flag} {text!r}: needs {length} comma-separated values, "
+                         f"not {len(values)}")
     return values
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _etas(text: str) -> list[float]:
+    values = _list_flag("--etas", text, float)
+    if not values:
+        raise ValueError(f"--etas {text!r}: no thresholds given")
+    return values
 
 
 def _config_flags(path) -> list[str]:
@@ -174,7 +177,7 @@ _SWEEP_HEADER = ["eta", "leaf_count", "train_distortion"]
 
 
 def _cmd_sweep(args) -> int:
-    etas = _float_list(args.etas)
+    etas = _etas(args.etas)
     given = [k for k in _SWEEP_GENERATOR if vars(args)[k] is not None]
     if args.data and given:
         raise ValueError(f"sweep --data does not take {_flag_names(given)}")
@@ -199,13 +202,11 @@ def _cmd_rate_experiment(args) -> int:
     schedule = _schedule_from_args(args, args.dim)
     cfg = RateExperimentConfig(
         generator=spec,
-        n_grid=tuple(_int_list(args.n_grid)),
-        gamma=args.gamma,
-        beta=args.beta,
+        n_grid=tuple(_list_flag("--n-grid", args.n_grid, int)),
+        schedule=schedule,
         holdout_n=args.holdout_n,
         trials=args.trials,
         seed=args.seed,
-        threshold_constant=schedule.threshold_constant,
     )
     result = run_rate_experiment(cfg)
     header = [field.name for field in dataclasses.fields(RateRow)]
@@ -250,7 +251,7 @@ def _cmd_approx_trend(args) -> int:
     else:
         vars(args).update({k: v for k, v in _TREND_GRID.items() if vars(args)[k] is None})
         dist = _uniform_grid_atoms(args.uniform_atoms, args.dim)
-    rows, slope = run_approximation_trend(dist, _float_list(args.etas))
+    rows, slope = run_approximation_trend(dist, _etas(args.etas))
     write_csv(args.output, ["eta", "approx_error", "leaf_count"], rows)
     print(f"approx-trend: fitted_slope={slope!r} -> {args.output}")
     return 0
@@ -258,7 +259,7 @@ def _cmd_approx_trend(args) -> int:
 
 def _cmd_baseline(args) -> int:
     spec = _generator_from_args(args)
-    rows = run_baseline_comparison(spec, args.n, _float_list(args.etas), args.gamma, args.holdout_n)
+    rows = run_baseline_comparison(spec, args.n, _etas(args.etas), args.gamma, args.holdout_n)
     header = ["eta", "leaf_count", "tree_train_distortion", "tree_holdout_distortion",
               "k", "kmeans_train_distortion", "kmeans_holdout_distortion"]
     write_csv(args.output, header, rows)

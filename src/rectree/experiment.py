@@ -31,12 +31,10 @@ class RateExperimentConfig:
 
     generator: GeneratorSpec
     n_grid: tuple[int, ...]
-    gamma: float = 1.5
-    beta: float = 1.0
+    schedule: RateSchedule | None = None  # defaults to RateSchedule(2**dim)
     holdout_n: int | None = None  # defaults to 10 * max(n_grid)
     trials: int = 1
     seed: int = 0
-    threshold_constant: float = 1.5
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -46,7 +44,12 @@ class RateExperimentConfig:
             raise ValueError("n_grid entries must be at least 2")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        dim = self.generator.ambient_dim
+        schedule = RateSchedule(1 << dim) if self.schedule is None else self.schedule
+        if schedule.branching != 1 << dim:
+            raise ValueError(f"schedule branching {schedule.branching} does not match dim {dim}")
         object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "schedule", schedule)
 
     @property
     def effective_holdout_n(self) -> int:
@@ -88,12 +91,7 @@ def fit_loglog_slope(x, y) -> float:
 
 def run_rate_experiment(cfg: RateExperimentConfig) -> RateResult:
     """Fit with eta_n per n, evaluate on holdouts, aggregate, fit the slope."""
-    schedule = RateSchedule(
-        branching=1 << cfg.generator.ambient_dim,
-        gamma=cfg.gamma,
-        beta=cfg.beta,
-        threshold_constant=cfg.threshold_constant,
-    )
+    schedule = cfg.schedule
     rows = []
     for i, n in enumerate(cfg.n_grid):
         eta = schedule.eta_n(n)

@@ -16,6 +16,11 @@ rho_J in the gain: the between-within identity
 forces the child weight, and a test verifies that only this version
 satisfies the identity.
 
+The atoms are Morton-sorted once, at the table depth, so every cell is a
+run of them and every parent a run of child rows
+(:meth:`~rectree.stats._Level.child_runs`).  Each sum is one correctly
+rounded ``fsum`` per run, so the order within a run changes no bit.
+
 The table is a :class:`~rectree.stats.StatsTable` with the masses as
 counts and n = 1, so the sample pipeline applies unchanged:
 ``threshold_subtree(table, eta)`` is the population subtree and
@@ -88,32 +93,20 @@ def isolation_depth(dist: DiscreteDistribution) -> int:
     raise DepthCapError(f"atoms not separated by depth {cap}; they are too close")
 
 
-def _weighted_level(points, weights, codes, bits) -> _Level:
-    order = kernels.morton_argsort(codes, bits)
-    codes_s, pts, w = codes[order], points[order], weights[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(codes_s)) + 1])
-    ends = np.concatenate([starts[1:], [codes_s.shape[0]]])
-    m, dim = starts.shape[0], points.shape[1]
-    masses = np.empty(m)
-    centers = np.empty((m, dim))
-    errors = np.empty(m)
-    for g, (lo, hi) in enumerate(zip(starts, ends)):
-        wg = w[lo:hi]
-        masses[g] = math.fsum(wg.tolist())
-        for k in range(dim):
-            centers[g, k] = math.fsum((wg * pts[lo:hi, k]).tolist()) / masses[g]
-        sq = ((pts[lo:hi] - centers[g]) ** 2).sum(axis=1)
-        errors[g] = math.fsum((wg * sq).tolist())
-    return _Level(codes_s[starts], masses, centers, errors, None)
+def _run_fsums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each run of ``values``, runs starting at ``starts``."""
+    values, bounds = values.tolist(), starts.tolist() + [len(values)]
+    return np.array([math.fsum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
 
-def _gains_from_children(parent: _Level, child: _Level, dim: int) -> np.ndarray:
-    prow = parent.rows(child.codes >> dim)
-    gains_sq = [[] for _ in range(parent.codes.shape[0])]
-    diff_sq = ((child.centers - parent.centers[prow]) ** 2).sum(axis=1)
-    for row in range(child.codes.shape[0]):
-        gains_sq[prow[row]].append(child.counts[row] * diff_sq[row])
-    return np.sqrt([math.fsum(terms) for terms in gains_sq])
+def _weighted_level(points, weights, codes) -> _Level:
+    """One level's cells, the atoms being sorted by their codes at this depth."""
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    masses = _run_fsums(weights, starts)
+    centers = np.column_stack([_run_fsums(weights * x, starts) for x in points.T]) / masses[:, None]
+    diff = points - np.repeat(centers, np.diff(starts, append=len(codes)), 0)
+    errors = _run_fsums(weights * (diff**2).sum(axis=1), starts)
+    return _Level(codes[starts], masses, centers, errors, None)
 
 
 def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
@@ -129,9 +122,13 @@ def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
     if cap < 1:  # outer leaves reach depth 1, so the table needs that level
         raise DepthCapError(f"dim {dist.dim} has no depth-1 cells in a {MORTON_BITS}-bit code")
     deep_codes = kernels.morton_encode(dist.points, cap)
-    levels = [_weighted_level(dist.points, dist.weights, deep_codes >> dist.dim * (cap - depth),
-                              dist.dim * depth) for depth in range(cap + 1)]
-    for depth in range(cap):
-        levels[depth].gains = _gains_from_children(levels[depth], levels[depth + 1], dist.dim)
+    order = kernels.morton_argsort(deep_codes, dist.dim * cap)
+    pts, w, deep_codes = dist.points[order], dist.weights[order], deep_codes[order]
+    levels = [_weighted_level(pts, w, deep_codes >> dist.dim * (cap - depth))
+              for depth in range(cap + 1)]
+    for parent, child in zip(levels, levels[1:]):
+        first = child.child_runs(dist.dim)
+        diff = child.centers - np.repeat(parent.centers, np.diff(first, append=len(child.codes)), 0)
+        parent.gains = np.sqrt(_run_fsums(child.counts * (diff**2).sum(axis=1), first))
     levels[cap].gains = np.zeros(levels[cap].codes.shape[0])
     return StatsTable(dim=dist.dim, n=1, depth_cap=cap, _levels=levels)

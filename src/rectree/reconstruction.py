@@ -133,6 +133,11 @@ class Quantizer:
     ``codebook`` and ``leaves`` are views keyed by ``CellId``.
     ``train_distortion`` is sum_{leaves J} E_J over the data of the table
     it was built from (an oracle's distribution included); None if loaded.
+
+    The leaves tile the cube exactly when their runs abut from 0 to
+    2**(dim m): no duplicate, no leaf inside another, and no gap.  The
+    constructor checks this, so a point's leaf is the last run starting
+    at or below its depth-m code.
     """
 
     dim: int
@@ -148,6 +153,18 @@ class Quantizer:
 
     def __post_init__(self):
         self.deepest = int(self.depths.max())
+        shifts = self.dim * (self.deepest - self.depths.astype(np.int64))
+        ends = self.starts + (1 << shifts)
+        bad = np.flatnonzero(self.starts[1:] != ends[:-1])
+        if bad.size and self.starts[bad[0] + 1] < ends[bad[0]]:
+            i = bad[0] + 1
+            depth = int(self.depths[i])
+            what = "duplicate leaf" if self.depths[i - 1] == depth else "one leaf inside another"
+            index = kernels.morton_decode(self.starts[i:i + 1] >> shifts[i], depth, self.dim)[0]
+            raise ValueError(f"{what}, depth {depth} index {index.tolist()}")
+        if self.starts[0] != 0 or bad.size or ends[-1] != 1 << self.dim * self.deepest:
+            gap = 0 if self.starts[0] != 0 else int(ends[bad[0]] if bad.size else ends[-1])
+            raise ValueError(f"no leaf covers the depth-{self.deepest} cell of code {gap}")
 
     @classmethod
     def from_tables(cls, dim: int, tables: dict[int, tuple[np.ndarray, np.ndarray]],
@@ -185,10 +202,10 @@ class Quantizer:
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"point dim {points.shape[-1]} != quantizer dim {self.dim}")
         deep = kernels.morton_encode(points, self.deepest)
+        # The leaves tile the cube; a point outside it has code -1, below every run.
         rows = np.searchsorted(self.starts, deep, side="right") - 1
-        size = 1 << self.dim * (self.deepest - self.depths[rows].astype(np.int64))
-        if np.any((rows < 0) | (deep >= self.starts[rows] + size)):
-            raise DomainError("some points were not covered by any leaf")
+        if np.any(rows < 0):
+            raise DomainError(f"some points lie outside [0, 1)^{self.dim}")
         return rows
 
     def reconstruct(self, points: np.ndarray) -> np.ndarray:
@@ -391,13 +408,7 @@ def _lower_corners(depths: np.ndarray, index: np.ndarray, deepest: int) -> np.nd
 
 
 def load_codebook(path) -> Quantizer:
-    """Read a codebook; ValueError unless it is well formed and its leaves tile the cube.
-
-    In Morton order a depth-d leaf is the run [c, c + 1) << dim (m - d) of
-    depth-m codes, so the leaves tile the cube exactly when their runs,
-    sorted, abut from 0 to 2**(dim m): no duplicate, no leaf inside
-    another, and volumes summing to the whole cube.
-    """
+    """Read a codebook; ValueError unless it is well formed and its leaves tile the cube."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != CODEBOOK_FORMAT:
@@ -438,13 +449,8 @@ def load_codebook(path) -> Quantizer:
     except ValueError as exc:
         raise ValueError(f"codebook {exc}") from None
     order = kernels.morton_argsort(start, dim * deepest)
-    s, e = start[order], start[order] + (1 << dim * (deepest - depths[order]))
-    bad = np.flatnonzero(s[1:] != e[:-1])
-    if bad.size and s[bad[0] + 1] < e[bad[0]]:
-        a, b = order[bad[0]], order[bad[0] + 1]
-        what = "duplicate leaf" if depths[a] == depths[b] else "one leaf inside another"
-        raise ValueError(f"codebook {path}: {what}, depth {depths[b]} index {index[b].tolist()}")
-    if s[0] != 0 or bad.size or e[-1] != 1 << dim * deepest:
-        gap = 0 if s[0] != 0 else int(e[bad[0]] if bad.size else e[-1])
-        raise ValueError(f"codebook {path}: no leaf covers the depth-{deepest} cell of code {gap}")
-    return Quantizer(dim, s, depths[order].astype(np.int8), vectors[order], eta, cap, gamma, beta)
+    try:
+        return Quantizer(dim, start[order], depths[order].astype(np.int8), vectors[order],
+                         eta, cap, gamma, beta)
+    except ValueError as exc:
+        raise ValueError(f"codebook {path}: {exc}") from None

@@ -21,13 +21,15 @@ level's point sums are one reduction over the sorted points at that
 level's run starts, so a center does not depend on the depth the table
 stops at.  Only the deepest level computes a scatter
 from the points, with a two-pass (mean, then scatter) reduction per cell
-that avoids the cancellation of a running sum-of-squares.  Each coarser
-scatter merges its children (Chan, Golub & LeVeque): b_I =
-sum_J n_J |c_J - c_I|^2, eps_I = sqrt(b_I / n) and n E_I = sum_J n E_J +
-b_I, so the between-within identity E_I = sum_J E_J + eps_I^2 holds by
-construction (cross-check: :meth:`StatsTable.gain_sq_by_difference`).  A
-cell with one child holds the same points in the same order, so it copies
-that child's statistics bit for bit.
+that avoids the cancellation of a running sum-of-squares.  Every coarser
+cell is one merge of its run of children (Chan, Golub & LeVeque), found by
+:meth:`_Level.child_runs`: b_I = sum_J n_J |c_J - c_I|^2, eps_I =
+sqrt(b_I / n) and n E_I = sum_J n E_J + b_I, so the between-within
+identity E_I = sum_J E_J + eps_I^2 holds by construction (cross-check:
+:meth:`StatsTable.gain_sq_by_difference`).  The rule has no one-child
+case: such a cell holds the same points in the same order as its child,
+so its center is the child's bit for bit, b_I is exactly 0 and its error
+is the child's.
 
 Cells at the table depth are unexpandable: their children are never
 measured, so their gain is undefined (``None``), and thresholding only
@@ -94,6 +96,10 @@ class _Level:
         rows[rows == self.codes.shape[0]] = 0
         return np.where(self.codes[rows] == codes, rows, -1)
 
+    def child_runs(self, dim: int) -> np.ndarray:
+        """First row of each parent's run of children, this level being the children."""
+        return np.flatnonzero(np.diff(self.codes >> dim, prepend=-1))
+
 
 @dataclass
 class StatsTable:
@@ -114,8 +120,8 @@ class StatsTable:
         if depth >= self.depth_cap:
             raise DepthCapError(f"no children statistics below depth {depth}")
         child = self._levels[depth + 1]
-        first = np.flatnonzero(np.diff(child.codes >> self.dim, prepend=-1))
-        return self._levels[depth].errors - np.add.reduceat(child.errors, first)
+        within = np.add.reduceat(child.errors, child.child_runs(self.dim))
+        return self._levels[depth].errors - within
 
 
 def gain_bound(share, depth: int, dim: int, summed=1):
@@ -156,7 +162,9 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
     coarse code is a prefix of a fine one, so every cell is a run of the
     sorted points and its children are a contiguous run of the level
     below.  Each level's runs and counts come from one pass over the
-    sorted codes, top-down, which is where j* is read off.
+    sorted codes, top-down, which is where j* is read off.  Then, bottom-up,
+    every parent is the merge of its run of child rows, whether it has one
+    child or many.
     """
     dim, n, max_depth = data.dim, data.n, default_max_depth(data.dim)
     if depth_cap < 0 or (eta is None and depth_cap > max_depth):
@@ -194,23 +202,11 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
         # Sums are reduced from the points at every level, so a center does
         # not depend on the depth the table stops at.
         centers = np.add.reduceat(pts, starts[depth], axis=0) / counts[depth][:, None]
-        # A parent's children are the child runs from the one starting
-        # where it starts up to the next parent's first child.
-        first = np.searchsorted(starts[depth + 1], starts[depth])
-        sizes = np.diff(np.append(first, child.codes.shape[0]))
-        # Most parents copy their only child; the parents in ``merged``
-        # reduce child rows ``rows``, one run per parent starting at ``runs``.
-        merged = np.flatnonzero(sizes > 1)
-        rows = np.flatnonzero(np.repeat(sizes > 1, sizes))
-        runs = np.cumsum(sizes[merged]) - sizes[merged]
-        diff = np.take(child.centers, rows, axis=0)
-        diff -= np.repeat(np.take(centers, merged, axis=0), sizes[merged], axis=0)
-        between = np.add.reduceat(child.counts[rows] * np.einsum("ij,ij->i", diff, diff), runs)
-        within = np.add.reduceat(np.take(scatters, rows), runs)
-        scatters = np.take(scatters, first)
-        scatters[merged] = within + between
-        gains = np.zeros(first.shape[0])
-        gains[merged] = np.sqrt(between / n)
+        first = child.child_runs(dim)
+        diff = child.centers - np.repeat(centers, np.diff(first, append=len(child.codes)), 0)
+        between = np.add.reduceat(child.counts * np.einsum("ij,ij->i", diff, diff), first)
+        scatters = np.add.reduceat(scatters, first) + between
+        gains = np.sqrt(between / n)
         levels.append(_Level(codes(depth), counts[depth], centers, scatters / n, gains))
 
     return StatsTable(dim=dim, n=n, depth_cap=cap, _levels=levels[::-1])

@@ -16,9 +16,11 @@ from rectree.cli import main as cli_main
 from rectree.datagen import GeneratorSpec, sample
 from rectree.experiment import RateExperimentConfig, run_approximation_trend, run_rate_experiment
 from rectree.oracle import DiscreteDistribution, isolation_depth, oracle_stats
-from rectree.reconstruction import quantizer_from_stats, threshold_subtree
+from rectree.reconstruction import (
+    Quantizer, RateSchedule, quantizer_from_stats, threshold_subtree,
+)
 from rectree.stats import Dataset, build_stats
-from rectree.tree import default_max_depth
+from rectree.tree import default_max_depth, outer_leaves, smallest_subtree
 
 from reference_tree import lookup, root_cell
 
@@ -91,17 +93,39 @@ def test_criterion_02_outer_leaf_partition():
         by_depth = {}
         for d, c in leaves:
             by_depth.setdefault(d, []).append(c)
+        by_depth = {d: np.sort(np.asarray(codes, dtype=np.int64)) for d, codes in by_depth.items()}
+        # The package's own closure and leaves give the same leaf list.
+        depth_code = np.array(list(cells), dtype=np.int64)
+        marked = {d: depth_code[depth_code[:, 0] == d, 1] for d in np.unique(depth_code[:, 0])}
+        levels = smallest_subtree(marked, dim)
+        found = outer_leaves(levels, dim)
+        assert sorted(found) == sorted(by_depth), f"trial {trial}"
+        assert all(np.array_equal(found[d], by_depth[d]) for d in by_depth), f"trial {trial}"
         points = rng.random((10_000, dim))
+        # In Morton order every depth's point codes are sorted, which makes
+        # each search below a merge-like walk; the checks are per point.
+        points = points[np.argsort(kernels.morton_encode(points, max(by_depth)))]
         hits = np.zeros(10_000, dtype=np.int64)
+        leaf_depth = np.full(10_000, -1, dtype=np.int64)
+        leaf_code = np.full(10_000, -1, dtype=np.int64)
         for d, codes in by_depth.items():
-            codes = np.sort(np.asarray(codes, dtype=np.int64))
             pt_codes = kernels.morton_encode(points, d)
             pos = np.searchsorted(codes, pt_codes)
             pos[pos == codes.shape[0]] = 0
-            hits += (codes[pos] == pt_codes).astype(np.int64)
+            hit = codes[pos] == pt_codes
+            hits += hit.astype(np.int64)
+            leaf_depth[hit], leaf_code[hit] = d, pt_codes[hit]
         assert np.array_equal(hits, np.ones(10_000, dtype=np.int64)), f"trial {trial}"
+        # One quantizer over the leaves locates every point in the same leaf.
+        tables = {d: (codes, np.zeros((codes.shape[0], dim))) for d, codes in by_depth.items()}
+        q = Quantizer.from_tables(dim, tables, 1.0, max(by_depth))
+        rows = q.assign(points)
+        assert np.array_equal(q.depths[rows], leaf_depth), f"trial {trial}"
+        shift = dim * (q.deepest - leaf_depth)
+        assert np.array_equal(q.starts[rows] >> shift, leaf_code), f"trial {trial}"
     assert time.time() - started < 60
-    report(2, "1000 random subtrees tile the cube; cardinality bound exact", started)
+    report(2, "1000 random subtrees tile the cube; cardinality bound exact; "
+              "outer_leaves and Quantizer.assign agree", started)
 
 
 def test_criterion_03_oracle_equivalence():
@@ -172,8 +196,7 @@ def test_criterion_06_rate_trend():
         cfg = RateExperimentConfig(
             generator=GeneratorSpec("uniform_cube", dim, seed=0),
             n_grid=grid,
-            gamma=1.5,
-            beta=1.0,
+            schedule=RateSchedule(1 << dim, gamma=1.5, beta=1.0),
             trials=5,
             seed=42,
         )
@@ -207,8 +230,7 @@ def test_criterion_08_manifold_exponent():
     cfg = RateExperimentConfig(
         generator=GeneratorSpec("circle", 3, seed=0),
         n_grid=tuple(2**k for k in range(8, 17)),
-        gamma=1.5,
-        beta=1.0,
+        schedule=RateSchedule(1 << 3, gamma=1.5, beta=1.0),
         trials=5,
         seed=42,
     )

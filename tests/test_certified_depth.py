@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectree import kernels
-from rectree.errors import DepthCapError, DomainError
+from rectree.errors import DepthCapError
 from rectree.reconstruction import Quantizer, fit, load_codebook, quantizer_from_stats, RateSchedule
 from rectree.stats import Dataset, build_stats, gain_bound
 from rectree.tree import CellId, cell_to_code, default_max_depth
@@ -216,9 +216,18 @@ def test_loaded_run_table_matches_per_depth_search(tmp_path_factory, case):
     assert_matches_per_depth(q, tables, probe_points(rng, tables, dim, 200))
 
 
-def test_point_outside_every_run_is_a_domain_error():
-    q = Quantizer.from_tables(1, {2: (np.array([0, 3]), np.array([[0.1], [0.9]]))}, 0.1, 2)
-    assert np.array_equal(q.reconstruct(np.array([[0.2], [0.8]])), [[0.1], [0.9]])
-    for x in (0.3, 0.6):
-        with pytest.raises(DomainError):
-            q.assign(np.array([[0.2], [x]]))
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        ({2: [0, 3]}, "no leaf covers the depth-2 cell of code 1"),
+        ({2: [1, 2, 3]}, "no leaf covers the depth-2 cell of code 0"),
+        ({2: [0, 1, 2]}, "no leaf covers the depth-2 cell of code 3"),
+        ({2: [0, 1, 1, 2, 3]}, r"duplicate leaf, depth 2 index \[1\]"),
+        ({1: [0, 1], 2: [1]}, r"one leaf inside another, depth 2 index \[1\]"),
+    ],
+    ids=["gap", "gap-first", "gap-last", "duplicate", "nested"],
+)
+def test_leaves_that_do_not_tile_are_refused_at_construction(tables, message):
+    tables = {d: (np.array(codes), np.full((len(codes), 1), 0.5)) for d, codes in tables.items()}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Quantizer.from_tables(1, tables, 0.1, 2)

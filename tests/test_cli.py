@@ -452,10 +452,33 @@ class TestErrors:
             (["sweep", "--data", "{train}", "--etas", ","], "--etas ',': no thresholds given"),
             (["baseline", "--n", "64", "--etas", ","], "--etas ',': no thresholds given"),
             (["approx-trend", "--etas", ","], "--etas ',': no thresholds given"),
+            (["sample", "--generator", "density_cube", "--dim", "2", "--n", "8",
+              "--density-bounds", "1"],
+             "--density-bounds '1': needs 2 comma-separated values, not 1"),
+            (["sample", "--generator", "density_cube", "--dim", "2", "--n", "8",
+              "--density-bounds", "1,2,3"],
+             "--density-bounds '1,2,3': needs 2 comma-separated values, not 3"),
+            (["sample", "--generator", "density_cube", "--dim", "2", "--n", "8",
+              "--density-bounds", "a,b"], "--density-bounds 'a,b': 'a' is not a number"),
+            (["sweep", "--generator", "density_cube", "--etas", "0.1", "--density-bounds", ","],
+             "--density-bounds ',': needs 2 comma-separated values, not 0"),
+            (["baseline", "--generator", "density_cube", "--etas", "0.1",
+              "--density-bounds", "0.5;2"], "--density-bounds '0.5;2': '0.5;2' is not a number"),
+            (["rate-experiment", "--n-grid", "128,abc"],
+             "--n-grid '128,abc': 'abc' is not an integer"),
+            (["rate-experiment", "--n-grid", "128, 1e3"],
+             "--n-grid '128, 1e3': '1e3' is not an integer"),
+            (["sweep", "--data", "{train}", "--etas", "0.1,abc"],
+             "--etas '0.1,abc': 'abc' is not a number"),
+            (["baseline", "--n", "64", "--etas", "0.1 0.2"],
+             "--etas '0.1 0.2': '0.1 0.2' is not a number"),
+            (["approx-trend", "--etas", "x"], "--etas 'x': 'x' is not a number"),
         ],
         ids=["fit-nan", "fit-inf", "fit-zero", "fit-gamma-nan", "fit-gamma-huge", "sweep-nan",
              "baseline-inf", "approx-trend-nan", "rate-constant-nan", "sweep-empty",
-             "baseline-empty", "approx-trend-empty"],
+             "baseline-empty", "approx-trend-empty", "bounds-one", "bounds-three", "bounds-text",
+             "bounds-empty", "bounds-separator", "n-grid-text", "n-grid-float", "sweep-etas",
+             "baseline-etas", "approx-trend-etas"],
     )
     def test_bad_threshold_is_one_line_error(self, workdir, capsys, argv, message):
         argv = [a.format(train=workdir / "train.rtds") for a in argv]

@@ -56,6 +56,15 @@ class TestRateExperiment:
             small_config(n_grid=(256, 128))
         with pytest.raises(ValueError):
             small_config(trials=0)
+        with pytest.raises(ValueError, match="schedule branching 4 does not match dim 1"):
+            small_config(schedule=RateSchedule(4))
+
+    def test_config_holds_one_schedule(self):
+        assert small_config().schedule == RateSchedule(2)
+        schedule = RateSchedule(2, gamma=1.2, beta=2.0, threshold_constant=0.7)
+        result = run_rate_experiment(small_config(schedule=schedule))
+        for row in result.rows:
+            assert row.eta_n == schedule.eta_n(row.n) and row.j_n == schedule.depth_cap(row.n)
 
 
 class TestHoldoutEstimator:

@@ -465,6 +465,23 @@ class TestCodebookValidation:
             load_codebook(path)
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([leaf(1, 0), leaf(1, 1), leaf(1, 0)], "duplicate leaf, depth 1 index [0]"),
+            ([leaf(1, 0), leaf(1, 1), leaf(2, 0)], "one leaf inside another, depth 2 index [0]"),
+            ([leaf(0, 0), leaf(3, 5)], "one leaf inside another, depth 3 index [5]"),
+            ([leaf(1, 0)], "no leaf covers the depth-1 cell of code 1"),
+        ],
+        ids=["duplicate", "nested", "nested-deep", "gap"],
+    )
+    def test_tiling_error_names_the_file(self, tmp_path, rows, message):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps(codebook_doc(rows)))
+        with pytest.raises(ValueError) as exc:
+            load_codebook(path)
+        assert str(exc.value) == f"codebook {path}: {message}"
+
     def test_uneven_tiling_loads_and_encodes(self, tmp_path):
         path = tmp_path / "codebook.json"
         rows = [leaf(1, 1, code=[0.7]), leaf(2, 0, code=[0.1]), leaf(2, 1, code=[0.3])]

@@ -70,6 +70,51 @@ def datasets(draw):
     return Dataset(pts), cap
 
 
+def assert_single_child_parents_copy(table):
+    """Every parent with exactly one stored child has gain 0.0 and that child's bits.
+
+    A parent holds the same points (atoms) as its only child, so the merge
+    rule must give back the child's count, center and error exactly and a
+    between term of exactly zero.  Bytes are compared, so -0.0 fails too.
+    """
+    for depth in range(table.depth_cap):
+        lv, child = table.level(depth), table.level(depth + 1)
+        parent_codes, first, n_children = np.unique(
+            child.codes >> table.dim, return_index=True, return_counts=True)
+        assert np.array_equal(parent_codes, lv.codes)
+        only = np.flatnonzero(n_children == 1)
+        rows = first[only]
+        assert lv.gains[only].tobytes() == np.zeros(only.size).tobytes()
+        assert lv.counts[only].tobytes() == child.counts[rows].tobytes()
+        assert lv.centers[only].tobytes() == child.centers[rows].tobytes()
+        assert lv.errors[only].tobytes() == child.errors[rows].tobytes()
+
+
+@st.composite
+def chained_points(draw, ulp_triples=True):
+    """Spread points, exact duplicates, tight clusters and (optionally) one-ulp triples.
+
+    A cluster's points sit on a 2**-k grid within 8 steps of a random
+    corner, with k up to one below the deepest depth: above depth ~k - 3
+    the whole cluster is one chain of single-child cells.  Atoms of a
+    cluster separate by depth k, so an oracle table over them exists.
+    """
+    dim = draw(st.integers(1, 4))
+    top = default_max_depth(dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.random((draw(st.integers(1, 60)), dim))
+    parts = [base, base[rng.integers(0, base.shape[0], size=draw(st.integers(0, 10)))]]
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(top // 2, top - 1))
+        steps = rng.integers(0, 8, size=(draw(st.integers(2, 8)), dim))
+        parts.append(np.floor(rng.random(dim) * 2.0**k) * 2.0**-k * 0.5 + steps * 2.0**-k)
+    if ulp_triples and base.shape[0] >= 2:
+        for x in base[rng.integers(0, base.shape[0], size=draw(st.integers(0, 3)))] * 0.5:
+            y = np.nextafter(x, 1.0)
+            parts.append(np.stack([x, y, np.nextafter(y, 1.0)]))
+    return np.concatenate(parts)
+
+
 class TestAgainstTopDown:
     @given(datasets())
     @settings(max_examples=150, deadline=None)
@@ -90,20 +135,20 @@ class TestAgainstTopDown:
             else:
                 assert np.all(np.abs(lv.gains**2 - gains**2) <= tol)
 
-    @given(datasets())
-    @settings(max_examples=100, deadline=None)
-    def test_single_child_parent_is_its_child(self, case):
-        data, cap = case
-        table = build_stats(data, cap)
-        for depth in range(cap):
-            lv, child = table.level(depth), table.level(depth + 1)
-            parent_codes, n_children = np.unique(child.codes >> data.dim, return_counts=True)
-            assert np.array_equal(parent_codes, lv.codes)
-            only = np.flatnonzero(n_children == 1)
-            rows = np.searchsorted(child.codes >> data.dim, lv.codes[only])
-            assert np.array_equal(lv.counts[only], child.counts[rows])
-            assert np.array_equal(lv.centers[only], child.centers[rows])
-            assert np.array_equal(lv.errors[only], child.errors[rows])
+    @given(chained_points(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_single_child_parent_is_its_child(self, pts, draw):
+        data = Dataset(pts)
+        cap = draw.draw(st.integers(0, default_max_depth(data.dim)))
+        eta = draw.draw(st.none() | st.floats(1e-9, 0.5))
+        assert_single_child_parents_copy(build_stats(data, cap, eta))
+
+
+@given(chained_points(ulp_triples=False))
+@settings(max_examples=100, deadline=None)
+def test_oracle_single_child_parent_is_its_child(pts):
+    assert_single_child_parents_copy(
+        oracle_stats(DiscreteDistribution(pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))))
 
 
 def test_merged_centers_are_correctly_rounded():
