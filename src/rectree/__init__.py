@@ -26,6 +26,6 @@ from .reconstruction import (
     threshold_subtree,
 )
 from .stats import Dataset, StatsTable, build_stats
-from .tree import CellId, Subtree
+from .tree import CellId
 
 __version__ = "0.1.0"

@@ -128,7 +128,7 @@ def _cmd_fit(args) -> int:
     data = _load_data(args.data, args.normalize)
     quantizer = fit(data, args.eta, RateSchedule(1 << data.dim, args.gamma))
     save_codebook(quantizer, args.output)
-    print(f"fit: {len(quantizer.leaves)} leaves at eta={args.eta} -> {args.output}")
+    print(f"fit: {len(quantizer.starts)} leaves at eta={args.eta} -> {args.output}")
     return 0
 
 

@@ -89,6 +89,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}; choose from {KINDS}")
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
         minimum = {"circle": 2, "sphere": 3, "swiss_roll": 3}.get(self.kind, 1)
         if self.ambient_dim < minimum:
             raise ValueError(f"{self.kind} needs ambient_dim >= {minimum}")

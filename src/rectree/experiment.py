@@ -44,6 +44,10 @@ class RateExperimentConfig:
             raise ValueError("n_grid entries must be at least 2")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
+        if self.holdout_n is not None and self.holdout_n < 1:
+            raise ValueError(f"holdout_n {self.holdout_n} must be positive")
         dim = self.generator.ambient_dim
         schedule = RateSchedule(1 << dim) if self.schedule is None else self.schedule
         if schedule.branching != 1 << dim:
@@ -78,13 +82,16 @@ def _child_seed(*entropy: int) -> int:
 
 
 def fit_loglog_slope(x, y) -> float:
-    """Least-squares slope of log y against log x."""
+    """Least-squares slope of log y against log x over the pairs with x, y > 0.
+
+    nan when fewer than two distinct x remain: the slope is undefined.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     keep = (x > 0) & (y > 0)
-    if keep.sum() < 2:
-        return float("nan")
     lx, ly = np.log(x[keep]), np.log(y[keep])
+    if np.unique(lx).size < 2:
+        return float("nan")
     lx = lx - lx.mean()
     return float((lx * (ly - ly.mean())).sum() / (lx * lx).sum())
 
@@ -102,7 +109,7 @@ def run_rate_experiment(cfg: RateExperimentConfig) -> RateResult:
             quantizer = fit(sample(train_spec, n), eta, schedule)
             holdout = sample(holdout_spec, cfg.effective_holdout_n)
             dists.append(empirical_distortion(quantizer, holdout))
-            leaves.append(len(quantizer.leaves))
+            leaves.append(len(quantizer.starts))
         mean = float(np.mean(dists))
         std = float(np.std(dists, ddof=1)) if cfg.trials > 1 else 0.0
         rows.append(
@@ -122,6 +129,8 @@ def _sweep_with_holdout(
     Row: (eta, leaf_count, train_distortion, holdout_distortion).  The
     holdout has 10 n points unless ``holdout_n`` is given.
     """
+    if holdout_n is not None and holdout_n < 1:
+        raise ValueError(f"holdout_n {holdout_n} must be positive")
     schedule = RateSchedule(1 << generator.ambient_dim, gamma)
     train = sample(generator, n)
     holdout_spec = replace(generator, stream=_child_seed(generator.seed, n, 0, 1))
@@ -150,7 +159,7 @@ def run_approximation_trend(
     """
     table = oracle_stats(dist)
     quantizers = [quantizer_from_stats(table, float(eta)) for eta in etas]
-    rows = [(q.threshold, q.train_distortion, len(q.leaves)) for q in quantizers]
+    rows = [(q.threshold, q.train_distortion, len(q.starts)) for q in quantizers]
     slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     return rows, slope
 

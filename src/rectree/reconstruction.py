@@ -9,12 +9,16 @@ per leaf: the leaf's center of mass when it saw training data, the cube
 center otherwise (so decoding is total).  Its train distortion is read
 from the table too, sum_{leaves J} E_J, so a sweep encodes no train point.
 
-The path runs on sorted Morton-code arrays, one per depth, and a
-:class:`Quantizer` holds its leaves as sorted runs of deepest-level codes.
-:func:`encode` and :func:`decode` speak (depth, lattice index) arrays, the
-form of the codebook file and the ``rectree encode``/``decode`` CSVs.
-``CellId`` appears only in :func:`threshold_subtree` and the
-``leaves``/``codebook`` views.
+Subtrees nest as eta decreases, so one statistics table serves a whole
+list of thresholds: :func:`sweep` builds it once, for the smallest eta,
+and :func:`fit` is the sweep over one threshold.  The path runs on sorted
+Morton-code arrays, one per depth, and a :class:`Quantizer` holds its
+leaves as sorted runs of deepest-level codes, so a leaf count is
+``len(q.starts)``.  :func:`encode` and :func:`decode` speak (depth,
+lattice index) arrays, the form of the codebook file and the ``rectree
+encode``/``decode`` CSVs.  ``CellId`` appears only in views built on
+request: the frozenset that :func:`threshold_subtree` returns and a
+quantizer's ``leaves``/``codebook``.
 
 The data-driven run couples the threshold and the truncation depth to the
 sample size n:
@@ -45,14 +49,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError
 from .stats import Dataset, StatsTable, build_stats
-from .tree import (
-    CellId,
-    Subtree,
-    cells_from_codes,
-    default_max_depth,
-    outer_leaves,
-    smallest_subtree,
-)
+from .tree import CellId, cells_from_codes, default_max_depth, outer_leaves, smallest_subtree
 
 CODEBOOK_FORMAT = "rectree-codebook"
 CODEBOOK_VERSION = 1
@@ -111,14 +108,18 @@ def _subtree_levels(stats: StatsTable, eta: float, depth_cap: int | None) -> lis
     return smallest_subtree(marked, stats.dim)
 
 
-def threshold_subtree(stats: StatsTable, eta: float, depth_cap: int | None = None) -> Subtree:
-    """Smallest subtree containing every cell with gain >= eta.
+def threshold_subtree(
+    stats: StatsTable, eta: float, depth_cap: int | None = None
+) -> frozenset[CellId]:
+    """Cells of the smallest subtree containing every cell with gain >= eta.
 
     Only cells of depth < depth_cap are inspected: a gain needs children
     statistics one level down, so the deepest measurable candidates sit
     one level above the cap.  Returns {root} when no cell qualifies.
     """
-    return Subtree.from_codes(_subtree_levels(stats, eta, depth_cap), stats.dim)
+    levels = _subtree_levels(stats, eta, depth_cap)
+    return frozenset(cell for depth, codes in enumerate(levels)
+                     for cell in cells_from_codes(depth, codes, stats.dim))
 
 
 @dataclass
@@ -263,13 +264,25 @@ def quantizer_from_stats(
     return q
 
 
-def _schedule_stats(data: Dataset, etas: list[float], schedule: RateSchedule):
-    """Check etas and schedule against the data; (statistics for the smallest eta, j_n).
+def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:
+    """The quantizer of :func:`sweep` at the one threshold eta."""
+    return sweep(data, [eta], schedule)[0][1]
 
-    The table stops at the depth that the smallest eta certifies (see
-    :func:`~rectree.stats.build_stats`), so j_n may exceed the deepest
-    storable depth as long as that certified depth does not.
+
+def sweep(
+    data: Dataset, etas, schedule: RateSchedule
+) -> list[tuple[float, Quantizer, int, float]]:
+    """Quantizers for several thresholds from one statistics build.
+
+    Returns (eta, quantizer, leaf_count, train_distortion) per eta, in the
+    given order.  The table stops at the depth min(j_n, j*) that the
+    smallest eta certifies (see :func:`~rectree.stats.build_stats`), so j_n
+    may exceed the deepest storable depth as long as j* does not.
+    Subtrees nest as eta decreases, so leaf counts are nondecreasing along
+    a descending eta list.  ``train_distortion`` is sum_{leaves J} E_J
+    read from the table: no train point is encoded.
     """
+    etas = [float(e) for e in etas]
     if not etas:
         raise ValueError("no thresholds given")
     bad = [eta for eta in etas if not 0 < eta < math.inf]
@@ -279,31 +292,11 @@ def _schedule_stats(data: Dataset, etas: list[float], schedule: RateSchedule):
         raise ValueError(f"schedule branching {schedule.branching} does not match dim {data.dim}")
     cap = schedule.depth_cap(data.n)
     # Leaves reach depth max(1, j_n), so the table has a level below the root.
-    return build_stats(data, max(1, cap), min(etas)), cap
-
-
-def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:
-    """Build statistics to depth min(j_n, j*), threshold at eta, extract the quantizer."""
-    stats, cap = _schedule_stats(data, [eta], schedule)
-    return quantizer_from_stats(stats, eta, schedule.gamma, schedule.beta, depth_cap=cap)
-
-
-def sweep(
-    data: Dataset, etas, schedule: RateSchedule
-) -> list[tuple[float, Quantizer, int, float]]:
-    """Quantizers for several thresholds, reusing one statistics build.
-
-    Returns (eta, quantizer, leaf_count, train_distortion) per eta, in the
-    given order.  Subtrees nest as eta decreases, so leaf counts are
-    nondecreasing along a descending eta list.  ``train_distortion`` is
-    sum_{leaves J} E_J read from the table: no train point is encoded.
-    """
-    etas = [float(e) for e in etas]
-    stats, cap = _schedule_stats(data, etas, schedule)
+    stats = build_stats(data, max(1, cap), min(etas))
     out = []
     for eta in etas:
         q = quantizer_from_stats(stats, eta, schedule.gamma, schedule.beta, depth_cap=cap)
-        out.append((eta, q, len(q.leaves), q.train_distortion))
+        out.append((eta, q, len(q.starts), q.train_distortion))
     return out
 
 

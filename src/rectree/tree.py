@@ -20,8 +20,10 @@ satisfy the exact cardinality bound
 A tree is held as one sorted int64 array of Morton codes per depth
 (Gargantini's linear quadtree, CACM 1982): :func:`smallest_subtree` closes
 a marked set into such levels and :func:`outer_leaves` takes their leaves.
-:class:`CellId`, :class:`Subtree` and the code conversions serve only the
-API and file boundary.
+:class:`CellId` and the code conversions serve only the API boundary: the
+``CellId`` views of a quantizer and of
+:func:`~rectree.reconstruction.threshold_subtree`, which returns a
+subtree as a frozenset of cells.
 """
 
 from __future__ import annotations
@@ -61,29 +63,6 @@ class CellId:
     @property
     def dim(self) -> int:
         return len(self.index)
-
-
-@dataclass(frozen=True)
-class Subtree:
-    """Parent-closed set of cells containing the root."""
-
-    cells: frozenset[CellId]
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(self.cells))
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    @classmethod
-    def from_codes(cls, levels: list[np.ndarray], dim: int) -> "Subtree":
-        """The subtree whose depth-d cells have the Morton codes ``levels[d]``."""
-        cells = [c for d, codes in enumerate(levels) for c in cells_from_codes(d, codes, dim)]
-        return cls(frozenset(cells), dim)
 
 
 def cell_to_code(cell: CellId) -> int:

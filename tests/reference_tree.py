@@ -8,6 +8,10 @@ reading of the definitions:
 
 - ``locate``, ``children``, ``parent`` and ``ancestors`` walk the tree one
   cell at a time;
+- ``Subtree`` holds a parent-closed cell set with its dimension; wrap
+  the frozenset that ``rectree.reconstruction.threshold_subtree``
+  returns as ``Subtree(cells, dim)`` to pass it to ``validate`` or
+  ``outer_leaves``;
 - ``smallest_subtree`` closes a marked set under ``parent``;
 - ``outer_leaves`` takes the children of the subtree not in the subtree;
 - ``lookup`` and ``cells`` read one cell's statistics from a sample or an
@@ -26,11 +30,28 @@ import numpy as np
 from rectree.errors import DepthCapError, DomainError
 from rectree.oracle import oracle_stats
 from rectree.reconstruction import threshold_subtree
-from rectree.tree import CellId, Subtree, cell_to_code, cells_from_codes, default_max_depth
+from rectree.tree import CellId, cell_to_code, cells_from_codes, default_max_depth
 
 
 class StructureError(ValueError):
     """A subtree or partition violates its structural invariants."""
+
+
+@dataclass(frozen=True)
+class Subtree:
+    """Parent-closed set of cells containing the root."""
+
+    cells: frozenset[CellId]
+    dim: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", frozenset(self.cells))
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __iter__(self):
+        return iter(self.cells)
 
 
 def root_cell(dim: int) -> CellId:
@@ -205,7 +226,7 @@ def cell_contains(cell: CellId, point) -> bool:
 
 def approximation_error_from_table(table, eta: float) -> float:
     """Exact expected distortion sum_{leaves} E_I, one table lookup per leaf."""
-    leaves = outer_leaves(threshold_subtree(table, eta))
+    leaves = outer_leaves(Subtree(threshold_subtree(table, eta), table.dim))
     return math.fsum(lookup(table, cell).error for cell in leaves)
 
 
@@ -214,6 +235,6 @@ def leaf_count_bound_monitor(dist, etas) -> list[tuple[float, int, int]]:
     table = oracle_stats(dist)
     rows = []
     for eta in etas:
-        sub = threshold_subtree(table, float(eta))
+        sub = Subtree(threshold_subtree(table, float(eta)), table.dim)
         rows.append((float(eta), len(sub), len(outer_leaves(sub))))
     return rows

@@ -140,7 +140,7 @@ def test_criterion_03_oracle_equivalence():
         for eta in np.exp(rng.uniform(np.log(1e-3), np.log(1.2), size=10)):
             sub_o = threshold_subtree(table_o, float(eta))
             sub_e = threshold_subtree(table, float(eta))
-            assert sub_o.cells == sub_e.cells, f"trial {trial} eta={eta}"
+            assert sub_o == sub_e, f"trial {trial} eta={eta}"
             q_o = quantizer_from_stats(table_o, float(eta))
             q_e = quantizer_from_stats(table, float(eta))
             assert set(q_o.leaves) == set(q_e.leaves)
@@ -177,13 +177,13 @@ def test_criterion_05_degenerate_thresholds():
             data = Dataset(rng.random((int(rng.integers(2, 3000)), dim)))
             table = build_stats(data, 4)
             for eta in (1.0, 1.7):
-                assert threshold_subtree(table, eta).cells == {root_cell(dim)}
+                assert threshold_subtree(table, eta) == {root_cell(dim)}
             fixtures += 1
     for _ in range(10):
         dim = int(rng.integers(1, 3))
         dist, _ = replicated_fixture(rng, dim, max_atoms=16)
         for eta in (1.0, 2.5):
-            assert threshold_subtree(oracle_stats(dist), eta).cells == {root_cell(dim)}
+            assert threshold_subtree(oracle_stats(dist), eta) == {root_cell(dim)}
         fixtures += 1
     report(5, f"eta >= 1 keeps the root-only subtree on {fixtures} fixtures", started)
 

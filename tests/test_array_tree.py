@@ -76,7 +76,7 @@ def reference_codebook_bytes(q, codebook) -> bytes:
 def assert_same_quantizer(stats, eta, cap):
     q = quantizer_from_stats(stats, eta, depth_cap=cap)
     subtree, codebook = reference_leaves(stats, eta, cap)
-    assert threshold_subtree(stats, eta, cap).cells == subtree.cells
+    assert threshold_subtree(stats, eta, cap) == subtree.cells
     assert len(q.leaves) == len(codebook)
     got, want = q.tables(), reference_tables(codebook)
     assert list(got) == list(want)

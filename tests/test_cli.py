@@ -186,6 +186,18 @@ class TestExperimentCommands:
                    "--etas", "0.5,0.125,0.03125", "--output", out) == 0
         assert out.read_text().splitlines()[0] == "eta,approx_error,leaf_count"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["rate-experiment", "--dim", "1", "--n-grid", "2,4", "--holdout-n", "100"],
+         ["approx-trend", "--uniform-atoms", "16", "--etas", "0.1,0.1"]],
+        ids=["rate-experiment", "approx-trend"],
+    )
+    def test_slope_over_one_distinct_x_is_nan_without_a_warning(self, tmp_path, capsys, argv):
+        # ln 2 / 2 == ln 4 / 4 exactly, and the two etas coincide: both rows share x.
+        assert run(*argv, "--output", tmp_path / "out.csv") == 0
+        out, err = capsys.readouterr()
+        assert "fitted_slope=nan ->" in out and err == ""
+
     def test_approx_trend_atoms_isolated_at_the_deepest_depth(self, tmp_path, capsys):
         # Two D = 1 atoms first split at depth 32, the deepest storable one:
         # the subtree is the path to their depth-31 cell, with 33 leaves.
@@ -473,12 +485,26 @@ class TestErrors:
             (["baseline", "--n", "64", "--etas", "0.1 0.2"],
              "--etas '0.1 0.2': '0.1 0.2' is not a number"),
             (["approx-trend", "--etas", "x"], "--etas 'x': 'x' is not a number"),
+            (["sample", "--generator", "uniform_cube", "--dim", "2", "--n", "10", "--seed", "-3"],
+             "seed -3 must be non-negative"),
+            (["rate-experiment", "--n-grid", "128", "--seed", "-1"],
+             "seed -1 must be non-negative"),
+            (["sweep", "--generator", "uniform_cube", "--etas", "0.1", "--seed", "-2"],
+             "seed -2 must be non-negative"),
+            (["baseline", "--dim", "2", "--n", "64", "--etas", "0.1", "--holdout-n", "-5"],
+             "holdout_n -5 must be positive"),
+            (["sweep", "--generator", "uniform_cube", "--etas", "0.1", "--holdout-n", "0"],
+             "holdout_n 0 must be positive"),
+            (["rate-experiment", "--n-grid", "128", "--holdout-n", "0"],
+             "holdout_n 0 must be positive"),
         ],
         ids=["fit-nan", "fit-inf", "fit-zero", "fit-gamma-nan", "fit-gamma-huge", "sweep-nan",
              "baseline-inf", "approx-trend-nan", "rate-constant-nan", "sweep-empty",
              "baseline-empty", "approx-trend-empty", "bounds-one", "bounds-three", "bounds-text",
              "bounds-empty", "bounds-separator", "n-grid-text", "n-grid-float", "sweep-etas",
-             "baseline-etas", "approx-trend-etas"],
+             "baseline-etas", "approx-trend-etas", "sample-seed-negative",
+             "rate-seed-negative", "sweep-seed-negative", "baseline-holdout-negative",
+             "sweep-holdout-zero", "rate-holdout-zero"],
     )
     def test_bad_threshold_is_one_line_error(self, workdir, capsys, argv, message):
         argv = [a.format(train=workdir / "train.rtds") for a in argv]

@@ -68,6 +68,8 @@ class TestSpecs:
             GeneratorSpec("density_cube", 2, density_bounds=(0.0, 1.0))
         with pytest.raises(ValueError):
             GeneratorSpec("uniform_cube", 2, density_bounds=(1.0, 1.0))
+        with pytest.raises(ValueError, match="^seed -3 must be non-negative$"):
+            GeneratorSpec("uniform_cube", 2, seed=-3)
 
     def test_intrinsic_dims(self):
         assert GeneratorSpec("uniform_cube", 5).intrinsic_dim == 5

@@ -58,6 +58,11 @@ class TestRateExperiment:
             small_config(trials=0)
         with pytest.raises(ValueError, match="schedule branching 4 does not match dim 1"):
             small_config(schedule=RateSchedule(4))
+        with pytest.raises(ValueError, match="^seed -1 must be non-negative$"):
+            small_config(seed=-1)
+        for holdout_n in (0, -5):
+            with pytest.raises(ValueError, match=f"^holdout_n {holdout_n} must be positive$"):
+                small_config(holdout_n=holdout_n)
 
     def test_config_holds_one_schedule(self):
         assert small_config().schedule == RateSchedule(2)
@@ -91,6 +96,13 @@ class TestEtaSweepExperiment:
         assert all(a <= b for a, b in zip(leaf_counts, leaf_counts[1:]))
         assert all(a >= b - 1e-15 for a, b in zip(trains, trains[1:]))
         assert all(r[3] > 0 for r in rows)
+
+    @pytest.mark.parametrize("holdout_n", [0, -5])
+    def test_refuses_an_empty_holdout(self, holdout_n):
+        spec = GeneratorSpec("uniform_cube", 1)
+        for run in (run_eta_sweep_experiment, run_baseline_comparison):
+            with pytest.raises(ValueError, match=f"^holdout_n {holdout_n} must be positive$"):
+                run(spec, 64, [0.1], holdout_n=holdout_n)
 
     def test_csv_deterministic(self, tmp_path):
         args = (GeneratorSpec("uniform_cube", 1, seed=9), 500, [0.5, 0.1])
@@ -157,3 +169,13 @@ class TestSlopeFit:
 
     def test_skips_nonpositive(self):
         assert np.isnan(fit_loglog_slope([1.0, 2.0], [0.0, 0.0]))
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.5, 0.5], [1.0, 2.0]),
+        ([0.5, 0.5, 0.5], [1.0, 2.0, 3.0]),
+        ([0.5, 0.5, -1.0], [1.0, 2.0, 3.0]),
+        ([], []),
+    ], ids=["two-equal", "three-equal", "equal-after-skip", "empty"])
+    def test_coinciding_x_gives_nan_without_a_warning(self, x, y):
+        # pytest turns a RuntimeWarning (numpy's 0/0) into an error here.
+        assert np.isnan(fit_loglog_slope(x, y))

@@ -14,6 +14,7 @@ from rectree.tree import CellId, default_max_depth
 
 import reference_tree
 from reference_tree import (
+    Subtree,
     ancestors,
     cell_diameter,
     cells,
@@ -183,12 +184,12 @@ class TestOracleSubtree:
     def test_degenerate_eta(self):
         for seed in range(4):
             d = random_distribution(seed, m=20, dim=2)
-            assert oracle_subtree(d, 1.0).cells == {root_cell(2)}
+            assert oracle_subtree(d, 1.0) == {root_cell(2)}
 
     def test_two_atom_examples(self):
         sub = oracle_subtree(TWO_ATOM, 0.3)
-        assert sub.cells == {root_cell(1)}
-        assert outer_leaves(sub).leaves == {CellId(1, (0,)), CellId(1, (1,))}
+        assert sub == {root_cell(1)}
+        assert outer_leaves(Subtree(sub, 1)).leaves == {CellId(1, (0,)), CellId(1, (1,))}
 
     def test_matches_bruteforce_enumeration(self):
         atoms = np.array([[0.05], [0.30], [0.62], [0.93]])
@@ -196,7 +197,7 @@ class TestOracleSubtree:
         search = isolation_depth(d) + 2
         for eta in (0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.005):
             expected = brute_force_population_subtree(d, eta, search)
-            assert oracle_subtree(d, eta).cells == expected
+            assert oracle_subtree(d, eta) == expected
 
     def test_matches_bruteforce_random(self):
         for seed in (1, 2, 3):
@@ -204,7 +205,7 @@ class TestOracleSubtree:
             search = isolation_depth(d) + 2
             for eta in (0.4, 0.15, 0.05):
                 expected = brute_force_population_subtree(d, eta, search)
-                assert oracle_subtree(d, eta).cells == expected
+                assert oracle_subtree(d, eta) == expected
 
     def test_rejects_nonfinite_or_nonpositive_eta(self):
         for eta in (0.0, -1.0, math.nan, math.inf):
@@ -301,13 +302,13 @@ class TestArrayLeafErrors:
             expected = reference_tree.approximation_error_from_table(table, eta)
             assert quantizer_from_stats(table, eta).train_distortion == expected
             assert row_eta == eta and error == expected
-            assert leaf_count == len(outer_leaves(oracle_subtree(dist, eta)))
+            assert leaf_count == len(outer_leaves(Subtree(oracle_subtree(dist, eta), dist.dim)))
 
     def test_empty_leaves_add_nothing(self):
         # two atoms in one depth-1 quadrant: the other three quadrants are empty leaves
         dist = DiscreteDistribution(np.array([[0.1, 0.1], [0.3, 0.2]]), np.array([0.5, 0.5]))
         table = oracle_stats(dist)
-        leaves = outer_leaves(oracle_subtree(dist, 2.0))
+        leaves = outer_leaves(Subtree(oracle_subtree(dist, 2.0), 2))
         assert sum(lookup(table, cell).mass == 0 for cell in leaves) == 3
         assert quantizer_from_stats(table, 2.0).train_distortion == (
             reference_tree.approximation_error_from_table(table, 2.0)
@@ -330,7 +331,7 @@ class TestOracleEmpiricalEquivalence:
         for eta in (0.7, 0.31, 0.11, 0.042, 0.013):
             sub_o = threshold_subtree(table_o, eta)
             sub_e = threshold_subtree(table_e, eta)
-            assert sub_o.cells == sub_e.cells
+            assert sub_o == sub_e
             q_o = quantizer_from_stats(table_o, eta)
             q_e = quantizer_from_stats(table_e, eta)
             assert set(q_o.leaves) == set(q_e.leaves)

@@ -80,26 +80,26 @@ class TestThresholdSubtree:
     def test_two_point_mark_root(self):
         table = build_stats(TWO_POINT, 3)
         sub = threshold_subtree(table, 0.3)
-        assert sub.cells == {root_cell(1)}
+        assert type(sub) is frozenset and sub == {root_cell(1)}
 
     def test_two_point_nothing_marked(self):
         table = build_stats(TWO_POINT, 3)
         sub = threshold_subtree(table, 0.5)
-        assert sub.cells == {root_cell(1)}
+        assert sub == {root_cell(1)}
 
     def test_inclusive_tie(self):
         # both points in the left half; the gain of cell (1,(0)) is exactly 0.125
         data = Dataset(np.array([[0.125], [0.375]]))
         table = build_stats(data, 3)
         tied = threshold_subtree(table, 0.125)
-        assert CellId(1, (0,)) in tied.cells
+        assert CellId(1, (0,)) in tied
         above = threshold_subtree(table, np.nextafter(0.125, 1.0))
-        assert above.cells == {root_cell(1)}
+        assert above == {root_cell(1)}
 
     def test_degenerate_threshold(self):
         for seed in range(5):
             table = build_stats(uniform_data(seed, 400, 2), 4)
-            assert threshold_subtree(table, 1.0).cells == {root_cell(2)}
+            assert threshold_subtree(table, 1.0) == {root_cell(2)}
 
     @given(st.integers(0, 10**9), st.floats(0.01, 0.5), st.floats(1.0, 4.0))
     @settings(max_examples=40, deadline=None)
@@ -107,7 +107,7 @@ class TestThresholdSubtree:
         table = build_stats(uniform_data(seed, 300, 1), 6)
         small = threshold_subtree(table, eta1)
         large = threshold_subtree(table, eta1 * factor)
-        assert large.cells <= small.cells
+        assert large <= small
 
     def test_rejects_nonpositive_eta(self):
         table = build_stats(TWO_POINT, 2)
@@ -290,6 +290,15 @@ class TestSweep:
                 assert np.array_equal(q.codebook[cell], single.codebook[cell])
             assert leaf_count == len(q.leaves)
             assert train == pytest.approx(empirical_distortion(single, data), rel=1e-12, abs=0)
+
+    def test_fit_is_the_one_threshold_sweep(self):
+        data = uniform_data(4, 1200, 1)
+        schedule = RateSchedule(branching=2)
+        q = fit(data, 1, schedule)
+        ((eta, swept, leaf_count, train),) = sweep(data, [1], schedule)
+        assert type(q.threshold) is float and q.threshold == eta == 1.0
+        assert np.array_equal(q.starts, swept.starts) and np.array_equal(q.vectors, swept.vectors)
+        assert leaf_count == len(q.starts) == len(q.leaves) and train == q.train_distortion
 
     def test_monotonicity(self):
         data = uniform_data(9, 1500, 2)

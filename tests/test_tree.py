@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectree.errors import DepthCapError, DomainError
-from rectree.tree import CellId, Subtree, cell_to_code, cells_from_codes, default_max_depth
+from rectree.tree import CellId, cell_to_code, cells_from_codes, default_max_depth
 
 from reference_tree import (
     StructureError,
+    Subtree,
     ancestors,
     cell_contains,
     cell_diameter,
