@@ -14,7 +14,11 @@ list of thresholds: :func:`sweep` builds it once, for the smallest eta,
 and :func:`fit` is the sweep over one threshold.  The path runs on sorted
 Morton-code arrays, one per depth, and a :class:`Quantizer` holds its
 leaves as sorted runs of deepest-level codes, so a leaf count is
-``len(q.starts)``.  :func:`encode` and :func:`decode` speak (depth,
+``len(q.starts)``.  A point's or a leaf's row is found through one
+bucketed lookup: a table over the cells of a coarser depth k gives the
+row wherever one run starts in the cell, and only codes in a cell that
+several runs share are searched among the run starts.  :func:`encode`
+and :func:`decode` speak (depth,
 lattice index) arrays, the form of the codebook file and the ``rectree
 encode``/``decode`` CSVs.  ``CellId`` appears only in views built on
 request: the frozenset that :func:`threshold_subtree` returns and a
@@ -53,6 +57,9 @@ from .tree import CellId, cells_from_codes, default_max_depth, outer_leaves, sma
 
 CODEBOOK_FORMAT = "rectree-codebook"
 CODEBOOK_VERSION = 1
+
+# Most cells in a Quantizer's leaf-lookup table: 2 MB of int64 rows.
+_TABLE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,13 @@ class Quantizer:
     The leaves tile the cube exactly when their runs abut from 0 to
     2**(dim m): no duplicate, no leaf inside another, and no gap.  The
     constructor checks this, so a point's leaf is the last run starting
-    at or below its depth-m code.
+    at or below its depth-m code.  ``assign`` and ``decode`` find it with
+    one gather from a table over the depth-k cells, k <= m: a cell that
+    one run starts in, or that lies inside a shallower leaf, holds that
+    leaf's row; only a code in a cell shared by several runs (all deeper
+    than k) is searched among the run starts.  k is the deepest depth
+    whose table has at most min(2**18, 16 n) cells for n codes, and 0
+    (search every code, no table) when n is below the leaf count.
     """
 
     dim: int
@@ -198,18 +211,38 @@ class Quantizer:
         """The leaves as a set of CellIds."""
         return self.codebook.keys()
 
-    def assign(self, points: np.ndarray) -> np.ndarray:
-        """Leaf row of each point: the run holding its depth-m code (one encode, one search)."""
+    def assign(self, points) -> np.ndarray:
+        """Leaf row of each point: the run holding its depth-m code (one encode, one lookup)."""
+        points = np.asarray(points)
         if points.ndim != 2 or points.shape[1] != self.dim:
-            raise ValueError(f"point dim {points.shape[-1]} != quantizer dim {self.dim}")
+            raise ValueError(f"points must be (n, {self.dim}), got shape {points.shape}")
         deep = kernels.morton_encode(points, self.deepest)
-        # The leaves tile the cube; a point outside it has code -1, below every run.
-        rows = np.searchsorted(self.starts, deep, side="right") - 1
-        if np.any(rows < 0):
+        # The leaves tile the cube; a point outside it has code -1.
+        if deep.min(initial=0) < 0:
             raise DomainError(f"some points lie outside [0, 1)^{self.dim}")
+        return self._rows(deep)
+
+    def _rows(self, codes: np.ndarray) -> np.ndarray:
+        """Row of the run holding each depth-m code in 0..2**(dim m) - 1."""
+        n, leaves = codes.shape[0], self.starts.shape[0]
+        bits = min(_TABLE_CELLS, 16 * n).bit_length() - 1
+        depth = 0 if n < leaves else min(self.deepest, bits // self.dim)
+        if depth == 0:  # the one cell holds every run: search each code
+            return np.searchsorted(self.starts, codes, side="right") - 1
+        shift = self.dim * (self.deepest - depth)
+        cells = self.starts >> shift
+        heads = np.flatnonzero(np.diff(cells, prepend=-1))
+        # A head's row fills its own cell and the cells of a shallower leaf
+        # after it; a cell whose run holds several leaves gets -1.
+        shared = np.diff(heads, append=leaves) > 1
+        spans = np.diff(cells[heads], append=1 << self.dim * depth)
+        rows = np.take(np.repeat(np.where(shared, -1, heads), spans), codes >> shift)
+        if shared.any():
+            search = np.flatnonzero(rows < 0)
+            rows[search] = np.searchsorted(self.starts, codes[search], side="right") - 1
         return rows
 
-    def reconstruct(self, points: np.ndarray) -> np.ndarray:
+    def reconstruct(self, points) -> np.ndarray:
         """Code vector of the leaf containing each point."""
         return np.take(self.vectors, self.assign(points), axis=0)
 
@@ -318,7 +351,7 @@ def decode(q: Quantizer, depths, index) -> np.ndarray:
     if index.shape != (depths.shape[0], q.dim):
         raise ValueError(f"index shape {index.shape} != ({depths.shape[0]}, {q.dim})")
     start = _lower_corners(depths, index, q.deepest)
-    rows = np.minimum(np.searchsorted(q.starts, start), q.starts.shape[0] - 1)
+    rows = q._rows(start)
     bad = np.flatnonzero((q.starts[rows] != start) | (q.depths[rows] != depths))
     if bad.size:
         i = bad[0]

@@ -16,7 +16,9 @@ reading of the definitions:
 - ``outer_leaves`` takes the children of the subtree not in the subtree;
 - ``lookup`` and ``cells`` read one cell's statistics from a sample or an
   oracle table, with the count-0 statistics of an empty cell;
-- ``approximation_error_from_table`` sums the oracle error of each leaf.
+- ``approximation_error_from_table`` sums the oracle error of each leaf;
+- ``run_table_rows`` finds the leaf run holding each code with one binary
+  search per code, the lookup a ``Quantizer``'s bucketed table replaces.
 """
 
 from __future__ import annotations
@@ -228,6 +230,11 @@ def approximation_error_from_table(table, eta: float) -> float:
     """Exact expected distortion sum_{leaves} E_I, one table lookup per leaf."""
     leaves = outer_leaves(Subtree(threshold_subtree(table, eta), table.dim))
     return math.fsum(lookup(table, cell).error for cell in leaves)
+
+
+def run_table_rows(starts: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Row of the last run starting at or below each code (-1 below the first)."""
+    return np.searchsorted(starts, codes, side="right") - 1
 
 
 def leaf_count_bound_monitor(dist, etas) -> list[tuple[float, int, int]]:

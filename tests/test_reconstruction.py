@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,7 @@ from rectree.reconstruction import (
 from rectree.stats import Dataset, build_stats
 from rectree.tree import CellId
 
-from reference_tree import cube_center, root_cell
+from reference_tree import cube_center, root_cell, run_table_rows
 
 TWO_POINT = Dataset(np.array([[0.1], [0.9]]))
 
@@ -247,8 +248,28 @@ class TestEncodeDecode:
         points = np.full((4, width), 0.3)
         for call in (lambda: encode(q, points), lambda: q.assign(points),
                      lambda: empirical_distortion(q, Dataset(points))):
-            with pytest.raises(ValueError, match=f"point dim {width} != quantizer dim 2"):
+            with pytest.raises(ValueError, match=re.escape(f"must be (n, 2), got shape (4, {width})")):
                 call()
+
+    @pytest.mark.parametrize("points, shape", [
+        (np.zeros(3), "(3,)"),
+        (np.zeros((2, 3, 1)), "(2, 3, 1)"),
+        (np.zeros((2, 2)), "(2, 2)"),
+        ([0.1, 0.2, 0.3], "(3,)"),
+        (0.5, "()"),
+    ])
+    def test_shape_error_names_the_shape(self, points, shape):
+        q = fit(uniform_data(1, 800, 3), 0.05, RateSchedule(branching=8))
+        for call in (q.assign, q.reconstruct):
+            with pytest.raises(ValueError) as info:
+                call(points)
+            assert str(info.value) == f"points must be (n, 3), got shape {shape}"
+
+    def test_assign_takes_a_list(self):
+        q = fit(uniform_data(1, 800, 3), 0.05, RateSchedule(branching=8))
+        points = [[0.1, 0.2, 0.3], [0.9, 0.5, 0.0]]
+        assert np.array_equal(q.assign(points), q.assign(np.array(points)))
+        assert np.array_equal(q.reconstruct(points), q.reconstruct(np.array(points)))
 
     def test_asymmetric_depths(self):
         # all data on the left: the left side splits deeper than the right
@@ -256,6 +277,113 @@ class TestEncodeDecode:
         q = fit(data, 0.02, RateSchedule(branching=2))
         depths, _ = encode(q, np.array([[0.1], [0.9]]))
         assert depths[0] > depths[1]
+
+
+@st.composite
+def tilings(draw, dims=(1, 2, 3)):
+    """A quantizer whose leaves come from random splits, with cube-center code vectors.
+
+    Each split replaces a leaf by its 2**dim children; splitting a newest
+    child again grows one path deep, so runs of several deep leaves share
+    the cells of the lookup table's coarser depth.
+    """
+    dim = draw(st.sampled_from(dims))
+    top = {1: 24, 2: 11, 3: 8}[dim]
+    leaves = [(0, 0)]
+    for _ in range(draw(st.integers(0, 12 if dim == 3 else 24))):
+        open_ = [i for i, (depth, _) in enumerate(leaves) if depth < top]
+        if not open_:
+            break
+        newest = draw(st.booleans())
+        i = open_[-1] if newest else open_[draw(st.integers(0, len(open_) - 1))]
+        depth, code = leaves.pop(i)
+        leaves += [(depth + 1, code << dim | j) for j in range(1 << dim)]
+    tables = {}
+    for depth in sorted({depth for depth, _ in leaves}):
+        codes = np.array(sorted(c for d, c in leaves if d == depth), dtype=np.int64)
+        centers = (kernels.morton_decode(codes, depth, dim) + 0.5) * 2.0**-depth
+        tables[depth] = (codes, centers)
+    return Quantizer.from_tables(dim, tables, threshold=0.1, depth_cap=top)
+
+
+def leaf_cells(q):
+    """(depths, lattice indices) of every leaf, in row order."""
+    index = kernels.morton_decode(q.starts, q.deepest, q.dim) >> (q.deepest - q.depths[:, None])
+    return q.depths.astype(np.int64), index
+
+
+class TestLeafLookup:
+    """``assign`` and ``decode`` find the same rows as one binary search per code."""
+
+    @given(q=tilings(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_assign_matches_the_run_table_search(self, q, data):
+        leaves = len(q.starts)
+        # Batches from empty through below, at and far above the leaf count.
+        n = data.draw(st.sampled_from([0, 1, leaves - 1, leaves, 4 * leaves, 5000]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        depths, index = leaf_cells(q)
+        picks = rng.integers(0, leaves, n)
+        corners = index[picks] * 2.0 ** -depths[picks, None]
+        points = np.where(rng.random((n, q.dim)) < 0.5, rng.random((n, q.dim)), corners)
+        points[rng.random((n, q.dim)) < 0.05] = np.nextafter(1.0, 0.0)
+        rows = q.assign(points)
+        assert rows.dtype == np.int64 and rows.shape == (n,)
+        assert np.array_equal(rows, run_table_rows(q.starts, kernels.morton_encode(points, q.deepest)))
+        assert np.array_equal(q.reconstruct(points), q.vectors[rows])
+        if n:
+            bad = data.draw(st.sampled_from([1.0, -1e-300, np.nan, 2.0, np.inf, -np.inf]))
+            points[rng.integers(n), rng.integers(q.dim)] = bad
+            for call in (q.assign, q.reconstruct):
+                with pytest.raises(DomainError, match=r"some points lie outside \[0, 1\)\^"):
+                    call(points)
+
+    @given(q=tilings(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_decode_matches_the_run_table_search(self, q, data):
+        leaves = len(q.starts)
+        n = data.draw(st.sampled_from([0, 1, leaves - 1, leaves, 4 * leaves, 5000]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        leaf_depths, leaf_index = leaf_cells(q)
+        picks = rng.integers(0, leaves, n)
+        depths, index = leaf_depths[picks], leaf_index[picks]
+        assert np.array_equal(decode(q, depths, index), q.vectors[picks])
+        if n:
+            # Move a few rows to a random cell of a nearby depth; the error
+            # names the first row that is no leaf, if any is.
+            i = rng.integers(n, size=data.draw(st.integers(1, 3)))
+            depths[i] = np.clip(depths[i] + rng.choice([-1, 1, 2], i.size), 0, q.depth_cap + 1)
+            index[i] = rng.integers(0, 1 << depths[i, None], (i.size, q.dim))
+            start = kernels.morton_encode(index * 2.0 ** -depths[:, None], q.deepest)
+            ref = run_table_rows(q.starts, start)
+            bad = np.flatnonzero((q.starts[ref] != start) | (q.depths[ref] != depths))
+            if bad.size:
+                j = bad[0]
+                with pytest.raises(ValueError) as info:
+                    decode(q, depths, index)
+                assert str(info.value) == (f"row {j}: depth {depths[j]} index "
+                                           f"{index[j].tolist()} is not a leaf of this quantizer")
+            else:
+                assert np.array_equal(decode(q, depths, index), q.vectors[ref])
+
+    @pytest.mark.parametrize("dim", [19, 20])
+    def test_root_leaf_in_high_dimension(self, dim):
+        q = Quantizer.from_tables(dim, {0: (np.array([0]), np.full((1, dim), 0.5))},
+                                  threshold=0.1, depth_cap=0)
+        points = np.random.default_rng(dim).random((3000, dim))
+        points[0] = np.nextafter(1.0, 0.0)
+        points[1] = 0.0
+        assert np.array_equal(q.assign(points), np.zeros(3000, np.int64))
+        assert np.array_equal(decode(q, [0, 0], np.zeros((2, dim), np.int64)), np.full((2, dim), 0.5))
+        assert q.assign(np.empty((0, dim))).shape == (0,)
+        assert decode(q, np.empty(0, np.int64), np.empty((0, dim), np.int64)).shape == (0, dim)
+        for bad in (1.0, -1e-300, np.nan):
+            points[5, 7] = bad
+            with pytest.raises(DomainError):
+                q.assign(points)
+        with pytest.raises(ValueError, match=r"row 1: depth 1 index \[0(, 0)*\] is not a leaf"):
+            decode(q, [0, 1], np.zeros((2, dim), np.int64))
 
 
 class TestDistortion:
