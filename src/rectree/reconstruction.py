@@ -24,6 +24,14 @@ encode``/``decode`` CSVs.  ``CellId`` appears only in views built on
 request: the frozenset that :func:`threshold_subtree` returns and a
 quantizer's ``leaves``/``codebook``.
 
+The codebook file (:func:`save_codebook`, format version 2) holds the
+subtree and only the leaves whose code vector is not their cube center,
+as flat (depth, index) arrays: every other outer leaf of the subtree is
+implied, so a fit's file grows with its subtree and its nonempty leaves,
+not with its (a - 1)|S| + 1 leaves.  :func:`load_codebook` builds the
+quantizer with the leaf builder of :func:`quantizer_from_stats`, and
+still reads version 1 files, which list every leaf.
+
 The data-driven run couples the threshold and the truncation depth to the
 sample size n:
 
@@ -46,6 +54,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +65,7 @@ from .stats import Dataset, StatsTable, build_stats
 from .tree import CellId, cells_from_codes, default_max_depth, outer_leaves, smallest_subtree
 
 CODEBOOK_FORMAT = "rectree-codebook"
-CODEBOOK_VERSION = 1
+CODEBOOK_VERSION = 2
 
 # Most cells in a Quantizer's leaf-lookup table: 2 MB of int64 rows.
 _TABLE_CELLS = 1 << 18
@@ -280,21 +289,39 @@ def quantizer_from_stats(
     train distortion is the sum of the stored leaves' E_J; an empty one adds 0.
     """
     cap = stats.depth_cap if depth_cap is None else depth_cap
-    tables, errors = {}, []
-    for depth, codes in outer_leaves(_subtree_levels(stats, eta, cap), stats.dim).items():
+    errors = []
+
+    def stored(depth, codes):
         lv = stats.level(depth)
         rows = lv.rows(codes)
-        stored = rows >= 0
-        vectors = np.empty((codes.shape[0], stats.dim))
-        vectors[stored] = lv.centers[rows[stored]]
-        # Empty leaves get their cube center.
-        empty = kernels.morton_decode(codes[~stored], depth, stats.dim)
-        vectors[~stored] = (empty + 0.5) * 2.0 ** (-depth)
-        tables[depth] = (codes, vectors)
-        errors.append(lv.errors[rows[stored]])
-    q = Quantizer.from_tables(stats.dim, tables, eta, cap, gamma, beta)
+        have = rows >= 0
+        errors.append(lv.errors[rows[have]])
+        return have, lv.centers[rows[have]]
+
+    leaves = outer_leaves(_subtree_levels(stats, eta, cap), stats.dim)
+    q = _outer_leaf_quantizer(stats.dim, leaves, stored, eta, cap, gamma, beta)
     q.train_distortion = math.fsum(np.concatenate(errors).tolist())
     return q
+
+
+def _outer_leaf_quantizer(dim: int, leaves: dict[int, np.ndarray], given, threshold: float,
+                          depth_cap: int, gamma: float | None = None,
+                          beta: float | None = None) -> Quantizer:
+    """The quantizer on a subtree's outer leaves, with given or cube-center code vectors.
+
+    ``leaves`` holds the sorted leaf codes per depth (:func:`outer_leaves`).
+    ``given(depth, codes)`` takes one depth's codes and returns a mask of
+    the leaves that have a code vector and those vectors in code order;
+    every other leaf gets its cube center (index + 0.5) 2**-depth.
+    """
+    tables = {}
+    for depth, codes in leaves.items():
+        have, vectors = given(depth, codes)
+        table = np.empty((codes.shape[0], dim))
+        table[have] = vectors
+        table[~have] = (kernels.morton_decode(codes[~have], depth, dim) + 0.5) * 2.0 ** -depth
+        tables[depth] = (codes, table)
+    return Quantizer.from_tables(dim, tables, threshold, depth_cap, gamma, beta)
 
 
 def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:
@@ -334,8 +361,12 @@ def sweep(
 
 
 def encode(q: Quantizer, points) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf of each point as (depths, lattice indices): int64 arrays (n,) and (n, dim)."""
-    points = Dataset(points).points
+    """Leaf of each point as (depths, lattice indices): int64 arrays (n,) and (n, dim).
+
+    The points go through :meth:`Quantizer.assign` alone, so an empty batch
+    gives empty arrays and a point outside [0, 1)^dim is a DomainError.
+    """
+    points = np.asarray(points, dtype=np.float64)
     depths = q.depths[q.assign(points)].astype(np.int64)
     # Scaling by 2**d is exact, so this is floor(x 2**d), the leaf's index.
     return depths, np.floor(points * 2.0 ** depths[:, None]).astype(np.int64)
@@ -344,12 +375,16 @@ def encode(q: Quantizer, points) -> tuple[np.ndarray, np.ndarray]:
 def decode(q: Quantizer, depths, index) -> np.ndarray:
     """Code vectors of the leaves given as (depth, lattice index) rows.
 
-    ValueError naming the first row that is no cell or no leaf of ``q``.
+    TypeError unless every depth and index is an integer; ValueError if
+    the shapes are not (n,) and (n, dim), or naming the first row that is
+    no cell or no leaf of ``q``.
     """
-    depths = np.asarray(depths, dtype=np.int64)
-    index = np.asarray(index, dtype=np.int64)
+    depths = _integers(depths, "depths")
+    index = _integers(index, "index")
+    if depths.ndim != 1:
+        raise ValueError(f"depths must be (n,), got shape {depths.shape}")
     if index.shape != (depths.shape[0], q.dim):
-        raise ValueError(f"index shape {index.shape} != ({depths.shape[0]}, {q.dim})")
+        raise ValueError(f"index must be ({depths.shape[0]}, {q.dim}), got shape {index.shape}")
     start = _lower_corners(depths, index, q.deepest)
     rows = q._rows(start)
     bad = np.flatnonzero((q.starts[rows] != start) | (q.depths[rows] != depths))
@@ -367,24 +402,46 @@ def empirical_distortion(q: Quantizer, data: Dataset) -> float:
 
 
 def save_codebook(q: Quantizer, path) -> None:
-    """Write the versioned JSON codebook, leaves sorted by (depth, index).
+    """Write the JSON codebook v2: the subtree, and the leaves off their cube center.
 
-    The file has the fixed v1 layout of ``json.dumps(doc, indent=2)``
-    plus a newline, and a test pins it byte for byte.  The header goes
-    through ``json``; each leaf is one %-template per dim, ``%d`` for the
-    integers and ``%r`` for the code values, since ``float.__repr__`` is
-    what ``json`` writes for a finite float: the shortest decimal that
-    parses back to the same double.  ValueError, and no file, if a code
-    vector is not finite.
+    Next to the header (``format``, ``version``, ``dim``, ``eta``,
+    ``gamma``, ``beta``, ``depth_cap``) the file holds two blocks of
+    parallel arrays, each in (depth, index) order:
+
+    * ``subtree``: ``depth`` and ``index`` of the strict ancestors of the
+      leaves; empty when the one leaf is the root;
+    * ``leaves``: ``depth``, ``index`` and ``code`` of the leaves whose
+      code vector differs, bit for bit, from the cube center
+      (index + 0.5) 2**-depth.  Every other outer leaf of the subtree is
+      implied and decodes to its cube center.
+
+    So a fit's file grows with its subtree and its nonempty leaves, not
+    with its (a - 1)|S| + 1 leaves.  Floats go through ``.tolist()`` and
+    ``json``, which writes ``float.__repr__``: the shortest decimal that
+    parses back to the same double, so a load gives the quantizer bit for
+    bit.  ValueError, and no file, if a code vector is not finite, naming
+    its row among all leaves in (depth, index) order.
     """
-    index = kernels.morton_decode(q.starts, q.deepest, q.dim) >> (q.deepest - q.depths[:, None])
-    order = np.lexsort([*index.T[::-1], q.depths])
-    vectors = q.vectors[order]
-    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"codebook {path} row {i}: code {vectors[i].tolist()} is not finite")
-    head = json.dumps({
+    depths = q.depths.astype(np.int64)
+    index = kernels.morton_decode(q.starts, q.deepest, q.dim) >> (q.deepest - depths[:, None])
+    bad = ~np.isfinite(q.vectors).all(axis=1)
+    if bad.any():
+        order = np.lexsort([*index.T[::-1], depths])
+        i = np.flatnonzero(bad[order])[0]
+        raise ValueError(f"codebook {path} row {i}: code {q.vectors[order[i]].tolist()} "
+                         "is not finite")
+    # A cube center is positive, so != between finite doubles is a bit compare.
+    off = (q.vectors != (index + 0.5) * 2.0 ** -depths[:, None]).any(axis=1)
+    sub_depths, sub_index = [depths[:0]], [index[:0]]
+    for d in range(q.deepest):
+        # The depth-d subtree cells are the depth-d cells of the deeper leaves.
+        codes = q.starts[q.depths > d] >> q.dim * (q.deepest - d)
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        sub_depths.append(np.full(codes.shape[0], d))
+        sub_index.append(kernels.morton_decode(codes, d, q.dim))
+    subtree = _file_order(np.concatenate(sub_depths), np.concatenate(sub_index))
+    leaves = _file_order(depths[off], index[off], q.vectors[off])
+    doc = {
         "format": CODEBOOK_FORMAT,
         "version": CODEBOOK_VERSION,
         "dim": q.dim,
@@ -392,24 +449,22 @@ def save_codebook(q: Quantizer, path) -> None:
         "gamma": q.gamma,
         "beta": q.beta,
         "depth_cap": q.depth_cap,
-    }, indent=2)
-    entries = ",\n        ".join
-    leaf = ('    {\n      "depth": %d,\n'
-            f'      "index": [\n        {entries(["%d"] * q.dim)}\n      ],\n'
-            f'      "code": [\n        {entries(["%r"] * q.dim)}\n      ]\n    }}')
-    rows = zip(q.depths[order].tolist(), index[order].tolist(), vectors.tolist())
+        "subtree": dict(zip(("depth", "index"), subtree)),
+        "leaves": dict(zip(("depth", "index", "code"), leaves)),
+    }
+    text = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items())
     with open(path, "w", encoding="utf-8") as fh:
-        # The header's closing "\n}" moves after the leaves.
-        fh.write(head[:-2] + ',\n  "leaves": [\n')
-        sep = ""
-        for depth, idx, code in rows:
-            fh.write(sep + leaf % (depth, *idx, *code))
-            sep = ",\n"
-        fh.write("\n  ]\n}\n")
+        fh.write("{\n" + text + "\n}\n")
+
+
+def _file_order(depths: np.ndarray, index: np.ndarray, *rest: np.ndarray) -> list[list]:
+    """The arrays as lists, rows sorted by (depth, index)."""
+    order = np.lexsort([*index.T[::-1], depths])
+    return [array[order].tolist() for array in (depths, index, *rest)]
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; TypeError unless every entry is a JSON integer."""
+    """``values`` as an int64 array; TypeError unless every entry is an integer."""
     array = np.array(values)
     if array.size and array.dtype.kind != "i":
         raise TypeError(f"{what} must be integers")
@@ -433,20 +488,61 @@ def _lower_corners(depths: np.ndarray, index: np.ndarray, deepest: int) -> np.nd
     return kernels.morton_encode(index * 2.0 ** -depths[:, None], deepest)
 
 
+@contextmanager
+def _malformed(path):
+    """Report a parse error of the codebook at ``path`` as one ValueError line."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed codebook {path}: {type(exc).__name__} {exc}") from None
+
+
 def load_codebook(path) -> Quantizer:
-    """Read a codebook; ValueError unless it is well formed and its leaves tile the cube."""
+    """Read a codebook file: version 2 as :func:`save_codebook` writes it, or version 1.
+
+    A v1 file lists every leaf as one ``{"depth", "index", "code"}``
+    object.  A v2 file's quantizer is built as :func:`quantizer_from_stats`
+    builds a fit's: the outer leaves of the subtree, with the listed code
+    vectors and cube centers elsewhere.  ValueError, naming the file and
+    the problem in one line, unless the file is well formed and its leaves
+    tile the cube.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != CODEBOOK_FORMAT:
         raise ValueError(f"not a codebook file: {path}")
-    if doc.get("version") != CODEBOOK_VERSION:
-        raise ValueError(f"unsupported codebook version {doc.get('version')}")
-    missing = [key for key in ("dim", "eta", "depth_cap", "leaves") if key not in doc]
-    if missing or not doc["leaves"]:
-        raise ValueError(f"codebook {path} lacks {', '.join(missing) or 'leaves'}")
-    rows = doc["leaves"]
-    try:
+    version = doc.get("version")
+    if version == 1:
+        return _load_v1(doc, path)
+    if version == CODEBOOK_VERSION:
+        return _load_v2(doc, path)
+    raise ValueError(f"unsupported codebook version {version}")
+
+
+def _header(doc: dict, path, blocks: tuple[str, ...]):
+    """(dim, eta, depth_cap, gamma, beta) of a codebook that has every key of ``blocks``."""
+    missing = [key for key in ("dim", "eta", "depth_cap", *blocks) if key not in doc]
+    if missing:
+        raise ValueError(f"codebook {path} lacks {', '.join(missing)}")
+    with _malformed(path):
         dim = int(_integers(doc["dim"], "dim"))
+        eta, cap = float(doc["eta"]), int(_integers(doc["depth_cap"], "depth_cap"))
+        gamma, beta = (None if doc.get(k) is None else float(doc[k]) for k in ("gamma", "beta"))
+    if dim < 1:
+        raise ValueError(f"codebook dim {dim} is not positive")
+    if not 0 < eta < math.inf or cap < 0:
+        raise ValueError(f"codebook {path}: needs a finite eta > 0 and a depth_cap >= 0, "
+                         f"not {eta} and {cap}")
+    return dim, eta, cap, gamma, beta
+
+
+def _load_v1(doc: dict, path) -> Quantizer:
+    """The quantizer of a v1 file, whose leaves are listed one object each."""
+    dim, eta, cap, gamma, beta = _header(doc, path, ("leaves",))
+    rows = doc["leaves"]
+    if not rows:
+        raise ValueError(f"codebook {path} lacks leaves")
+    with _malformed(path):
         short = [i for i, r in enumerate(rows) if len(r["index"]) != dim or len(r["code"]) != dim]
         if not short:
             depths = _integers([row["depth"] for row in rows], "leaf depths")
@@ -454,21 +550,9 @@ def load_codebook(path) -> Quantizer:
             index = index.reshape(len(rows), dim)
             vectors = np.array([row["code"] for row in rows], dtype=np.float64)
             vectors = vectors.reshape(len(rows), dim)
-            eta, cap = float(doc["eta"]), int(_integers(doc["depth_cap"], "depth_cap"))
-            gamma, beta = (None if doc.get(k) is None else float(doc[k]) for k in ("gamma", "beta"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed codebook {path}: {type(exc).__name__} {exc}") from None
     if short:
         raise ValueError(f"codebook row {short[0]}: index and code need {dim} entries each")
-    if dim < 1:
-        raise ValueError(f"codebook dim {dim} is not positive")
-    if not 0 < eta < math.inf or cap < 0:
-        raise ValueError(f"codebook {path}: needs a finite eta > 0 and a depth_cap >= 0, "
-                         f"not {eta} and {cap}")
-    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"codebook {path} row {i}: code {vectors[i].tolist()} is not finite")
+    _check_finite(vectors, f"codebook {path} row")
     deepest = int(depths.max())
     try:
         start = _lower_corners(depths, index, deepest)
@@ -480,3 +564,101 @@ def load_codebook(path) -> Quantizer:
                          eta, cap, gamma, beta)
     except ValueError as exc:
         raise ValueError(f"codebook {path}: {exc}") from None
+
+
+def _check_finite(vectors: np.ndarray, what: str) -> None:
+    """ValueError naming the first row of ``vectors`` that is not finite, if one is."""
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{what} {i}: code {vectors[i].tolist()} is not finite")
+
+
+def _load_v2(doc: dict, path) -> Quantizer:
+    """The quantizer of a v2 file: its subtree's outer leaves, listed or at their cube centers."""
+    dim, eta, cap, gamma, beta = _header(doc, path, ("subtree", "leaves"))
+    sub_depths, sub_index = _block(doc, path, "subtree", ("depth", "index"), dim)
+    leaf_depths, leaf_index, vectors = _block(doc, path, "leaves", ("depth", "index", "code"), dim)
+    _check_finite(vectors, f"codebook {path} leaves row")
+    sub_codes = _cell_codes(path, "subtree", sub_depths, sub_index)
+    leaf_codes = _cell_codes(path, "leaves", leaf_depths, leaf_index)
+
+    def refuse(block, mask, problem):
+        depths, index = (sub_depths, sub_index) if block == "subtree" else (leaf_depths, leaf_index)
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"codebook {path} {block} row {i}: depth {depths[i]} "
+                             f"index {index[i].tolist()} {problem}")
+
+    top = default_max_depth(dim)
+    refuse("subtree", sub_depths >= top, f"has children deeper than {top}")
+    if sub_depths.size and not (sub_depths == 0).any():
+        raise ValueError(f"codebook {path} subtree lacks the root")
+    refuse("subtree", _repeats(sub_depths, sub_codes), "is listed twice")
+    levels = [np.unique(sub_codes[sub_depths == d]) for d in range(sub_depths.max(initial=-1) + 1)]
+    refuse("subtree", (sub_depths > 0) & ~_in_levels(dict(enumerate(levels)), sub_depths - 1,
+                                                     sub_codes >> dim),
+           "has no parent in the subtree")
+    # With no subtree the one leaf is the root.
+    leaves = outer_leaves(levels, dim) if levels else {0: np.zeros(1, np.int64)}
+    refuse("leaves", ~_in_levels(leaves, leaf_depths, leaf_codes),
+           "is not an outer leaf of the subtree")
+    refuse("leaves", _repeats(leaf_depths, leaf_codes), "is listed twice")
+
+    def listed(depth, codes):
+        at = leaf_depths == depth
+        return np.isin(codes, leaf_codes[at]), vectors[at][np.argsort(leaf_codes[at])]
+
+    return _outer_leaf_quantizer(dim, leaves, listed, eta, cap, gamma, beta)
+
+
+def _block(doc: dict, path, name: str, keys: tuple[str, ...], dim: int) -> list[np.ndarray]:
+    """A v2 block's arrays: int64 depths (n,), int64 indices (n, dim), codes (n, dim)."""
+    block = doc[name]
+    if not isinstance(block, dict):
+        raise ValueError(f"codebook {path} {name} is not an object")
+    missing = [key for key in keys if key not in block]
+    if missing:
+        raise ValueError(f"codebook {path} {name} lacks {', '.join(missing)}")
+    with _malformed(path):
+        arrays = [_integers(block[key], f"{name}.{key}") for key in ("depth", "index")]
+        if "code" in keys:
+            arrays.append(np.array(block["code"], dtype=np.float64))
+    # An empty JSON list has shape (0,).
+    arrays[1:] = [a.reshape(0, dim) if a.shape == (0,) else a for a in arrays[1:]]
+    n = arrays[0].shape[0] if arrays[0].ndim == 1 else -1
+    if [a.shape for a in arrays] != [(n,)] + [(n, dim)] * (len(arrays) - 1):
+        want = ", ".join(["(n,)"] + [f"(n, {dim})"] * (len(arrays) - 1))
+        got = ", ".join(str(a.shape) for a in arrays)
+        raise ValueError(f"codebook {path} {name}: {'/'.join(keys)} must have shapes {want}, "
+                         f"not {got}")
+    return arrays
+
+
+def _cell_codes(path, name: str, depths: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Morton code of each (depth, index) row at its own depth; ValueError if one is no cell."""
+    dim = index.shape[1]
+    top = default_max_depth(dim)
+    try:
+        start = _lower_corners(depths, index, top)
+    except ValueError as exc:
+        raise ValueError(f"codebook {path} {name} {exc}") from None
+    return start >> dim * (top - depths)
+
+
+def _repeats(depths: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose (depth, code) an earlier row already has."""
+    order = np.lexsort((codes, depths))  # stable: equal rows stay in file order
+    mask = np.zeros(codes.shape[0], bool)
+    mask[order[1:][(np.diff(depths[order]) == 0) & (np.diff(codes[order]) == 0)]] = True
+    return mask
+
+
+def _in_levels(levels: dict[int, np.ndarray], depths: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Mask of the (depth, code) rows that are cells of the per-depth ``levels``."""
+    hit = np.zeros(codes.shape[0], bool)
+    for depth, level in levels.items():
+        at = depths == depth
+        hit[at] = np.isin(codes[at], level)
+    return hit

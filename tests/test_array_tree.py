@@ -3,20 +3,21 @@
 The reference thresholds cell by cell, closes the marked set with
 ``smallest_subtree``, takes ``outer_leaves`` and looks every leaf up in the
 statistics table; the fitted path does the same on sorted Morton-code
-arrays.  Both must give the same leaves, the same code vectors bit for
-bit, and the same codebook file byte for byte.
+arrays.  Both must give the same leaves and the same code vectors bit for
+bit.  The codebook file must give them back bit for bit: the v2 file that
+``save_codebook`` writes, and the v1 file of the old per-leaf writer.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rectree.reconstruction import (
     CODEBOOK_FORMAT,
-    CODEBOOK_VERSION,
     Quantizer,
+    load_codebook,
     quantizer_from_stats,
     save_codebook,
     threshold_subtree,
@@ -52,10 +53,10 @@ def reference_tables(codebook):
 
 
 def reference_codebook_bytes(q, codebook) -> bytes:
-    """The codebook writer as it was, one leaf at a time."""
+    """The v1 codebook writer, one leaf at a time."""
     doc = {
         "format": CODEBOOK_FORMAT,
-        "version": CODEBOOK_VERSION,
+        "version": 1,
         "dim": q.dim,
         "eta": q.threshold,
         "gamma": q.gamma,
@@ -87,10 +88,26 @@ def assert_same_quantizer(stats, eta, cap):
     return q, codebook
 
 
+def assert_bit_identical(got, want):
+    assert got.dim == want.dim
+    for name in ("starts", "depths", "vectors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for name in ("threshold", "depth_cap", "gamma", "beta"):
+        assert getattr(got, name) == getattr(want, name)
+
+
 def assert_same_file(directory, q, codebook):
-    path = directory / "codebook.json"
-    save_codebook(q, path)
-    assert path.read_bytes() == reference_codebook_bytes(q, codebook)
+    """The v2 file and the per-leaf v1 file both load to ``q``; v1 -> v2 round-trips."""
+    v1, v2, again = (directory / name for name in ("v1.json", "v2.json", "again.json"))
+    save_codebook(q, v2)
+    assert_bit_identical(load_codebook(v2), q)
+    v1.write_bytes(reference_codebook_bytes(q, codebook))
+    from_v1 = load_codebook(v1)
+    assert_bit_identical(from_v1, q)
+    save_codebook(from_v1, again)
+    assert again.read_bytes() == v2.read_bytes()
+    assert_bit_identical(load_codebook(again), q)
 
 
 def datasets(max_dim):
@@ -152,3 +169,61 @@ def test_codebook_file_matches_for_edge_values(tmp_path, eta, gamma, beta):
     codebook = {cell: vector for depth, (codes, vectors) in tables.items()
                 for cell, vector in zip(cells_from_codes(depth, codes, 2), vectors)}
     assert_same_file(tmp_path, q, codebook)
+
+
+@given(datasets(4), st.integers(1, 6), st.floats(0, 1))
+@example(Dataset(np.random.default_rng(5).random((300, 13))), 1, 0.5)  # 8192 leaves at eta 1e9
+@settings(max_examples=100, deadline=None)
+def test_saved_codebook_loads_bit_for_bit(tmp_path_factory, data, cap, quantile):
+    # Dyadic and repeated points put some centers of mass on their cube
+    # center, so some nonempty leaves are implied by the file too.
+    stats = build_stats(data, cap)
+    gains = np.concatenate([stats.level(d).gains for d in range(stats.depth_cap)])
+    directory = tmp_path_factory.mktemp("cb")
+    for eta in (1e9, float(np.quantile(gains, quantile, method="lower")) or 1e-300, 1e-300):
+        q = quantizer_from_stats(stats, eta, 0.8, 2.5, depth_cap=cap)
+        save_codebook(q, directory / "codebook.json")
+        assert_bit_identical(load_codebook(directory / "codebook.json"), q)
+
+
+@pytest.mark.parametrize("dim", [1, 13])
+@pytest.mark.parametrize("code", [0.5, 0.3])
+def test_single_root_leaf_round_trips(tmp_path, dim, code):
+    q = Quantizer.from_tables(dim, {0: (np.array([0]), np.full((1, dim), code))}, 0.1, 0)
+    path = tmp_path / "codebook.json"
+    save_codebook(q, path)
+    doc = json.loads(path.read_text())
+    assert doc["subtree"] == {"depth": [], "index": []}
+    assert len(doc["leaves"]["depth"]) == (code != 0.5)
+    assert_bit_identical(load_codebook(path), q)
+
+
+GOLDEN_V2 = """\
+{
+  "format": "rectree-codebook",
+  "version": 2,
+  "dim": 2,
+  "eta": 0.1,
+  "gamma": 0.8,
+  "beta": 2.5,
+  "depth_cap": 7,
+  "subtree": {"depth": [0, 1], "index": [[0, 0], [0, 0]]},
+  "leaves": {"depth": [1, 1, 2, 2], "index": [[0, 1], [1, 1], [1, 0], [1, 1]], \
+"code": [[0.3333333333333333, 1e+17], [-0.0, 0.75], [5e-324, 1e-300], [0.375, 0.4]]}
+}
+"""
+
+
+def test_codebook_v2_golden_file(tmp_path):
+    # Seven leaves under the root and the depth-1 cell at index [0, 0]; the
+    # leaves at [1, 0] (depth 1), [0, 0] and [0, 1] (depth 2) hold their
+    # cube centers, so the file does not list them.
+    tables = {
+        1: (np.array([1, 2, 3]), np.array([[0.75, 0.25], [1 / 3, 1e17], [-0.0, 0.75]])),
+        2: (np.arange(4), np.array([[0.125, 0.125], [5e-324, 1e-300], [0.125, 0.375], [0.375, 0.4]])),
+    }
+    q = Quantizer.from_tables(2, tables, 0.1, 7, 0.8, 2.5)
+    path = tmp_path / "codebook.json"
+    save_codebook(q, path)
+    assert path.read_text(encoding="utf-8") == GOLDEN_V2
+    assert_bit_identical(load_codebook(path), q)

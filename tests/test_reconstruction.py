@@ -207,6 +207,42 @@ class TestEncodeDecode:
         with pytest.raises(DomainError):
             encode(q, np.array([[1.0]]))
 
+    def test_empty_batch(self):
+        q = fit(uniform_data(1, 800, 2), 0.05, RateSchedule(branching=4))
+        depths, index = encode(q, np.empty((0, 2)))
+        assert depths.dtype == index.dtype == np.int64
+        assert depths.shape == (0,) and index.shape == (0, 2)
+        assert decode(q, depths, index).shape == (0, 2)
+
+    def test_encode_takes_a_list_and_refuses_points_outside(self):
+        q = self.quantizer()
+        depths, index = encode(q, [[0.3], [0.7]])
+        want = encode(q, np.array([[0.3], [0.7]]))
+        assert np.array_equal(depths, want[0]) and np.array_equal(index, want[1])
+        for point in (1.0, -0.1, math.nan):
+            with pytest.raises(DomainError, match=r"some points lie outside \[0, 1\)\^1"):
+                encode(q, [[0.3], [point]])
+
+    @pytest.mark.parametrize("fraction", [(0.7, 0), (0, 0.9), (0.7, 0.9)])
+    def test_decode_refuses_fractional_ids(self, fraction):
+        # These used to be truncated to the leaf (d, i) and decoded.
+        q = self.quantizer()
+        depths, index = encode(q, np.array([[0.3], [0.7]]))
+        with pytest.raises(TypeError) as exc:
+            decode(q, depths + fraction[0], index + fraction[1])
+        assert str(exc.value) == ("depths must be integers" if fraction[0] else "index must be integers")
+
+    @pytest.mark.parametrize("depths, index, message", [
+        (1, [[1]], "depths must be (n,), got shape ()"),
+        ([[1, 1, 1, 1, 1]], np.zeros((5, 1), np.int64), "depths must be (n,), got shape (1, 5)"),
+        ([1, 1], [1, 0], "index must be (2, 1), got shape (2,)"),
+        ([1], [[1, 0]], "index must be (1, 1), got shape (1, 2)"),
+    ])
+    def test_decode_names_a_wrong_shape(self, depths, index, message):
+        with pytest.raises(ValueError) as exc:
+            decode(self.quantizer(), depths, index)
+        assert str(exc.value) == message
+
     @staticmethod
     def corner_quantizer(dim, deepest):
         """Leaves down to ``deepest`` along the corner at the origin: every child
@@ -628,3 +664,93 @@ class TestCodebookValidation:
         depths, index = encode(q, np.array([[0.1]]))
         assert depths.tolist() == [2] and index.tolist() == [[0]]
         assert np.array_equal(decode(q, [1], [[1]]), [[0.7]])
+
+
+def v2_doc(subtree=((0, [0]),), leaves=(), dim=1):
+    """A v2 codebook of the given (depth, index) subtree rows and (depth, index, code) leaves."""
+    return {"format": "rectree-codebook", "version": 2, "dim": dim, "eta": 0.1,
+            "gamma": None, "beta": None, "depth_cap": 3,
+            "subtree": {"depth": [d for d, _ in subtree], "index": [i for _, i in subtree]},
+            "leaves": {"depth": [d for d, _, _ in leaves], "index": [i for _, i, _ in leaves],
+                       "code": [c for _, _, c in leaves]}}
+
+
+# Root and its left child: leaves [1] at depth 1, [0] and [1] at depth 2.
+LEFT = ((0, [0]), (1, [0]))
+
+
+class TestCodebookV2Validation:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({**v2_doc(), "version": 3}, "unsupported codebook version 3"),
+            ({k: v for k, v in v2_doc().items() if k != "subtree"}, "codebook {path} lacks subtree"),
+            ({**v2_doc(), "leaves": []}, "codebook {path} leaves is not an object"),
+            ({**v2_doc(), "subtree": {"depth": [0]}}, "codebook {path} subtree lacks index"),
+            (v2_doc(((0, [0]), (1.5, [1]))),
+             "malformed codebook {path}: TypeError subtree.depth must be integers"),
+            (v2_doc(LEFT, [(1, [0.5], [0.3])]),
+             "malformed codebook {path}: TypeError leaves.index must be integers"),
+            (v2_doc(LEFT, [(1, [1], ["abc"])]),
+             "malformed codebook {path}: ValueError could not convert string to float: 'abc'"),
+            ({**v2_doc(), "subtree": {"depth": [0, 1], "index": [[0]]}},
+             "codebook {path} subtree: depth/index must have shapes (n,), (n, 1), not (2,), (1, 1)"),
+            ({**v2_doc(LEFT), "leaves": {"depth": [1, 2], "index": [[1], [0]], "code": [[0.3]]}},
+             "codebook {path} leaves: depth/index/code must have shapes (n,), (n, 1), (n, 1), "
+             "not (2,), (2, 1), (1, 1)"),
+            (v2_doc(((0, [0, 0]),), [(1, [1], [0.1, 0.2])], dim=2),
+             "codebook {path} leaves: depth/index/code must have shapes (n,), (n, 2), (n, 2), "
+             "not (1,), (1, 1), (1, 2)"),
+            (v2_doc(LEFT, [(1, [1], [math.nan])]), "codebook {path} leaves row 0: code [nan] is not finite"),
+            (v2_doc(((0, [0]), (1, [2]))),
+             "codebook {path} subtree row 1: no cell of depth 1 (0..32) has index [2]"),
+            (v2_doc(LEFT, [(-1, [0], [0.3])]),
+             "codebook {path} leaves row 0: no cell of depth -1 (0..32) has index [0]"),
+            (v2_doc(((0, [0] * 62), (1, [0] * 62)), dim=62),
+             f"codebook {{path}} subtree row 1: depth 1 index {[0] * 62} has children deeper than 1"),
+            (v2_doc(((1, [0]), (2, [1]))), "codebook {path} subtree lacks the root"),
+            (v2_doc(((0, [0]), (2, [1]))),
+             "codebook {path} subtree row 1: depth 2 index [1] has no parent in the subtree"),
+            (v2_doc(((0, [0]), (1, [0]), (1, [0]))),
+             "codebook {path} subtree row 2: depth 1 index [0] is listed twice"),
+            (v2_doc(LEFT, [(2, [1], [0.3]), (1, [0], [0.3])]),
+             "codebook {path} leaves row 1: depth 1 index [0] is not an outer leaf of the subtree"),
+            (v2_doc(LEFT, [(2, [2], [0.6])]),
+             "codebook {path} leaves row 0: depth 2 index [2] is not an outer leaf of the subtree"),
+            (v2_doc(LEFT, [(3, [0], [0.1])]),
+             "codebook {path} leaves row 0: depth 3 index [0] is not an outer leaf of the subtree"),
+            (v2_doc(LEFT, [(0, [0], [0.1])]),
+             "codebook {path} leaves row 0: depth 0 index [0] is not an outer leaf of the subtree"),
+            (v2_doc((), [(1, [0], [0.1])]),
+             "codebook {path} leaves row 0: depth 1 index [0] is not an outer leaf of the subtree"),
+            (v2_doc(LEFT, [(1, [1], [0.6]), (2, [0], [0.1]), (1, [1], [0.7])]),
+             "codebook {path} leaves row 2: depth 1 index [1] is listed twice"),
+        ],
+        ids=["version", "no-subtree", "leaves-list", "no-index", "depth-float", "index-float",
+             "code-text", "subtree-lengths", "code-length", "index-width", "code-nan",
+             "subtree-index-range", "leaf-depth-negative", "subtree-too-deep", "no-root",
+             "not-parent-closed", "subtree-duplicate", "leaf-in-subtree", "leaf-orphan",
+             "leaf-too-deep", "leaf-root", "leaf-below-root-leaf", "leaf-duplicate"],
+    )
+    def test_rejects_with_exact_message(self, tmp_path, doc, message):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_codebook(path)
+        assert str(exc.value) == message.format(path=path)
+
+    def test_implied_leaves_decode_to_cube_centers(self, tmp_path):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps(v2_doc(LEFT, [(2, [1], [0.3])])))
+        q = load_codebook(path)
+        assert decode(q, [1, 2, 2], [[1], [0], [1]]).tolist() == [[0.75], [0.125], [0.3]]
+        path.write_text(json.dumps(v2_doc((), [])))
+        assert load_codebook(path).vectors.tolist() == [[0.5]]
+        path.write_text(json.dumps(v2_doc((), [(0, [0], [0.1])])))
+        assert load_codebook(path).vectors.tolist() == [[0.1]]
+
+    def test_rows_may_come_in_any_order(self, tmp_path):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps(v2_doc(LEFT[::-1], [(2, [1], [0.3]), (1, [1], [0.9])])))
+        q = load_codebook(path)
+        assert decode(q, [1, 2, 2], [[1], [0], [1]]).tolist() == [[0.9], [0.125], [0.3]]
