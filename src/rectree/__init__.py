@@ -9,7 +9,7 @@ harness for distortion-decay runs.
 """
 
 from .baselines import KMeansModel, kmeans_distortion, kmeans_fit
-from .datagen import GeneratorSpec, NormalizationMap, normalize, read_dataset, sample, write_dataset
+from .datagen import GeneratorSpec, normalize, read_dataset, sample, write_dataset
 from .errors import DepthCapError, DomainError
 from .oracle import DiscreteDistribution, isolation_depth, oracle_stats
 from .reconstruction import (

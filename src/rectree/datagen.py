@@ -17,7 +17,7 @@ for the draws, so the embedding does not depend on n.
 
 ``normalize`` is the ingestion path for external data: one global scale
 plus a translation (no per-axis distortion) into [0, 1 - ulp]^D with
-diameter at most 1, keeping the map for inverse transforms.
+diameter at most 1.
 """
 
 from __future__ import annotations
@@ -38,35 +38,12 @@ _INTRINSIC = {"uniform_cube": None, "density_cube": None, "circle": 1, "sphere":
 _EDGE = 1.0 - 2.0**-20  # keeps embedded manifolds strictly inside the cube
 
 _MAGIC = b"RTDS"
-_VERSION = 1
-_HEADER = struct.Struct("<IIQB")  # version, dim, n, normalization flag
+_VERSION = 2
+_HEADER = struct.Struct("<IIQ")  # version, dim, n
 
 _SWISS_T0 = 1.5 * math.pi
 _SWISS_T1 = 4.5 * math.pi
 _SWISS_HEIGHT = 21.0
-
-
-@dataclass(frozen=True)
-class NormalizationMap:
-    """y = scale * x + translation, with the inverse for round trips."""
-
-    scale: float
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "translation", np.ascontiguousarray(self.translation, dtype=np.float64)
-        )
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) * self.scale + self.translation
-
-    def invert(self, points: np.ndarray) -> np.ndarray:
-        return (np.asarray(points, dtype=np.float64) - self.translation) / self.scale
-
-    @classmethod
-    def identity(cls, dim: int) -> "NormalizationMap":
-        return cls(1.0, np.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -166,7 +143,7 @@ def sample(spec: GeneratorSpec, n: int) -> Dataset:
     g = _rng(spec.seed, 1, spec.stream)
 
     if spec.kind == "uniform_cube":
-        return Dataset(g.random((n, d)), NormalizationMap.identity(d))
+        return Dataset(g.random((n, d)))
 
     if spec.kind == "density_cube":
         p1, p2 = spec.density_bounds
@@ -177,15 +154,13 @@ def sample(spec: GeneratorSpec, n: int) -> Dataset:
             accept = g.random(remaining) * p2 <= p1 + (p2 - p1) * proposal[:, 0]
             rows.append(proposal[accept])
             remaining -= int(accept.sum())
-        return Dataset(np.concatenate(rows), NormalizationMap.identity(d))
+        return Dataset(np.concatenate(rows))
 
     canonical, center, diam = _canonical_manifold(spec, n, g)
     padded = np.zeros((n, d))
     padded[:, : canonical.shape[1]] = canonical - center
     rotation = embedding_rotation(spec)
-    scale = _EDGE / diam
-    points = (padded @ rotation.T) * scale + 0.5
-    return Dataset(points, NormalizationMap(scale, np.full(d, 0.5)))
+    return Dataset((padded @ rotation.T) * (_EDGE / diam) + 0.5)
 
 
 def normalize(points) -> Dataset:
@@ -201,67 +176,61 @@ def normalize(points) -> Dataset:
         raise ValueError("points must be a nonempty (n, dim) array")
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must be finite")
-    dim = pts.shape[1]
     mins = pts.min(axis=0)
     maxs = pts.max(axis=0)
     diag = float(np.linalg.norm(maxs - mins))
     if diag == 0.0:
-        nm = NormalizationMap(1.0, 0.5 - mins)
+        scale, translation = 1.0, 0.5 - mins
     elif diag <= 1.0 and np.all(mins >= 0.0) and np.all(maxs < 1.0):
-        nm = NormalizationMap.identity(dim)
+        scale, translation = 1.0, 0.0  # the identity; adding 0.0 turns -0.0 into 0.0
     else:
         scale = min(1.0, 1.0 / diag)
-        nm = NormalizationMap(scale, -mins * scale)
-    mapped = np.minimum(nm.apply(pts), np.nextafter(1.0, 0.0))
-    return Dataset(mapped, nm)
+        translation = -mins * scale
+    return Dataset(np.minimum(pts * scale + translation, np.nextafter(1.0, 0.0)))
 
 
 def write_dataset(path, data: Dataset) -> None:
-    """Binary dataset file: header then row-major little-endian float64."""
-    nm = data.normalization
-    if nm is None or not isinstance(nm, NormalizationMap):
-        nm = NormalizationMap.identity(data.dim)
-        flag = 0
-    else:
-        flag = 1
+    """Binary dataset file, version 2: magic, header, then row-major little-endian float64."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(_HEADER.pack(_VERSION, data.dim, data.n, flag))
-        fh.write(struct.pack("<d", nm.scale))
-        fh.write(nm.translation.astype("<f8").tobytes())
+        fh.write(_HEADER.pack(_VERSION, data.dim, data.n))
         fh.write(np.ascontiguousarray(data.points, dtype="<f8").tobytes())
 
 
 def read_dataset(path) -> Dataset:
-    """Read a :func:`write_dataset` file; a malformed one raises a ValueError naming it."""
+    """Read a :func:`write_dataset` file; a malformed one raises a ValueError naming it.
+
+    A version 1 file also holds a flag byte, a scale and a translation
+    between its header and its points; they are skipped.
+    """
     with open(path, "rb") as fh:
         head = fh.read(4 + _HEADER.size)
         if head[:4] != _MAGIC:
             raise ValueError(f"{path} is not a dataset file")
         if len(head) < 4 + _HEADER.size:
             raise ValueError(f"{path}: dataset header truncated")
-        version, dim, n, flag = _HEADER.unpack_from(head, 4)
-        if version != _VERSION:
+        version, dim, n = _HEADER.unpack_from(head, 4)
+        if version not in (1, _VERSION):
             raise ValueError(f"{path}: unsupported dataset version {version}")
         if dim < 1:
             raise ValueError(f"{path}: dataset dimension must be at least 1, got {dim}")
-        size, expected = os.fstat(fh.fileno()).st_size, len(head) + 8 * (1 + dim + dim * n)
+        skip = 9 + 8 * dim if version == 1 else 0
+        size, expected = os.fstat(fh.fileno()).st_size, len(head) + skip + 8 * dim * n
         if size != expected:
             raise ValueError(f"{path}: {size} bytes, expected {expected} for n = {n}, dim = {dim}")
-        (scale,) = struct.unpack("<d", fh.read(8))
-        translation = np.frombuffer(fh.read(8 * dim), dtype="<f8").copy()
+        fh.seek(skip, os.SEEK_CUR)
         points = np.frombuffer(fh.read(8 * dim * n), dtype="<f8").reshape(n, dim).copy()
-    nm = NormalizationMap(scale, translation) if flag else None
-    return Dataset(points, nm)
+    return Dataset(points)
 
 
 def read_points_csv(path, dtype=np.float64) -> np.ndarray:
-    """Plain CSV of coordinates; a single non-numeric header row is skipped.
+    """Plain CSV of coordinates; a UTF-8 byte-order mark and a single non-numeric
+    header row are skipped.
 
     A malformed or empty file, or a value that does not parse as
     ``dtype``, raises a ValueError naming it.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline()
     skip = 0
     try:
@@ -272,7 +241,8 @@ def read_points_csv(path, dtype=np.float64) -> np.ndarray:
         # An empty file is reported below, not by numpy's "input contained no data".
         warnings.simplefilter("ignore", UserWarning)
         try:
-            pts = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, dtype=dtype)
+            pts = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, dtype=dtype,
+                             encoding="utf-8-sig")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if pts.size == 0:

@@ -59,7 +59,6 @@ class Dataset:
     """n sample vectors in [0, 1)^D, row per sample."""
 
     points: np.ndarray
-    normalization: object | None = None
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64)

@@ -27,6 +27,10 @@ class TestKMeansFit:
         root_error = lookup(build_stats(data, 1), root_cell(3)).error
         assert abs(model.final_objective - root_error) <= 1e-12 * root_error
 
+    def test_refuses_zero_iterations(self):
+        with pytest.raises(ValueError, match="^max_iters must be positive$"):
+            kmeans_fit(uniform_data(1, 10, 2), 2, max_iters=0)
+
     def test_objective_nonincreasing(self):
         for seed in range(10):
             data = uniform_data(seed, 300, 2)

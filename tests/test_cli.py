@@ -110,6 +110,38 @@ class TestPipeline:
         assert read_points_csv(out).shape == (20, 3)
 
 
+class TestByteOrderMark:
+    """A CSV saved with a UTF-8 byte-order mark reads as the same rows, header or not."""
+
+    @pytest.mark.parametrize("header", ["", "x0,x1\n"], ids=["headerless", "header"])
+    def test_fit_data(self, tmp_path, header):
+        text = header + "0.1,0.2\n0.7,0.4\n0.3,0.9\n"
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        for name in ("plain", "bom"):
+            assert run("fit", "--data", tmp_path / f"{name}.csv", "--eta", "0.01",
+                       "--output", tmp_path / f"{name}.json") == 0
+        assert read_points_csv(tmp_path / "bom.csv").shape == (3, 2)
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    @pytest.mark.parametrize("header", [False, True], ids=["headerless", "header"])
+    def test_decode_ids(self, workdir, header):
+        cb, ids = workdir / "cb.json", workdir / "ids.csv"
+        assert run("fit", "--data", workdir / "train.rtds", "--eta", "0.05", "--output", cb) == 0
+        assert run("encode", "--codebook", cb, "--data", workdir / "train.rtds",
+                   "--output", ids) == 0
+        text = ids.read_text(encoding="utf-8")
+        bom = workdir / "bom.csv"
+        bom.write_text(text if header else text.split("\n", 1)[1], encoding="utf-8-sig")
+        for name, source in (("plain", ids), ("bom", bom)):
+            assert run("decode", "--codebook", cb, "--ids", source,
+                       "--output", workdir / f"{name}-rec.csv") == 0
+        rec = (workdir / "bom-rec.csv").read_bytes()
+        assert rec.count(b"\n") == 401
+        assert rec == (workdir / "plain-rec.csv").read_bytes()
+
+
 class TestExperimentCommands:
     def test_rate_experiment_with_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -497,6 +529,9 @@ class TestErrors:
              "holdout_n 0 must be positive"),
             (["rate-experiment", "--n-grid", "128", "--holdout-n", "0"],
              "holdout_n 0 must be positive"),
+            (["sample", "--generator", "uniform_cube", "--dim", "2", "--n", "0"],
+             "n must be positive"),
+            (["rate-experiment", "--n-grid", "1,4"], "n_grid entries must be at least 2"),
         ],
         ids=["fit-nan", "fit-inf", "fit-zero", "fit-gamma-nan", "fit-gamma-huge", "sweep-nan",
              "baseline-inf", "approx-trend-nan", "rate-constant-nan", "sweep-empty",
@@ -504,7 +539,7 @@ class TestErrors:
              "bounds-empty", "bounds-separator", "n-grid-text", "n-grid-float", "sweep-etas",
              "baseline-etas", "approx-trend-etas", "sample-seed-negative",
              "rate-seed-negative", "sweep-seed-negative", "baseline-holdout-negative",
-             "sweep-holdout-zero", "rate-holdout-zero"],
+             "sweep-holdout-zero", "rate-holdout-zero", "sample-n-zero", "n-grid-below-two"],
     )
     def test_bad_threshold_is_one_line_error(self, workdir, capsys, argv, message):
         argv = [a.format(train=workdir / "train.rtds") for a in argv]

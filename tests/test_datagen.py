@@ -1,3 +1,4 @@
+import struct
 import tempfile
 from pathlib import Path
 
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectree.datagen import (
+    _EDGE,
     _INTRINSIC,
     _SWISS_HEIGHT,
     GeneratorSpec,
-    NormalizationMap,
+    _canonical_manifold,
     embedding_rotation,
     normalize,
     read_dataset,
@@ -25,16 +27,15 @@ from rectree.stats import Dataset
 def manifold_residual(spec: GeneratorSpec, data: Dataset) -> np.ndarray:
     """Per-point deviation from the manifold's defining equations.
 
-    Undoes the cube map and the embedding rotation, then evaluates the
+    Undoes the sampler's cube map (scale _EDGE / diameter, then a shift
+    to the cube center) and the embedding rotation, then evaluates the
     canonical constraints; exact samples give residuals at rounding level.
     """
     if _INTRINSIC[spec.kind] is None:
         raise ValueError(f"{spec.kind} is not a manifold kind")
     rotation = embedding_rotation(spec)
-    nm = data.normalization
-    if not isinstance(nm, NormalizationMap):
-        raise ValueError("dataset does not carry the generator's normalization map")
-    canonical = nm.invert(data.points) @ rotation
+    diam = _canonical_manifold(spec, 1, np.random.default_rng(0))[2]
+    canonical = ((data.points - 0.5) / (_EDGE / diam)) @ rotation
     tail = canonical[:, 3:] if spec.kind != "circle" else canonical[:, 2:]
     tail_res = np.abs(tail).max(axis=1) if tail.shape[1] else np.zeros(len(canonical))
     if spec.kind == "circle":
@@ -70,6 +71,8 @@ class TestSpecs:
             GeneratorSpec("uniform_cube", 2, density_bounds=(1.0, 1.0))
         with pytest.raises(ValueError, match="^seed -3 must be non-negative$"):
             GeneratorSpec("uniform_cube", 2, seed=-3)
+        with pytest.raises(ValueError, match="^ambient_dim must be positive$"):
+            GeneratorSpec("uniform_cube", 0)
 
     def test_intrinsic_dims(self):
         assert GeneratorSpec("uniform_cube", 5).intrinsic_dim == 5
@@ -84,6 +87,10 @@ class TestSample:
         a = sample(spec, 4).points
         b = sample(spec, 4).points
         assert np.array_equal(a, b)
+
+    def test_refuses_zero_points(self):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            sample(GeneratorSpec("uniform_cube", 2), 0)
 
     def test_different_seeds_differ(self):
         a = sample(GeneratorSpec("uniform_cube", 2, seed=1), 10).points
@@ -160,13 +167,18 @@ class TestSample:
 class TestNormalize:
     def test_scale_example(self):
         data = normalize(np.array([[0.0, 0.0], [10.0, 10.0]]))
-        assert data.normalization.scale == pytest.approx(1 / (10 * np.sqrt(2)), rel=1e-15)
+        assert data.points[0].tolist() == [0.0, 0.0]
+        assert data.points[1] == pytest.approx([1 / np.sqrt(2)] * 2, rel=1e-15)
 
     def test_identity_when_already_normalized(self):
         pts = np.array([[0.2, 0.3], [0.6, 0.7]])
         data = normalize(pts)
         assert np.array_equal(data.points, pts)
-        assert data.normalization.scale == 1.0
+
+    def test_identity_clears_negative_zero(self):
+        data = normalize(np.array([[-0.0, 0.5], [0.25, -0.0]]))
+        assert data.points.tolist() == [[0.0, 0.5], [0.25, 0.0]]
+        assert not np.signbit(data.points).any()
 
     def test_single_point_maps_to_center(self):
         data = normalize(np.array([[3.0, -4.0]]))
@@ -188,12 +200,10 @@ class TestNormalize:
         data = normalize(pts)
         assert pairwise_distances(data.points, 100).max() <= 1.0
 
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(12)
-        pts = rng.normal(size=(30, 2)) * 9
-        data = normalize(pts)
-        back = data.normalization.invert(data.points)
-        np.testing.assert_allclose(back, pts, rtol=1e-12, atol=1e-9)
+    @pytest.mark.parametrize("points", [[0.5, 0.25], np.zeros((0, 2))], ids=["1-d", "empty"])
+    def test_rejects_other_shapes(self, points):
+        with pytest.raises(ValueError, match=r"^points must be a nonempty \(n, dim\) array$"):
+            normalize(points)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
@@ -205,16 +215,39 @@ class TestFileFormats:
         data = sample(GeneratorSpec("sphere", 3, seed=13), 64)
         path = tmp_path / "points.rtds"
         write_dataset(path, data)
-        back = read_dataset(path)
-        assert np.array_equal(back.points, data.points)
-        assert back.normalization.scale == data.normalization.scale
-        assert np.array_equal(back.normalization.translation, data.normalization.translation)
+        assert np.array_equal(read_dataset(path).points, data.points)
 
     def test_binary_roundtrip_without_map(self, tmp_path):
-        data = Dataset(np.random.default_rng(0).random((10, 2)))
+        # Version 2: magic, <IIQ version/dim/n, then the points; no normalization map.
+        pts = np.random.default_rng(0).random((10, 2))
         path = tmp_path / "plain.rtds"
-        write_dataset(path, data)
-        assert read_dataset(path).normalization is None
+        write_dataset(path, Dataset(pts))
+        header = b"RTDS" + struct.pack("<IIQ", 2, 2, 10)
+        assert path.read_bytes() == header + pts.astype("<f8").tobytes()
+        assert np.array_equal(read_dataset(path).points, pts)
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_reads_version_1(self, tmp_path, flag):
+        # Version 1 put a flag byte, a scale and a translation before the points.
+        pts = np.random.default_rng(3).random((7, 3))
+        path = tmp_path / "v1.rtds"
+        path.write_bytes(b"RTDS" + struct.pack("<IIQB", 1, 3, 7, flag) + struct.pack("<d", 0.25)
+                         + struct.pack("<3d", 0.5, 0.5, 0.5) + pts.astype("<f8").tobytes())
+        assert np.array_equal(read_dataset(path).points, pts)
+
+    def test_version_1_size_check_counts_the_map(self, tmp_path):
+        path = tmp_path / "v1.rtds"  # the scale is missing
+        path.write_bytes(b"RTDS" + struct.pack("<IIQB", 1, 2, 1, 0) + bytes(8 * 2 + 8 * 2))
+        with pytest.raises(ValueError) as exc:
+            read_dataset(path)
+        assert str(exc.value) == f"{path}: 53 bytes, expected 61 for n = 1, dim = 2"
+
+    def test_refuses_version_3(self, tmp_path):
+        path = tmp_path / "v3.rtds"
+        path.write_bytes(b"RTDS" + struct.pack("<IIQ", 3, 1, 1) + bytes(8))
+        with pytest.raises(ValueError) as exc:
+            read_dataset(path)
+        assert str(exc.value) == f"{path}: unsupported dataset version 3"
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "bogus.rtds"
@@ -256,6 +289,14 @@ class TestFileFormats:
             ",".join(repr(float(v)) for v in row) + "\n" for row in pts)
         assert path.read_text(encoding="utf-8") == want
         assert "-0.0,1e-07,1e+17,5e-324\n" in want
+
+    @pytest.mark.parametrize("header", ["", "a,b\n"], ids=["headerless", "header"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_csv_with_byte_order_mark(self, tmp_path, header, dtype):
+        path = tmp_path / "bom.csv"
+        path.write_text(header + "1,2\n3,4\n5,6\n", encoding="utf-8-sig")
+        pts = read_points_csv(path, dtype=dtype)
+        assert pts.dtype == dtype and pts.tolist() == [[1, 2], [3, 4], [5, 6]]
 
     def test_csv_without_header(self, tmp_path):
         path = tmp_path / "raw.csv"

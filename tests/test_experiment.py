@@ -56,6 +56,8 @@ class TestRateExperiment:
             small_config(n_grid=(256, 128))
         with pytest.raises(ValueError):
             small_config(trials=0)
+        with pytest.raises(ValueError, match="^n_grid entries must be at least 2$"):
+            small_config(n_grid=(1, 4))
         with pytest.raises(ValueError, match="schedule branching 4 does not match dim 1"):
             small_config(schedule=RateSchedule(4))
         with pytest.raises(ValueError, match="^seed -1 must be non-negative$"):

@@ -88,6 +88,13 @@ class TestDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([[0.2]]), np.array([0.5]))
 
+    @pytest.mark.parametrize("weights", [[1.0], [[0.5], [0.5]]], ids=["short", "2-d"])
+    def test_rejects_weights_of_the_wrong_shape(self, weights):
+        shape = np.shape(weights)
+        with pytest.raises(ValueError) as exc:
+            DiscreteDistribution(np.array([[0.2], [0.8]]), np.array(weights))
+        assert str(exc.value) == f"2 atoms need one weight each, got shape {shape}"
+
     def test_isolation_depth(self):
         assert isolation_depth(TWO_ATOM) == 1
         single = DiscreteDistribution(np.array([[0.4, 0.2]]), np.array([1.0]))

@@ -76,6 +76,12 @@ class TestRateSchedule:
                 with pytest.raises(ValueError, match="must be finite and positive"):
                     RateSchedule(branching=2, **{name: bad})
 
+    def test_refusal_messages(self):
+        with pytest.raises(ValueError, match="^branching must be at least 2$"):
+            RateSchedule(1)
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            RateSchedule(2).depth_cap(0)
+
 
 class TestThresholdSubtree:
     def test_two_point_mark_root(self):
@@ -637,6 +643,13 @@ class TestCodebookValidation:
         with pytest.raises(ValueError, match=problem) as exc:
             load_codebook(path)
         assert "\n" not in str(exc.value)
+
+    def test_rejects_dim_zero(self, tmp_path):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps({**codebook_doc(HALVES), "dim": 0}))
+        with pytest.raises(ValueError) as exc:
+            load_codebook(path)
+        assert str(exc.value) == "codebook dim 0 is not positive"
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -79,6 +79,15 @@ class TestBuildStats:
         with pytest.raises(DepthCapError):
             build_stats(TWO_POINT, 64)
 
+    @pytest.mark.parametrize("depth", [-1, 3])
+    def test_level_outside_the_table(self, depth):
+        with pytest.raises(DepthCapError, match=f"^depth {depth} outside table range 0..2$"):
+            build_stats(TWO_POINT, 2).level(depth)
+
+    def test_no_gain_by_difference_at_the_table_depth(self):
+        with pytest.raises(DepthCapError, match="^no children statistics below depth 2$"):
+            build_stats(TWO_POINT, 2).gain_sq_by_difference(2)
+
     def test_mass_conservation(self):
         data = random_dataset(7, n=500, dim=2)
         table = build_stats(data, 4)

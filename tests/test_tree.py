@@ -47,6 +47,17 @@ def random_subtree(dim, size, rng):
     return Subtree(frozenset(cells), dim)
 
 
+class TestCellId:
+    def test_refuses_negative_depth(self):
+        with pytest.raises(ValueError, match="^negative depth -1$"):
+            CellId(-1, (0,))
+
+    @pytest.mark.parametrize("k", [2, -1])
+    def test_refuses_index_out_of_range(self, k):
+        with pytest.raises(ValueError, match=f"^lattice index {k} out of range at depth 1$"):
+            CellId(1, (0, k))
+
+
 class TestLocate:
     def test_root_contains_everything(self):
         assert locate(np.array([0.0, 0.0]), 0) == root_cell(2)
