@@ -117,39 +117,53 @@ def nearest_centers(points, centers):
     ``((x - c) ** 2).sum()`` for every center, with ``sqd`` that sum for
     the chosen one.
 
-    Centers are ranked per block of points with one matrix product,
-    s_j = |c_j|**2 - 2 x.c_j (|c|**2 once per call), in blocks of about
-    2**16 scores.  A row is certified when every other center's s exceeds
-    the row minimum by more than :func:`tie_tolerance`, which bounds the
-    rounding of both the product form and the direct sum: its center is
-    then the unique minimizer of the direct sums, whatever order the BLAS
-    adds in.  Rows that are not certified (exact ties, duplicate centers,
-    near-ties) are searched again over all k centers with the direct
-    formula, and ``sqd`` is always the direct formula on the chosen
-    center.
+    Centers are ranked per block of points with one matrix product of the
+    augmented points [x, 1] and the augmented centers [2c, -|c|**2],
+    r_j = 2 x.c_j - |c_j|**2 = |x|**2 - d_j, so the largest r marks the
+    nearest center.  Blocks hold about 2**16 scores, and one score buffer
+    and one augmented-point buffer serve every block.  A row keeps its
+    argmax when the runner-up (the row maximum once the winner is set to
+    -inf) lies below the winner by more than :func:`tie_tolerance`, which
+    bounds the rounding of both the product form and the direct sum: its
+    center is then the unique minimizer of the direct sums, whatever order
+    the BLAS adds in.  Rows that are not certified (exact ties, duplicate
+    centers, near-ties, a NaN score or tolerance) are searched again over
+    all k centers with the direct formula, and ``sqd`` is always the
+    direct formula on the chosen center.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centers = np.ascontiguousarray(centers, dtype=np.float64)
-    n, dim = points.shape
+    points = np.asarray(points, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    k, dim = centers.shape
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"points must be (n, {dim}), got shape {points.shape}")
+    n = points.shape[0]
     labels = np.empty(n, dtype=np.int64)
     scale = max(np.abs(points).max(initial=0.0), np.abs(centers).max(initial=0.0))
     tol = tie_tolerance(dim, scale)
-    norms = (centers**2).sum(axis=1)
-    # A (block, k) temporary of 2**16 doubles (512 KB): blocks of 2**14 and
+    weights = np.empty((dim + 1, k))
+    np.multiply(centers.T, 2.0, out=weights[:dim])
+    weights[dim] = -(centers**2).sum(axis=1)
+    # A (block, k) buffer of 2**16 doubles (512 KB): blocks of 2**14 and
     # 2**18 measured slower, and larger ones raise peak memory.
-    block = max(1, (1 << 16) // max(1, centers.shape[0]))
+    block = max(1, min(n, (1 << 16) // max(1, k)))
+    augmented = np.empty((block, dim + 1))
+    augmented[:, dim] = 1.0
+    buffer = np.empty((block, k))
     for lo in range(0, n, block):
-        x = points[lo : lo + block]
-        s = x @ centers.T
-        s *= -2.0
-        s += norms
-        best = np.argmin(s, axis=1)
-        near = s <= (s.min(axis=1) + tol)[:, None]
-        ties = np.flatnonzero(np.count_nonzero(near, axis=1) != 1)
+        m = min(block, n - lo)
+        x, r = augmented[:m], buffer[:m]
+        x[:, :dim] = points[lo : lo + m]
+        np.matmul(x, weights, out=r)
+        best = np.argmax(r, axis=1)
+        rows = np.arange(m)
+        top = r[rows, best]
+        r[rows, best] = -np.inf
+        # ~(a < b), not a >= b: a NaN score or tolerance sends the row to the direct search.
+        ties = np.flatnonzero(~(r.max(axis=1) < top - tol))
         if ties.size:
-            d2 = ((x[ties, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            d2 = ((points[lo + ties, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             best[ties] = np.argmin(d2, axis=1)
-        labels[lo : lo + x.shape[0]] = best
+        labels[lo : lo + m] = best
     sqd = ((points - centers[labels]) ** 2).sum(axis=1)
     return labels, sqd
 
@@ -163,22 +177,24 @@ def tie_tolerance(dim, scale):
     multiply-add (Higham, Accuracy and Stability of Numerical Algorithms,
     sections 3.1 and 4.2), give:
 
-    * the product score s = |c|**2 - 2 x.c: |c|**2 and x.c are each off
-      by at most gamma_dim * dim * M**2, doubling is exact, and the
-      final subtraction of values below 3 dim M**2 adds about
-      3 u dim M**2, so |s_hat - s| <= e_s ~ 3 (dim + 1) u dim M**2;
+    * the product score r = 2 x.c - |c|**2, the (dim + 1)-term dot
+      product of [x, 1] and [2c, -|c|**2]: |c|**2 is off by at most
+      gamma_dim dim M**2, doubling is exact, and the product's terms are
+      at most 3 dim M**2 (1 + gamma_dim) in absolute sum, so it adds at
+      most gamma_(dim + 1) 3 dim M**2 (1 + gamma_dim), and
+      |r_hat - r| <= e_r ~ (4 dim + 3) u dim M**2;
     * the direct sum d = sum (x_i - c_i)**2 <= 4 dim M**2: each of its
       nonnegative terms carries at most dim + 2 roundings, so
       |d_hat - d| <= gamma_(dim + 2) d <= e_d ~ 4 (dim + 2) u dim M**2.
 
-    d_j - d_i = s_j - s_i exactly, so if s_hat_j exceeds s_hat_i by more
-    than 2 (e_s + e_d) ~ 14 (dim + 2) u dim M**2, then d_hat_j > d_hat_i.
+    d_j - d_i = r_i - r_j exactly, so if r_hat_i exceeds r_hat_j by more
+    than 2 (e_r + e_d) ~ (16 dim + 22) u dim M**2, then d_hat_j > d_hat_i.
     The tolerance 16 (dim + 2) dim M**2 eps (eps = 2u) is 32 (dim + 2)
-    u dim M**2: more than twice that, which also covers the second-order
-    terms of gamma and the rounding of ``min + tolerance`` itself.  The
-    smallest normal double is added for products that underflow, whose
-    error is absolute.  A non-finite M gives a non-finite tolerance,
-    under which no row of two or more centers is certified.
+    u dim M**2: more than that, which also covers the second-order terms
+    of gamma and the rounding of ``top - tolerance`` (u 3 dim M**2 for
+    |r| <= 3 dim M**2).  The smallest normal double is added for products
+    that underflow, whose error is absolute.  A non-finite M gives a
+    non-finite tolerance, under which no row is certified.
     """
     double = np.finfo(np.float64)
     return 16.0 * (dim + 2) * dim * scale * scale * double.eps + double.tiny

@@ -529,7 +529,7 @@ def _header(doc: dict, path, blocks: tuple[str, ...]):
         eta, cap = float(doc["eta"]), int(_integers(doc["depth_cap"], "depth_cap"))
         gamma, beta = (None if doc.get(k) is None else float(doc[k]) for k in ("gamma", "beta"))
     if dim < 1:
-        raise ValueError(f"codebook dim {dim} is not positive")
+        raise ValueError(f"codebook {path}: dim {dim} is not positive")
     if not 0 < eta < math.inf or cap < 0:
         raise ValueError(f"codebook {path}: needs a finite eta > 0 and a depth_cap >= 0, "
                          f"not {eta} and {cap}")

@@ -100,3 +100,10 @@ class TestKMeansDistortion:
         model = kmeans_fit(train, 1, seed=0)
         holdout = uniform_data(8, 200_000, 2)
         assert kmeans_distortion(model, holdout) == pytest.approx(2 / 12, rel=0.02)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_refuses_data_of_another_dimension(self, dim):
+        model = kmeans_fit(uniform_data(9, 40, 2), 3, seed=0)
+        with pytest.raises(ValueError) as exc:
+            kmeans_distortion(model, uniform_data(10, 10, dim))
+        assert str(exc.value) == f"points must be (n, 2), got shape (10, {dim})"

@@ -237,19 +237,51 @@ def test_nearest_centers_matches_broadcast(impl, dim, data):
     assert_same_as_broadcast(impl, points, centers)
 
 
+def tie_rows(rng, dim, rows=400):
+    """Point i with centers 2i and 2i + 1 at x_i + v_i and x_i - v_i.
+
+    The direct sums of each pair tie exactly; the matrix-product scores of
+    the pair differ by rounding.
+    """
+    points = np.empty((rows, dim))
+    centers = np.empty((2 * rows, dim))
+    for i in range(rows):
+        x, v = tie_pair(rng, dim, 1.0)
+        points[i], centers[2 * i], centers[2 * i + 1] = x, x + v, x - v
+    return points, centers
+
+
 def test_nearest_centers_exact_ties_take_the_lowest_index(impl):
-    # Centers 2i and 2i + 1 sit at x_i + v_i and x_i - v_i.  The direct sums
-    # tie exactly; the matrix-product scores of the pair differ by rounding.
     rng = np.random.default_rng(8)
     for dim in (1, 3, 13):
-        points = np.empty((400, dim))
-        centers = np.empty((800, dim))
-        for i in range(400):
-            x, v = tie_pair(rng, dim, 1.0)
-            points[i], centers[2 * i], centers[2 * i + 1] = x, x + v, x - v
+        points, centers = tie_rows(rng, dim)
         labels, _ = impl.nearest_centers(points, centers)
         assert np.mean(labels == 2 * np.arange(400)) > 0.9
         assert_same_as_broadcast(impl, points, centers)
+
+
+def test_nearest_centers_nan_tolerance_certifies_no_row(impl):
+    # One NaN point makes the scale, and so the tolerance, NaN.  Every row
+    # must then go to the direct search, tie pairs included; a certificate
+    # that passes on NaN keeps the product's rounding-chosen winners.
+    rng = np.random.default_rng(8)
+    for dim in (1, 3, 13):
+        points, centers = tie_rows(rng, dim)
+        points = np.vstack([points, np.full(dim, np.nan)])
+        assert np.isnan(impl.tie_tolerance(dim, np.nan))
+        assert_same_as_broadcast(impl, points, centers)
+
+
+@pytest.mark.parametrize("k", [36, 148, 420])
+def test_nearest_centers_at_the_benchmark_shapes(impl, k):
+    # baseline_kmeans holds out 10 n = 20480 points in D = 3 at k of about
+    # 36, 148 and 420: many blocks of the reused buffers, the last partial.
+    rng = np.random.default_rng(k)
+    points = rng.random((20480, 3))
+    centers = points[rng.choice(20480, k, replace=False)].copy()
+    centers[rng.integers(0, k, 8)] = centers[rng.integers(0, k, 8)]  # k-means++ repeats
+    points[rng.integers(0, 20480, 200)] = centers[rng.integers(0, k, 200)]
+    assert_same_as_broadcast(impl, points, centers)
 
 
 def test_nearest_centers_more_centers_than_a_block(impl):
@@ -274,15 +306,19 @@ def test_nearest_centers_empty_and_non_finite(impl):
 @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 3.0e5])
 def test_tie_tolerance_covers_both_roundings(impl, dim, scale):
     # Worst-case rounding in any summation order (Higham, sections 3.1 and
-    # 4.2) of the score |c|**2 - 2 x.c and of the direct sum of dim squared
-    # differences, plus the rounding of ``min + tolerance``.
+    # 4.2) of the score 2 x.c - |c|**2, the (dim + 1)-term product of
+    # [x, 1] and [2c, -|c|**2], and of the direct sum of dim squared
+    # differences, plus the rounding of ``top - tolerance``.
     u = 2.0**-53
 
     def gamma(m):
         return m * u / (1 - m * u)
 
     big = dim * scale**2
-    score_err = 3 * gamma(dim) * big + u * 3 * big * (1 + gamma(dim))
+    norm_err = gamma(dim) * big
+    score_err = norm_err + gamma(dim + 1) * 3 * big * (1 + gamma(dim))
     direct_err = gamma(dim + 2) * 4 * big
+    score_max = 3 * big * (1 + gamma(dim)) * (1 + gamma(dim + 1))  # bounds |r_hat|
     tol = impl.tie_tolerance(dim, scale)
-    assert tol * (1 - u) - u * 3 * big * (1 + gamma(dim)) > 2 * (score_err + direct_err)
+    # A certified runner-up has second < fl(top - tol) <= top - tol + u (|top| + tol).
+    assert tol * (1 - u) - u * score_max > 2 * (score_err + direct_err)

@@ -649,7 +649,7 @@ class TestCodebookValidation:
         path.write_text(json.dumps({**codebook_doc(HALVES), "dim": 0}))
         with pytest.raises(ValueError) as exc:
             load_codebook(path)
-        assert str(exc.value) == "codebook dim 0 is not positive"
+        assert str(exc.value) == f"codebook {path}: dim 0 is not positive"
 
     @pytest.mark.parametrize(
         "rows, message",
