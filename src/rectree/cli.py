@@ -26,7 +26,7 @@ from .datagen import (
     write_csv,
     write_dataset,
 )
-from .errors import DomainError
+from .errors import naming
 from .experiment import (
     RateExperimentConfig,
     RateRow,
@@ -53,9 +53,13 @@ from .stats import Dataset
 _CONFIG_COMMANDS = ("rate-experiment", "approx-trend", "baseline")
 
 
-def _load_data(path: str, do_normalize: bool = False) -> Dataset:
+def _load_data(path: str, do_normalize: bool = False, dim: int | None = None) -> Dataset:
     pts = read_points_csv(path) if path.endswith(".csv") else read_dataset(path).points
-    return normalize(pts) if do_normalize else Dataset(pts)
+    with naming(path):
+        data = normalize(pts) if do_normalize else Dataset(pts)
+        if dim not in (None, data.dim):
+            raise ValueError(f"data dim {data.dim} != codebook dim {dim}")
+    return data
 
 
 def _generator_from_args(args) -> GeneratorSpec:
@@ -110,10 +114,11 @@ def _etas(text: str) -> list[float]:
 
 def _config_flags(path) -> list[str]:
     """A JSON config as command-line flags, so argparse types and checks every value."""
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config {path} must hold a JSON object, not a {type(cfg).__name__}")
+    with naming(f"config {path}"):
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"must hold a JSON object, not a {type(cfg).__name__}")
     flags = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
@@ -134,10 +139,7 @@ def _cmd_fit(args) -> int:
 
 def _codebook_and_data(args) -> tuple[Quantizer, Dataset]:
     q = load_codebook(args.codebook)
-    data = _load_data(args.data)
-    if data.dim != q.dim:
-        raise ValueError(f"{args.data}: data dim {data.dim} != codebook dim {q.dim}")
-    return q, data
+    return q, _load_data(args.data, dim=q.dim)
 
 
 def _cmd_encode(args) -> int:
@@ -152,12 +154,10 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     q = load_codebook(args.codebook)
     ids = read_points_csv(args.ids, dtype=np.int64)
-    try:
+    with naming(args.ids):
         if ids.shape[1] != 1 + q.dim:
             raise ValueError(f"id rows must have 1+{q.dim} integers, not {ids.shape[1]}")
         vectors = decode(q, ids[:, 0], ids[:, 1:])
-    except ValueError as exc:
-        raise ValueError(f"{args.ids}: {exc}") from None
     write_csv(args.output, [f"x{k}" for k in range(q.dim)], vectors.tolist())
     print(f"decode: {ids.shape[0]} ids -> {args.output}")
     return 0
@@ -241,13 +241,11 @@ def _cmd_approx_trend(args) -> int:
         raise ValueError("approx-trend --weighted needs --atoms-csv")
     if args.atoms_csv:
         raw = read_points_csv(args.atoms_csv)
-        try:
+        with naming(args.atoms_csv):
             if args.weighted:
                 dist = DiscreteDistribution(raw[:, :-1], raw[:, -1])
             else:
                 dist = DiscreteDistribution(raw, np.full(raw.shape[0], 1.0 / raw.shape[0]))
-        except ValueError as exc:
-            raise ValueError(f"{args.atoms_csv}: {exc}") from None
     else:
         vars(args).update({k: v for k, v in _TREND_GRID.items() if vars(args)[k] is None})
         dist = _uniform_grid_atoms(args.uniform_atoms, args.dim)
@@ -407,7 +405,7 @@ def main(argv=None) -> int:
                 argv = argv[:1] + _config_flags(config) + argv[1:]
         args = build_parser().parse_args(argv)
         return args.run(args)
-    except (DomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

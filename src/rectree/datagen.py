@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, naming
 from .stats import Dataset
 
 KINDS = ("uniform_cube", "density_cube", "circle", "sphere", "swiss_roll")
@@ -201,52 +201,51 @@ def read_dataset(path) -> Dataset:
     """Read a :func:`write_dataset` file; a malformed one raises a ValueError naming it.
 
     A version 1 file also holds a flag byte, a scale and a translation
-    between its header and its points; they are skipped.
+    between its header and its points; they are skipped.  A point outside
+    the cube is a DomainError naming the file.
     """
-    with open(path, "rb") as fh:
+    with naming(path), open(path, "rb") as fh:
         head = fh.read(4 + _HEADER.size)
         if head[:4] != _MAGIC:
-            raise ValueError(f"{path} is not a dataset file")
+            raise ValueError("not a dataset file")
         if len(head) < 4 + _HEADER.size:
-            raise ValueError(f"{path}: dataset header truncated")
+            raise ValueError("dataset header truncated")
         version, dim, n = _HEADER.unpack_from(head, 4)
         if version not in (1, _VERSION):
-            raise ValueError(f"{path}: unsupported dataset version {version}")
+            raise ValueError(f"unsupported dataset version {version}")
         if dim < 1:
-            raise ValueError(f"{path}: dataset dimension must be at least 1, got {dim}")
+            raise ValueError(f"dataset dimension must be at least 1, got {dim}")
         skip = 9 + 8 * dim if version == 1 else 0
         size, expected = os.fstat(fh.fileno()).st_size, len(head) + skip + 8 * dim * n
         if size != expected:
-            raise ValueError(f"{path}: {size} bytes, expected {expected} for n = {n}, dim = {dim}")
+            raise ValueError(f"{size} bytes, expected {expected} for n = {n}, dim = {dim}")
         fh.seek(skip, os.SEEK_CUR)
         points = np.frombuffer(fh.read(8 * dim * n), dtype="<f8").reshape(n, dim).copy()
-    return Dataset(points)
+        return Dataset(points)
 
 
 def read_points_csv(path, dtype=np.float64) -> np.ndarray:
     """Plain CSV of coordinates; a UTF-8 byte-order mark and a single non-numeric
     header row are skipped.
 
-    A malformed or empty file, or a value that does not parse as
+    A malformed, empty or non-UTF-8 file, or a value that does not parse as
     ``dtype``, raises a ValueError naming it.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        first = fh.readline()
-    skip = 0
-    try:
-        [float(tok) for tok in first.strip().split(",") if tok]
-    except ValueError:
-        skip = 1
-    with warnings.catch_warnings():
-        # An empty file is reported below, not by numpy's "input contained no data".
-        warnings.simplefilter("ignore", UserWarning)
+    with naming(path):
+        with open(path, encoding="utf-8-sig") as fh:
+            first = fh.readline()
+        skip = 0
         try:
+            [float(tok) for tok in first.strip().split(",") if tok]
+        except ValueError:
+            skip = 1
+        with warnings.catch_warnings():
+            # An empty file is reported below, not by numpy's "input contained no data".
+            warnings.simplefilter("ignore", UserWarning)
             pts = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, dtype=dtype,
                              encoding="utf-8-sig")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if pts.size == 0:
-        raise ValueError(f"{path}: no data rows")
+        if pts.size == 0:
+            raise ValueError("no data rows")
     return pts
 
 

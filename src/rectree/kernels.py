@@ -5,8 +5,8 @@ Conventions:
 * points are C-contiguous float64 arrays of shape (n, dim) with every
   coordinate in [0, 1);
 * a cell at depth j is addressed by the bit-interleaved (Morton) code of
-  its lattice index, which requires depth * dim <= 62 so codes fit in a
-  signed 64-bit integer;
+  its lattice index, which requires depth * dim <= MORTON_BITS = 62 so
+  codes fit in a signed 64-bit integer;
 * the code of the enclosing cell at depth j - 1 is ``code >> dim``;
 * codes are ordered by :func:`morton_argsort`, a radix sort whose
   permutation is exactly that of ``np.argsort(codes, kind="stable")``.
@@ -15,6 +15,7 @@ Conventions:
 import numpy as np
 
 BACKEND = "python"
+MORTON_BITS = 62
 
 
 def morton_encode(points, depth):
@@ -30,8 +31,8 @@ def morton_encode(points, depth):
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, dim = points.shape
-    if depth * dim > 62:
-        raise ValueError(f"depth {depth} with dim {dim} overflows 62-bit Morton codes")
+    if depth * dim > MORTON_BITS:
+        raise ValueError(f"depth {depth} with dim {dim} overflows {MORTON_BITS}-bit Morton codes")
     with np.errstate(invalid="ignore"):  # NaN casts to an index outside the range
         idx = np.floor(points * np.float64(2.0**depth)).astype("<i8")
     if dim == 1:
@@ -54,10 +55,10 @@ def morton_encode(points, depth):
 
 
 def _spread_table(dim):
-    """Bit t of each byte value moved to bit t * dim (bits that cannot fit in 62 dropped)."""
+    """Bit t of each byte value moved to bit t * dim (bits past MORTON_BITS dropped)."""
     byte = np.arange(256, dtype=np.int64)
     table = np.zeros(256, dtype=np.int64)
-    for t in range(min(8, 62 // dim + 1)):
+    for t in range(min(8, MORTON_BITS // dim + 1)):
         table |= ((byte >> t) & 1) << (t * dim)
     return table
 

@@ -41,7 +41,7 @@ import numpy as np
 from . import kernels
 from .errors import DepthCapError
 from .stats import Dataset, StatsTable, _Level
-from .tree import MORTON_BITS, default_max_depth
+from .tree import default_max_depth
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
     """
     cap = min(isolation_depth(dist) + 1, default_max_depth(dist.dim))
     if cap < 1:  # outer leaves reach depth 1, so the table needs that level
-        raise DepthCapError(f"dim {dist.dim} has no depth-1 cells in a {MORTON_BITS}-bit code")
+        raise DepthCapError(f"dim {dist.dim} has no depth-1 cells in a "
+                            f"{kernels.MORTON_BITS}-bit code")
     deep_codes = kernels.morton_encode(dist.points, cap)
     order = kernels.morton_argsort(deep_codes, dist.dim * cap)
     pts, w, deep_codes = dist.points[order], dist.weights[order], deep_codes[order]

@@ -54,13 +54,12 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
+from .errors import DomainError, naming
 from .stats import Dataset, StatsTable, build_stats
 from .tree import CellId, cells_from_codes, default_max_depth, outer_leaves, smallest_subtree
 
@@ -119,6 +118,8 @@ def _subtree_levels(stats: StatsTable, eta: float, depth_cap: int | None) -> lis
     """Sorted subtree codes per depth: the closure of codes[gains >= eta], depth < cap."""
     if not 0 < eta < math.inf:
         raise ValueError(f"eta {eta} must be finite and positive")
+    if depth_cap is not None and depth_cap < 0:
+        raise ValueError(f"depth_cap {depth_cap} must be non-negative")
     cap = stats.depth_cap if depth_cap is None else min(depth_cap, stats.depth_cap)
     marked = {d: stats.level(d).codes[stats.level(d).gains >= eta] for d in range(cap)}
     return smallest_subtree(marked, stats.dim)
@@ -379,8 +380,8 @@ def decode(q: Quantizer, depths, index) -> np.ndarray:
     the shapes are not (n,) and (n, dim), or naming the first row that is
     no cell or no leaf of ``q``.
     """
-    depths = _integers(depths, "depths")
-    index = _integers(index, "index")
+    depths = _numbers(depths, "depths")
+    index = _numbers(index, "index")
     if depths.ndim != 1:
         raise ValueError(f"depths must be (n,), got shape {depths.shape}")
     if index.shape != (depths.shape[0], q.dim):
@@ -419,17 +420,25 @@ def save_codebook(q: Quantizer, path) -> None:
     with its (a - 1)|S| + 1 leaves.  Floats go through ``.tolist()`` and
     ``json``, which writes ``float.__repr__``: the shortest decimal that
     parses back to the same double, so a load gives the quantizer bit for
-    bit.  ValueError, and no file, if a code vector is not finite, naming
-    its row among all leaves in (depth, index) order.
+    bit.  ValueError naming the file, and no file, if :func:`load_codebook`
+    would refuse the header, or if a code vector is not finite, naming its
+    row among all leaves in (depth, index) order.
     """
+    header = {
+        "format": CODEBOOK_FORMAT,
+        "version": CODEBOOK_VERSION,
+        "dim": q.dim,
+        "eta": q.threshold,
+        "gamma": q.gamma,
+        "beta": q.beta,
+        "depth_cap": q.depth_cap,
+    }
     depths = q.depths.astype(np.int64)
     index = kernels.morton_decode(q.starts, q.deepest, q.dim) >> (q.deepest - depths[:, None])
-    bad = ~np.isfinite(q.vectors).all(axis=1)
-    if bad.any():
-        order = np.lexsort([*index.T[::-1], depths])
-        i = np.flatnonzero(bad[order])[0]
-        raise ValueError(f"codebook {path} row {i}: code {q.vectors[order[i]].tolist()} "
-                         "is not finite")
+    with naming(f"codebook {path}"):
+        _header(header, ())
+        if not np.isfinite(q.vectors).all():
+            _check_finite(q.vectors[np.lexsort([*index.T[::-1], depths])], "row")
     # A cube center is positive, so != between finite doubles is a bit compare.
     off = (q.vectors != (index + 0.5) * 2.0 ** -depths[:, None]).any(axis=1)
     sub_depths, sub_index = [depths[:0]], [index[:0]]
@@ -441,17 +450,8 @@ def save_codebook(q: Quantizer, path) -> None:
         sub_index.append(kernels.morton_decode(codes, d, q.dim))
     subtree = _file_order(np.concatenate(sub_depths), np.concatenate(sub_index))
     leaves = _file_order(depths[off], index[off], q.vectors[off])
-    doc = {
-        "format": CODEBOOK_FORMAT,
-        "version": CODEBOOK_VERSION,
-        "dim": q.dim,
-        "eta": q.threshold,
-        "gamma": q.gamma,
-        "beta": q.beta,
-        "depth_cap": q.depth_cap,
-        "subtree": dict(zip(("depth", "index"), subtree)),
-        "leaves": dict(zip(("depth", "index", "code"), leaves)),
-    }
+    doc = {**header, "subtree": dict(zip(("depth", "index"), subtree)),
+           "leaves": dict(zip(("depth", "index", "code"), leaves))}
     text = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n" + text + "\n}\n")
@@ -463,38 +463,41 @@ def _file_order(depths: np.ndarray, index: np.ndarray, *rest: np.ndarray) -> lis
     return [array[order].tolist() for array in (depths, index, *rest)]
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; TypeError unless every entry is an integer."""
+def _numbers(values, what: str, kind: type = int, scalar: bool = False):
+    """``values`` as an int64 array, or float64 if ``kind`` is float; a ``kind`` if ``scalar``.
+
+    TypeError unless every entry is an integer (a number, for float).  A bool
+    or a string is none, even among numbers, where numpy infers a numeric
+    dtype (``[0, True]`` is int64); an ndarray is checked by its dtype alone.
+    """
     array = np.array(values)
-    if array.size and array.dtype.kind != "i":
-        raise TypeError(f"{what} must be integers")
-    return array.astype(np.int64)
+    entries = () if isinstance(values, np.ndarray) else np.array(values, dtype=object).flat
+    loose = not {bool, np.bool_}.isdisjoint(map(type, entries))
+    wrong = array.size and array.dtype.kind not in ("i" if kind is int else "if")
+    if wrong or loose or scalar and array.ndim:
+        noun = "integer" if kind is int else "number"
+        raise TypeError(f"{what} must be " + (f"one {noun}" if scalar else f"{noun}s"))
+    array = array.astype(np.int64 if kind is int else np.float64)
+    return kind(array) if scalar else array
 
 
-def _lower_corners(depths: np.ndarray, index: np.ndarray, deepest: int) -> np.ndarray:
+def _lower_corners(depths: np.ndarray, index: np.ndarray, deepest: int,
+                   rows: str = "row") -> np.ndarray:
     """Depth-``deepest`` Morton code of each (depth, index) row's lower corner.
 
-    ValueError naming the first row that is no cell: a depth outside
-    0..default_max_depth or an index outside 0..2**depth - 1.
+    ValueError naming the first row that is no cell (``rows`` and its
+    number): a depth outside 0..default_max_depth or an index outside
+    0..2**depth - 1.
     """
     top = default_max_depth(index.shape[1])
     outside = (index < 0) | (index >> depths[:, None] != 0)
     bad = np.flatnonzero((depths < 0) | (depths > top) | outside.any(axis=1))
     if bad.size:
         i = bad[0]
-        raise ValueError(f"row {i}: no cell of depth {depths[i]} (0..{top}) "
+        raise ValueError(f"{rows} {i}: no cell of depth {depths[i]} (0..{top}) "
                          f"has index {index[i].tolist()}")
     # A lower corner k 2**-d is exact and encodes to the first code of its run.
     return kernels.morton_encode(index * 2.0 ** -depths[:, None], deepest)
-
-
-@contextmanager
-def _malformed(path):
-    """Report a parse error of the codebook at ``path`` as one ValueError line."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed codebook {path}: {type(exc).__name__} {exc}") from None
 
 
 def load_codebook(path) -> Quantizer:
@@ -507,94 +510,82 @@ def load_codebook(path) -> Quantizer:
     the problem in one line, unless the file is well formed and its leaves
     tile the cube.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != CODEBOOK_FORMAT:
-        raise ValueError(f"not a codebook file: {path}")
-    version = doc.get("version")
-    if version == 1:
-        return _load_v1(doc, path)
-    if version == CODEBOOK_VERSION:
-        return _load_v2(doc, path)
-    raise ValueError(f"unsupported codebook version {version}")
+    with naming(f"codebook {path}"):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != CODEBOOK_FORMAT:
+            raise ValueError("not a codebook file")
+        version = doc.get("version")
+        if type(version) is not int or version not in (1, CODEBOOK_VERSION):
+            raise ValueError(f"unsupported codebook version {version!r}")
+        return _load_v1(doc) if version == 1 else _load_v2(doc)
 
 
-def _header(doc: dict, path, blocks: tuple[str, ...]):
+def _header(doc: dict, blocks: tuple[str, ...]):
     """(dim, eta, depth_cap, gamma, beta) of a codebook that has every key of ``blocks``."""
     missing = [key for key in ("dim", "eta", "depth_cap", *blocks) if key not in doc]
     if missing:
-        raise ValueError(f"codebook {path} lacks {', '.join(missing)}")
-    with _malformed(path):
-        dim = int(_integers(doc["dim"], "dim"))
-        eta, cap = float(doc["eta"]), int(_integers(doc["depth_cap"], "depth_cap"))
-        gamma, beta = (None if doc.get(k) is None else float(doc[k]) for k in ("gamma", "beta"))
+        raise ValueError(f"lacks {', '.join(missing)}")
+    dim, cap = (_numbers(doc[key], key, scalar=True) for key in ("dim", "depth_cap"))
+    eta = _numbers(doc["eta"], "eta", float, scalar=True)
+    gamma, beta = (None if doc.get(key) is None else _numbers(doc[key], key, float, scalar=True)
+                   for key in ("gamma", "beta"))
     if dim < 1:
-        raise ValueError(f"codebook {path}: dim {dim} is not positive")
+        raise ValueError(f"dim {dim} is not positive")
     if not 0 < eta < math.inf or cap < 0:
-        raise ValueError(f"codebook {path}: needs a finite eta > 0 and a depth_cap >= 0, "
-                         f"not {eta} and {cap}")
+        raise ValueError(f"needs a finite eta > 0 and a depth_cap >= 0, not {eta} and {cap}")
     return dim, eta, cap, gamma, beta
 
 
-def _load_v1(doc: dict, path) -> Quantizer:
+def _load_v1(doc: dict) -> Quantizer:
     """The quantizer of a v1 file, whose leaves are listed one object each."""
-    dim, eta, cap, gamma, beta = _header(doc, path, ("leaves",))
+    dim, eta, cap, gamma, beta = _header(doc, ("leaves",))
     rows = doc["leaves"]
     if not rows:
-        raise ValueError(f"codebook {path} lacks leaves")
-    with _malformed(path):
-        short = [i for i, r in enumerate(rows) if len(r["index"]) != dim or len(r["code"]) != dim]
-        if not short:
-            depths = _integers([row["depth"] for row in rows], "leaf depths")
-            index = _integers([row["index"] for row in rows], "leaf indices")
-            index = index.reshape(len(rows), dim)
-            vectors = np.array([row["code"] for row in rows], dtype=np.float64)
-            vectors = vectors.reshape(len(rows), dim)
+        raise ValueError("lacks leaves")
+    short = [i for i, r in enumerate(rows) if len(r["index"]) != dim or len(r["code"]) != dim]
     if short:
-        raise ValueError(f"codebook row {short[0]}: index and code need {dim} entries each")
-    _check_finite(vectors, f"codebook {path} row")
+        raise ValueError(f"row {short[0]}: index and code need {dim} entries each")
+    depths = _numbers([row["depth"] for row in rows], "leaf depths")
+    index = _numbers([row["index"] for row in rows], "leaf indices").reshape(len(rows), dim)
+    vectors = _numbers([row["code"] for row in rows], "leaf codes", float).reshape(len(rows), dim)
+    _check_finite(vectors, "row")
     deepest = int(depths.max())
-    try:
-        start = _lower_corners(depths, index, deepest)
-    except ValueError as exc:
-        raise ValueError(f"codebook {exc}") from None
+    start = _lower_corners(depths, index, deepest)
     order = kernels.morton_argsort(start, dim * deepest)
-    try:
-        return Quantizer(dim, start[order], depths[order].astype(np.int8), vectors[order],
-                         eta, cap, gamma, beta)
-    except ValueError as exc:
-        raise ValueError(f"codebook {path}: {exc}") from None
+    return Quantizer(dim, start[order], depths[order].astype(np.int8), vectors[order],
+                     eta, cap, gamma, beta)
 
 
-def _check_finite(vectors: np.ndarray, what: str) -> None:
+def _check_finite(vectors: np.ndarray, rows: str) -> None:
     """ValueError naming the first row of ``vectors`` that is not finite, if one is."""
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad.size:
         i = bad[0]
-        raise ValueError(f"{what} {i}: code {vectors[i].tolist()} is not finite")
+        raise ValueError(f"{rows} {i}: code {vectors[i].tolist()} is not finite")
 
 
-def _load_v2(doc: dict, path) -> Quantizer:
+def _load_v2(doc: dict) -> Quantizer:
     """The quantizer of a v2 file: its subtree's outer leaves, listed or at their cube centers."""
-    dim, eta, cap, gamma, beta = _header(doc, path, ("subtree", "leaves"))
-    sub_depths, sub_index = _block(doc, path, "subtree", ("depth", "index"), dim)
-    leaf_depths, leaf_index, vectors = _block(doc, path, "leaves", ("depth", "index", "code"), dim)
-    _check_finite(vectors, f"codebook {path} leaves row")
-    sub_codes = _cell_codes(path, "subtree", sub_depths, sub_index)
-    leaf_codes = _cell_codes(path, "leaves", leaf_depths, leaf_index)
+    dim, eta, cap, gamma, beta = _header(doc, ("subtree", "leaves"))
+    sub_depths, sub_index = _block(doc, "subtree", ("depth", "index"), dim)
+    leaf_depths, leaf_index, vectors = _block(doc, "leaves", ("depth", "index", "code"), dim)
+    _check_finite(vectors, "leaves row")
+    sub_codes = _cell_codes("subtree", sub_depths, sub_index)
+    leaf_codes = _cell_codes("leaves", leaf_depths, leaf_index)
 
     def refuse(block, mask, problem):
         depths, index = (sub_depths, sub_index) if block == "subtree" else (leaf_depths, leaf_index)
         bad = np.flatnonzero(mask)
         if bad.size:
             i = bad[0]
-            raise ValueError(f"codebook {path} {block} row {i}: depth {depths[i]} "
-                             f"index {index[i].tolist()} {problem}")
+            raise ValueError(f"{block} row {i}: depth {depths[i]} index {index[i].tolist()} "
+                             f"{problem}")
 
     top = default_max_depth(dim)
     refuse("subtree", sub_depths >= top, f"has children deeper than {top}")
     if sub_depths.size and not (sub_depths == 0).any():
-        raise ValueError(f"codebook {path} subtree lacks the root")
+        raise ValueError("subtree lacks the root")
     refuse("subtree", _repeats(sub_depths, sub_codes), "is listed twice")
     levels = [np.unique(sub_codes[sub_depths == d]) for d in range(sub_depths.max(initial=-1) + 1)]
     refuse("subtree", (sub_depths > 0) & ~_in_levels(dict(enumerate(levels)), sub_depths - 1,
@@ -613,38 +604,30 @@ def _load_v2(doc: dict, path) -> Quantizer:
     return _outer_leaf_quantizer(dim, leaves, listed, eta, cap, gamma, beta)
 
 
-def _block(doc: dict, path, name: str, keys: tuple[str, ...], dim: int) -> list[np.ndarray]:
+def _block(doc: dict, name: str, keys: tuple[str, ...], dim: int) -> list[np.ndarray]:
     """A v2 block's arrays: int64 depths (n,), int64 indices (n, dim), codes (n, dim)."""
     block = doc[name]
     if not isinstance(block, dict):
-        raise ValueError(f"codebook {path} {name} is not an object")
+        raise ValueError(f"{name} is not an object")
     missing = [key for key in keys if key not in block]
     if missing:
-        raise ValueError(f"codebook {path} {name} lacks {', '.join(missing)}")
-    with _malformed(path):
-        arrays = [_integers(block[key], f"{name}.{key}") for key in ("depth", "index")]
-        if "code" in keys:
-            arrays.append(np.array(block["code"], dtype=np.float64))
+        raise ValueError(f"{name} lacks {', '.join(missing)}")
+    arrays = [_numbers(block[key], f"{name}.{key}", kind)
+              for key, kind in zip(keys, (int, int, float))]
     # An empty JSON list has shape (0,).
     arrays[1:] = [a.reshape(0, dim) if a.shape == (0,) else a for a in arrays[1:]]
     n = arrays[0].shape[0] if arrays[0].ndim == 1 else -1
     if [a.shape for a in arrays] != [(n,)] + [(n, dim)] * (len(arrays) - 1):
         want = ", ".join(["(n,)"] + [f"(n, {dim})"] * (len(arrays) - 1))
         got = ", ".join(str(a.shape) for a in arrays)
-        raise ValueError(f"codebook {path} {name}: {'/'.join(keys)} must have shapes {want}, "
-                         f"not {got}")
+        raise ValueError(f"{name} {'/'.join(keys)} must have shapes {want}, not {got}")
     return arrays
 
 
-def _cell_codes(path, name: str, depths: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _cell_codes(name: str, depths: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Morton code of each (depth, index) row at its own depth; ValueError if one is no cell."""
-    dim = index.shape[1]
-    top = default_max_depth(dim)
-    try:
-        start = _lower_corners(depths, index, top)
-    except ValueError as exc:
-        raise ValueError(f"codebook {path} {name} {exc}") from None
-    return start >> dim * (top - depths)
+    top = default_max_depth(index.shape[1])
+    return _lower_corners(depths, index, top, f"{name} row") >> index.shape[1] * (top - depths)
 
 
 def _repeats(depths: np.ndarray, codes: np.ndarray) -> np.ndarray:

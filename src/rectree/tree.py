@@ -34,14 +34,10 @@ import numpy as np
 
 from . import kernels
 
-# Lattice indices are bit-interleaved into signed 64-bit codes, so the
-# usable depth is capped at 62 bits total across coordinates.
-MORTON_BITS = 62
-
 
 def default_max_depth(dim: int) -> int:
     """Default storage depth cap: 32 per coordinate, scaled down by D."""
-    return min(32, MORTON_BITS // dim)
+    return min(32, kernels.MORTON_BITS // dim)
 
 
 @dataclass(frozen=True)

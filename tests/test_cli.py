@@ -579,3 +579,66 @@ class TestErrors:
         assert run("sweep", *argv, "--etas", "0.1", "--output", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def _v1_codebook(dim, leaves):
+    return json.dumps({"format": "rectree-codebook", "version": 1, "dim": dim, "eta": 0.1,
+                       "depth_cap": 3, "leaves": leaves})
+
+
+# Refusals of outside input that once printed no file name: (the file, its
+# content, the command around it, the error after "FILE: ").
+UNNAMED_REFUSALS = [
+    ("bad.json", "not json", ["encode", "--codebook", "{file}", "--data", "{train}"],
+     "codebook {file}: Expecting value: line 1 column 1 (char 0)"),
+    ("bin.json", b"\xff{}", ["encode", "--codebook", "{file}", "--data", "{train}"],
+     "codebook {file}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("v7.json", json.dumps({"format": "rectree-codebook", "version": 7}),
+     ["encode", "--codebook", "{file}", "--data", "{train}"],
+     "codebook {file}: unsupported codebook version 7"),
+    ("short.json", _v1_codebook(2, [{"depth": 0, "index": [0], "code": [0.5, 0.5]}]),
+     ["encode", "--codebook", "{file}", "--data", "{train}"],
+     "codebook {file}: row 0: index and code need 2 entries each"),
+    ("range.json", _v1_codebook(1, [{"depth": 1, "index": [0], "code": [0.5]},
+                                    {"depth": 1, "index": [5], "code": [0.5]}]),
+     ["encode", "--codebook", "{file}", "--data", "{train}"],
+     "codebook {file}: row 1: no cell of depth 1 (0..32) has index [5]"),
+    ("cfg.json", '{"n_grid": nope}', ["rate-experiment", "--config", "{file}"],
+     "config {file}: Expecting value: line 1 column 12 (char 11)"),
+    ("x.csv", b"\xff0.1\n0.2\n", ["fit", "--data", "{file}", "--eta", "0.1"],
+     "{file}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("out.csv", "x0,x1\n0.1,0.2\n1.5,0.3\n", ["encode", "--codebook", "{cb}", "--data", "{file}"],
+     "{file}: point 1 = [1.5, 0.3] outside [0, 1)^2"),
+]
+
+
+class TestRefusalsNameTheirFile:
+    @pytest.mark.parametrize(
+        "name, content, argv, message", UNNAMED_REFUSALS,
+        ids=["not-json", "not-utf8", "version-7", "v1-short-index", "v1-index-range",
+             "config-not-json", "csv-not-utf8", "csv-outside-cube"],
+    )
+    def test_one_error_line_names_the_file(self, workdir, capsys, name, content, argv, message):
+        cb, path, out = workdir / "cb.json", workdir / name, workdir / "result.out"
+        assert run("fit", "--data", workdir / "train.rtds", "--eta", "0.05", "--output", cb) == 0
+        capsys.readouterr()
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        names = {"file": path, "train": workdir / "train.rtds", "cb": cb}
+        assert run(*[a.format(**names) for a in argv], "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(file=path)}\n"
+        assert err.count(str(path)) == 1
+        assert not out.exists()
+
+    def test_binary_dataset_outside_the_cube_names_the_file(self, workdir, capsys):
+        cb, data, out = workdir / "cb.json", workdir / "bad.rtds", workdir / "ids.csv"
+        assert run("fit", "--data", workdir / "train.rtds", "--eta", "0.05", "--output", cb) == 0
+        capsys.readouterr()
+        raw = (workdir / "train.rtds").read_bytes()
+        data.write_bytes(raw[:-16] + np.array([1.5, 0.3], "<f8").tobytes())
+        assert run("encode", "--codebook", cb, "--data", data, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {data}: point 399 = [1.5, 0.3] outside [0, 1)^2\n"
+        assert not out.exists()

@@ -252,8 +252,25 @@ class TestFileFormats:
     def test_magic_check(self, tmp_path):
         path = tmp_path / "bogus.rtds"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             read_dataset(path)
+        assert str(exc.value) == f"{path}: not a dataset file"
+
+    def test_point_outside_the_cube_is_a_domain_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "outside.rtds"
+        path.write_bytes(b"RTDS" + struct.pack("<IIQ", 2, 2, 2)
+                         + np.array([0.1, 0.2, 1.5, 0.3], "<f8").tobytes())
+        with pytest.raises(DomainError) as exc:
+            read_dataset(path)
+        assert str(exc.value) == f"{path}: point 1 = [1.5, 0.3] outside [0, 1)^2"
+
+    def test_csv_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"\xff0.1\n0.2\n")
+        with pytest.raises(ValueError) as exc:
+            read_points_csv(path)
+        assert str(exc.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                                  "invalid start byte")
 
     @pytest.mark.parametrize(
         "damage",

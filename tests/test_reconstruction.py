@@ -116,6 +116,15 @@ class TestThresholdSubtree:
         large = threshold_subtree(table, eta1 * factor)
         assert large <= small
 
+    def test_rejects_negative_depth_cap(self):
+        table = build_stats(TWO_POINT, 2)
+        with pytest.raises(ValueError) as exc:
+            threshold_subtree(table, 0.1, -1)
+        assert str(exc.value) == "depth_cap -1 must be non-negative"
+        with pytest.raises(ValueError) as exc:
+            quantizer_from_stats(table, 0.1, depth_cap=-3)
+        assert str(exc.value) == "depth_cap -3 must be non-negative"
+
     def test_rejects_nonpositive_eta(self):
         table = build_stats(TWO_POINT, 2)
         for eta in (0.0, -1.0, math.nan, math.inf):
@@ -595,10 +604,28 @@ class TestSaveRefusesNonFiniteCodes:
                   2: (np.array([0, 1]), np.array([[0.125], [bad]]))}
         q = Quantizer.from_tables(1, tables, 0.1, 3)
         path = tmp_path / "codebook.json"
-        with pytest.raises(ValueError, match=rf"codebook .*codebook.json row 2: code \[{bad}\] "
+        with pytest.raises(ValueError, match=rf"codebook .*codebook.json: row 2: code \[{bad}\] "
                                              "is not finite"):
             save_codebook(q, path)
         assert not path.exists()
+
+
+class TestSaveRefusesWhatLoadRefuses:
+    @pytest.mark.parametrize("eta, cap", [(0.0, 3), (math.nan, 3), (-1.0, 3), (0.1, -1)],
+                             ids=["eta-zero", "eta-nan", "eta-negative", "cap-negative"])
+    def test_header_load_refuses_is_not_written(self, tmp_path, eta, cap):
+        q = Quantizer.from_tables(1, {1: (np.array([0, 1]), np.array([[0.25], [0.75]]))}, eta, cap)
+        path = tmp_path / "codebook.json"
+        message = f"codebook {path}: needs a finite eta > 0 and a depth_cap >= 0, not {eta} and {cap}"
+        with pytest.raises(ValueError) as exc:
+            save_codebook(q, path)
+        assert str(exc.value) == message
+        assert not path.exists()
+        # The same header written by hand is refused by the load with the same words.
+        path.write_text(json.dumps({**codebook_doc(HALVES), "eta": eta, "depth_cap": cap}))
+        with pytest.raises(ValueError) as exc:
+            load_codebook(path)
+        assert str(exc.value) == message
 
 
 class TestCodebookValidation:
@@ -620,17 +647,16 @@ class TestCodebookValidation:
             (codebook_doc([leaf(1, 0)]), "no leaf covers the depth-1 cell of code 1"),
             (codebook_doc([leaf(1, 1), leaf(2, 1)]), "no leaf covers the depth-2 cell of code 0"),
             (codebook_doc([leaf(1, 0), leaf(2, 3)]), "no leaf covers the depth-2 cell of code 2"),
-            ({**codebook_doc(HALVES), "dim": 3.7}, "codebook.json: TypeError dim must be integers"),
+            ({**codebook_doc(HALVES), "dim": 3.7}, "codebook.json: TypeError dim must be one integer"),
             (codebook_doc([leaf(1, 0), leaf(1.5, 1)]),
              "codebook.json: TypeError leaf depths must be integers"),
             (codebook_doc([leaf(1, 0), leaf(1, 0.5)]),
              "codebook.json: TypeError leaf indices must be integers"),
             (codebook_doc([leaf(1, 0), leaf(1, 1, code=[float("nan")])]),
-             r"codebook.json row 1: code \[nan\] is not finite"),
-            ({**codebook_doc(HALVES), "eta": "abc"},
-             "codebook.json: ValueError could not convert string to float: 'abc'"),
+             r"codebook.json: row 1: code \[nan\] is not finite"),
+            ({**codebook_doc(HALVES), "eta": "abc"}, "codebook.json: TypeError eta must be one number"),
             (codebook_doc([leaf(1, 0), leaf(1, 1, code=["abc"])]),
-             "codebook.json: ValueError could not convert string to float: 'abc'"),
+             "codebook.json: TypeError leaf codes must be numbers"),
             ({**codebook_doc(HALVES), "eta": -1.0}, r"codebook.json: needs .* not -1.0 and 3"),
             ({**codebook_doc(HALVES), "eta": math.nan}, r"codebook.json: needs .* not nan and 3"),
             ({**codebook_doc(HALVES), "eta": math.inf}, r"codebook.json: needs .* not inf and 3"),
@@ -696,48 +722,48 @@ class TestCodebookV2Validation:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({**v2_doc(), "version": 3}, "unsupported codebook version 3"),
-            ({k: v for k, v in v2_doc().items() if k != "subtree"}, "codebook {path} lacks subtree"),
-            ({**v2_doc(), "leaves": []}, "codebook {path} leaves is not an object"),
-            ({**v2_doc(), "subtree": {"depth": [0]}}, "codebook {path} subtree lacks index"),
+            ({**v2_doc(), "version": 3}, "codebook {path}: unsupported codebook version 3"),
+            ({k: v for k, v in v2_doc().items() if k != "subtree"}, "codebook {path}: lacks subtree"),
+            ({**v2_doc(), "leaves": []}, "codebook {path}: leaves is not an object"),
+            ({**v2_doc(), "subtree": {"depth": [0]}}, "codebook {path}: subtree lacks index"),
             (v2_doc(((0, [0]), (1.5, [1]))),
-             "malformed codebook {path}: TypeError subtree.depth must be integers"),
+             "codebook {path}: TypeError subtree.depth must be integers"),
             (v2_doc(LEFT, [(1, [0.5], [0.3])]),
-             "malformed codebook {path}: TypeError leaves.index must be integers"),
+             "codebook {path}: TypeError leaves.index must be integers"),
             (v2_doc(LEFT, [(1, [1], ["abc"])]),
-             "malformed codebook {path}: ValueError could not convert string to float: 'abc'"),
+             "codebook {path}: TypeError leaves.code must be numbers"),
             ({**v2_doc(), "subtree": {"depth": [0, 1], "index": [[0]]}},
-             "codebook {path} subtree: depth/index must have shapes (n,), (n, 1), not (2,), (1, 1)"),
+             "codebook {path}: subtree depth/index must have shapes (n,), (n, 1), not (2,), (1, 1)"),
             ({**v2_doc(LEFT), "leaves": {"depth": [1, 2], "index": [[1], [0]], "code": [[0.3]]}},
-             "codebook {path} leaves: depth/index/code must have shapes (n,), (n, 1), (n, 1), "
+             "codebook {path}: leaves depth/index/code must have shapes (n,), (n, 1), (n, 1), "
              "not (2,), (2, 1), (1, 1)"),
             (v2_doc(((0, [0, 0]),), [(1, [1], [0.1, 0.2])], dim=2),
-             "codebook {path} leaves: depth/index/code must have shapes (n,), (n, 2), (n, 2), "
+             "codebook {path}: leaves depth/index/code must have shapes (n,), (n, 2), (n, 2), "
              "not (1,), (1, 1), (1, 2)"),
-            (v2_doc(LEFT, [(1, [1], [math.nan])]), "codebook {path} leaves row 0: code [nan] is not finite"),
+            (v2_doc(LEFT, [(1, [1], [math.nan])]), "codebook {path}: leaves row 0: code [nan] is not finite"),
             (v2_doc(((0, [0]), (1, [2]))),
-             "codebook {path} subtree row 1: no cell of depth 1 (0..32) has index [2]"),
+             "codebook {path}: subtree row 1: no cell of depth 1 (0..32) has index [2]"),
             (v2_doc(LEFT, [(-1, [0], [0.3])]),
-             "codebook {path} leaves row 0: no cell of depth -1 (0..32) has index [0]"),
+             "codebook {path}: leaves row 0: no cell of depth -1 (0..32) has index [0]"),
             (v2_doc(((0, [0] * 62), (1, [0] * 62)), dim=62),
-             f"codebook {{path}} subtree row 1: depth 1 index {[0] * 62} has children deeper than 1"),
-            (v2_doc(((1, [0]), (2, [1]))), "codebook {path} subtree lacks the root"),
+             f"codebook {{path}}: subtree row 1: depth 1 index {[0] * 62} has children deeper than 1"),
+            (v2_doc(((1, [0]), (2, [1]))), "codebook {path}: subtree lacks the root"),
             (v2_doc(((0, [0]), (2, [1]))),
-             "codebook {path} subtree row 1: depth 2 index [1] has no parent in the subtree"),
+             "codebook {path}: subtree row 1: depth 2 index [1] has no parent in the subtree"),
             (v2_doc(((0, [0]), (1, [0]), (1, [0]))),
-             "codebook {path} subtree row 2: depth 1 index [0] is listed twice"),
+             "codebook {path}: subtree row 2: depth 1 index [0] is listed twice"),
             (v2_doc(LEFT, [(2, [1], [0.3]), (1, [0], [0.3])]),
-             "codebook {path} leaves row 1: depth 1 index [0] is not an outer leaf of the subtree"),
+             "codebook {path}: leaves row 1: depth 1 index [0] is not an outer leaf of the subtree"),
             (v2_doc(LEFT, [(2, [2], [0.6])]),
-             "codebook {path} leaves row 0: depth 2 index [2] is not an outer leaf of the subtree"),
+             "codebook {path}: leaves row 0: depth 2 index [2] is not an outer leaf of the subtree"),
             (v2_doc(LEFT, [(3, [0], [0.1])]),
-             "codebook {path} leaves row 0: depth 3 index [0] is not an outer leaf of the subtree"),
+             "codebook {path}: leaves row 0: depth 3 index [0] is not an outer leaf of the subtree"),
             (v2_doc(LEFT, [(0, [0], [0.1])]),
-             "codebook {path} leaves row 0: depth 0 index [0] is not an outer leaf of the subtree"),
+             "codebook {path}: leaves row 0: depth 0 index [0] is not an outer leaf of the subtree"),
             (v2_doc((), [(1, [0], [0.1])]),
-             "codebook {path} leaves row 0: depth 1 index [0] is not an outer leaf of the subtree"),
+             "codebook {path}: leaves row 0: depth 1 index [0] is not an outer leaf of the subtree"),
             (v2_doc(LEFT, [(1, [1], [0.6]), (2, [0], [0.1]), (1, [1], [0.7])]),
-             "codebook {path} leaves row 2: depth 1 index [1] is listed twice"),
+             "codebook {path}: leaves row 2: depth 1 index [1] is listed twice"),
         ],
         ids=["version", "no-subtree", "leaves-list", "no-index", "depth-float", "index-float",
              "code-text", "subtree-lengths", "code-length", "index-width", "code-nan",
@@ -767,3 +793,93 @@ class TestCodebookV2Validation:
         path.write_text(json.dumps(v2_doc(LEFT[::-1], [(2, [1], [0.3]), (1, [1], [0.9])])))
         q = load_codebook(path)
         assert decode(q, [1, 2, 2], [[1], [0], [1]]).tolist() == [[0.9], [0.125], [0.3]]
+
+
+# Codebooks whose numbers hold a JSON boolean or string; numpy's inferred dtype
+# passes each one (an int64 or float64 array), so each must be refused entry by entry.
+LOOSE_NUMBERS = [
+    ({**codebook_doc(HALVES), "eta": True}, "eta must be one number"),
+    ({**codebook_doc(HALVES), "eta": "0.05"}, "eta must be one number"),
+    ({**codebook_doc(HALVES), "gamma": True}, "gamma must be one number"),
+    ({**codebook_doc(HALVES), "gamma": "1.5"}, "gamma must be one number"),
+    ({**codebook_doc(HALVES), "beta": False}, "beta must be one number"),
+    ({**codebook_doc(HALVES), "beta": "1.0"}, "beta must be one number"),
+    (codebook_doc([leaf(True, 0), leaf(1, 1)]), "leaf depths must be integers"),
+    (codebook_doc([leaf(1, False), leaf(1, 1)]), "leaf indices must be integers"),
+    (codebook_doc([leaf(1, 0, code=[False]), leaf(1, 1, code=[True])]),
+     "leaf codes must be numbers"),
+    (codebook_doc([leaf(1, 0, code=[False]), leaf(1, 1)]), "leaf codes must be numbers"),
+    (codebook_doc([leaf(1, 0, code=["0.25"]), leaf(1, 1, code=["0.75"])]),
+     "leaf codes must be numbers"),
+    (codebook_doc([leaf(1, 0, code=["0.25"]), leaf(1, 1)]), "leaf codes must be numbers"),
+    ({**v2_doc(LEFT), "eta": True}, "eta must be one number"),
+    ({**v2_doc(LEFT), "eta": "0.05"}, "eta must be one number"),
+    ({**v2_doc(LEFT), "gamma": False}, "gamma must be one number"),
+    ({**v2_doc(LEFT), "beta": "1.0"}, "beta must be one number"),
+    (v2_doc(((0, [0]), (True, [0]))), "subtree.depth must be integers"),
+    (v2_doc(((0, [False]), (1, [0]))), "subtree.index must be integers"),
+    (v2_doc(LEFT, [(True, [1], [0.6]), (2, [0], [0.1])]), "leaves.depth must be integers"),
+    (v2_doc(LEFT, [(1, [True], [0.6]), (2, [0], [0.1])]), "leaves.index must be integers"),
+    (v2_doc(LEFT, [(1, [1], [True])]), "leaves.code must be numbers"),
+    (v2_doc(LEFT, [(1, [1], [True]), (2, [0], [0.1])]), "leaves.code must be numbers"),
+    (v2_doc(LEFT, [(1, [1], ["0.6"])]), "leaves.code must be numbers"),
+    (v2_doc(LEFT, [(1, [1], ["0.6"]), (2, [0], [0.1])]), "leaves.code must be numbers"),
+    (v2_doc(((0, [0, 0]),), [(1, [1, 1], [True, "0.25"])], dim=2), "leaves.code must be numbers"),
+]
+
+
+class TestCodebookNumbersAreNumbers:
+    @pytest.mark.parametrize(
+        "doc, problem", LOOSE_NUMBERS,
+        ids=["v1-eta-true", "v1-eta-text", "v1-gamma-true", "v1-gamma-text", "v1-beta-false",
+             "v1-beta-text", "v1-depth-mixed", "v1-index-mixed", "v1-code-bool",
+             "v1-code-bool-mixed", "v1-code-text", "v1-code-text-mixed", "v2-eta-true",
+             "v2-eta-text", "v2-gamma-false", "v2-beta-text", "v2-subtree-depth-mixed",
+             "v2-subtree-index-mixed", "v2-leaf-depth-mixed", "v2-leaf-index-mixed",
+             "v2-code-bool", "v2-code-bool-mixed", "v2-code-text", "v2-code-text-mixed",
+             "v2-code-row-mixed"],
+    )
+    def test_boolean_or_string_is_refused(self, tmp_path, doc, problem):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_codebook(path)
+        assert str(exc.value) == f"codebook {path}: TypeError {problem}"
+
+    @pytest.mark.parametrize(
+        "doc, problem",
+        [
+            (codebook_doc([leaf(True, 0), leaf(True, 1)]), "leaf depths must be integers"),
+            (codebook_doc([leaf(1, False), leaf(1, True)]), "leaf indices must be integers"),
+            (v2_doc(((True, [0]),)), "subtree.depth must be integers"),
+            (v2_doc(LEFT, [(1, [True], [0.6])]), "leaves.index must be integers"),
+        ],
+        ids=["v1-depth", "v1-index", "v2-subtree-depth", "v2-leaf-index"],
+    )
+    def test_all_boolean_integers_are_refused(self, tmp_path, doc, problem):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_codebook(path)
+        assert str(exc.value) == f"codebook {path}: TypeError {problem}"
+
+    @pytest.mark.parametrize(
+        "doc, version",
+        [({**codebook_doc(HALVES), "version": True}, "True"),
+         ({**codebook_doc(HALVES), "version": 1.0}, "1.0"),
+         ({**v2_doc(LEFT), "version": "2"}, "'2'")],
+        ids=["v1-true", "v1-float", "v2-text"],
+    )
+    def test_version_must_be_an_integer(self, tmp_path, doc, version):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_codebook(path)
+        assert str(exc.value) == f"codebook {path}: unsupported codebook version {version}"
+
+    def test_decode_refuses_boolean_ids(self):
+        q = fit(TWO_POINT, 0.01, RateSchedule(branching=2))
+        with pytest.raises(TypeError, match="^depths must be integers$"):
+            decode(q, [1, True], [[0], [1]])
+        with pytest.raises(TypeError, match="^index must be integers$"):
+            decode(q, [1, 1], [[0], [True]])
