@@ -11,7 +11,7 @@ harness for distortion-decay runs.
 from .baselines import KMeansModel, kmeans_distortion, kmeans_fit
 from .datagen import GeneratorSpec, normalize, read_dataset, sample, write_dataset
 from .errors import DepthCapError, DomainError
-from .oracle import DiscreteDistribution, isolation_depth, oracle_stats
+from .oracle import DiscreteDistribution, oracle_stats
 from .reconstruction import (
     Quantizer,
     RateSchedule,

@@ -54,9 +54,12 @@ _CONFIG_COMMANDS = ("rate-experiment", "approx-trend", "baseline")
 
 
 def _load_data(path: str, do_normalize: bool = False, dim: int | None = None) -> Dataset:
-    pts = read_points_csv(path) if path.endswith(".csv") else read_dataset(path).points
+    """A .rtds file as its reader checked it, a CSV checked here; or either normalized."""
+    data = None if path.endswith(".csv") else read_dataset(path)
+    pts = read_points_csv(path) if data is None else data.points
     with naming(path):
-        data = normalize(pts) if do_normalize else Dataset(pts)
+        if do_normalize or data is None:
+            data = normalize(pts) if do_normalize else Dataset(pts)
         if dim not in (None, data.dim):
             raise ValueError(f"data dim {data.dim} != codebook dim {dim}")
     return data
@@ -66,12 +69,7 @@ def _generator_from_args(args) -> GeneratorSpec:
     bounds = None
     if getattr(args, "density_bounds", None):
         bounds = tuple(_list_flag("--density-bounds", args.density_bounds, float, length=2))
-    return GeneratorSpec(
-        kind=args.generator,
-        ambient_dim=args.dim,
-        seed=args.seed,
-        density_bounds=bounds,
-    )
+    return GeneratorSpec(args.generator, args.dim, seed=args.seed, density_bounds=bounds)
 
 
 def _schedule_from_args(args, dim: int) -> RateSchedule:
@@ -112,20 +110,42 @@ def _etas(text: str) -> list[float]:
     return values
 
 
-def _config_flags(path) -> list[str]:
-    """A JSON config as command-line flags, so argparse types and checks every value."""
+def _config_flags(path, options: dict) -> list[str]:
+    """A JSON config as command-line flags, each key and value checked in the file's name.
+
+    ``options`` maps the command's flags to their argparse actions.  A key is
+    a flag, in dashes or underscores, and its value is what would follow the
+    flag: a number or a string of the flag's type and choices (a list flag's
+    values are one comma-separated string, which the command parses), or
+    true or false for an on/off flag.  null leaves the default.
+    """
+    flags = []
     with naming(f"config {path}"):
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"must hold a JSON object, not a {type(cfg).__name__}")
-    flags = []
-    for key, value in cfg.items():
-        flag = "--" + key.replace("_", "-")
-        if value is True:
-            flags.append(flag)
-        elif value is not None and value is not False:
-            flags += [flag, str(value)]
+        for key, value in cfg.items():
+            flag = "--" + key.replace("_", "-")
+            action = options.get(flag)
+            if action is None or flag in ("--config", "--help"):
+                raise ValueError(f"unknown key {key!r}")
+            on_off = action.nargs == 0
+            if value is not None and type(value) not in ((bool,) if on_off else (int, float, str)):
+                want = "true or false" if on_off else "a number or a string"
+                raise ValueError(f"{flag} takes {want}, not {json.dumps(value)}")
+            if value is None or value is False:
+                continue
+            text = str(value)
+            if action.type in (int, float):
+                try:
+                    action.type(text)
+                except ValueError:
+                    noun = "an integer" if action.type is int else "a number"
+                    raise ValueError(f"{flag} {text!r} is not {noun}") from None
+            if action.choices and text not in action.choices:
+                raise ValueError(f"{flag} {text!r} is not one of {', '.join(action.choices)}")
+            flags.append(flag if value is True else f"{flag}={text}")
     return flags
 
 
@@ -276,12 +296,16 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The rectree parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
-        prog="rectree",
-        description="Multi-scale vector quantization on dyadic partition trees.",
-    )
+        prog="rectree", description="Multi-scale vector quantization on dyadic partition trees.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
 
     def add_data_flag(p):
         p.add_argument("--data", required=True, help="dataset (.rtds binary or .csv)")
@@ -290,35 +314,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=1.5,
                        help="depth exponent in j_n = floor(gamma ln n / ln a)")
 
-    p = sub.add_parser("fit", help="fit a quantizer at one threshold")
-    p.set_defaults(run=_cmd_fit)
+    p = command("fit", _cmd_fit, "fit a quantizer at one threshold")
     add_data_flag(p)
     p.add_argument("--normalize", action="store_true",
                    help="map ingested data into the unit cube before use")
     p.add_argument("--eta", type=float, required=True)
     add_gamma_flag(p)
-    p.add_argument("--output", required=True, help="codebook JSON path")
 
-    p = sub.add_parser("encode", help="map points to leaf cell ids")
-    p.set_defaults(run=_cmd_encode)
+    p = command("encode", _cmd_encode, "map points to leaf cell ids")
     p.add_argument("--codebook", required=True)
     add_data_flag(p)
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("decode", help="map leaf cell ids to code vectors")
-    p.set_defaults(run=_cmd_decode)
+    p = command("decode", _cmd_decode, "map leaf cell ids to code vectors")
     p.add_argument("--codebook", required=True)
     p.add_argument("--ids", required=True, help="CSV from the encode subcommand")
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("distortion", help="mean squared reconstruction error")
-    p.set_defaults(run=_cmd_distortion)
+    p = command("distortion", _cmd_distortion, "mean squared reconstruction error")
     p.add_argument("--codebook", required=True)
     add_data_flag(p)
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("sweep", help="quantizers over a list of thresholds")
-    p.set_defaults(run=_cmd_sweep)
+    p = command("sweep", _cmd_sweep, "quantizers over a list of thresholds")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--data", help="dataset file: report train distortion")
     mode.add_argument("--generator", choices=KINDS,
@@ -331,10 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="--generator mode only (default 0)")
     p.add_argument("--etas", required=True, help="comma-separated thresholds")
     add_gamma_flag(p)
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("rate-experiment", help="distortion vs n with the eta_n schedule")
-    p.set_defaults(run=_cmd_rate_experiment)
+    p = command("rate-experiment", _cmd_rate_experiment, "distortion vs n with the eta_n schedule")
     p.add_argument("--generator", default="uniform_cube", choices=KINDS)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--n-grid", default=",".join(str(2**k) for k in range(8, 17)))
@@ -344,20 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_gamma_flag(p)
     p.add_argument("--beta", type=float, default=1.0, help="confidence exponent (> 0)")
-    p.add_argument(
-        "--threshold-constant",
-        type=float,
-        help="calibration constant c in eta_n = sqrt((gamma+beta) ln n / (c n)) (default 1.5)",
-    )
-    p.add_argument(
-        "--theoretical-constant",
-        action="store_true",
-        help="use the analysis constant c_a = 1/(128(a+1)) instead",
-    )
-    p.add_argument("--output", required=True)
+    p.add_argument("--threshold-constant", type=float, help="calibration constant c in "
+                   "eta_n = sqrt((gamma+beta) ln n / (c n)) (default 1.5)")
+    p.add_argument("--theoretical-constant", action="store_true",
+                   help="use the analysis constant c_a = 1/(128(a+1)) instead")
 
-    p = sub.add_parser("approx-trend", help="exact oracle approximation error vs eta")
-    p.set_defaults(run=_cmd_approx_trend)
+    p = command("approx-trend", _cmd_approx_trend, "exact oracle approximation error vs eta")
     p.add_argument("--uniform-atoms", type=int,
                    help="grid atoms (default 4096); not with --atoms-csv")
     p.add_argument("--dim", type=int, help="grid dimension (default 1); not with --atoms-csv")
@@ -365,10 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", action="store_true",
                    help="treat the last CSV column as atom weights (--atoms-csv only)")
     p.add_argument("--etas", default=",".join(repr(2.0**-k) for k in range(1, 9)))
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("baseline", help="tree vs k-means at matched codebook sizes")
-    p.set_defaults(run=_cmd_baseline)
+    p = command("baseline", _cmd_baseline, "tree vs k-means at matched codebook sizes")
     p.add_argument("--generator", default="uniform_cube", choices=KINDS)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--n", type=int, default=4096)
@@ -377,33 +380,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--etas", required=True)
     add_gamma_flag(p)
-    p.add_argument("--output", required=True)
 
-    p = sub.add_parser("sample", help="materialize a synthetic dataset")
-    p.set_defaults(run=_cmd_sample)
+    p = command("sample", _cmd_sample, "materialize a synthetic dataset")
     p.add_argument("--generator", required=True, choices=KINDS)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density-bounds", default=None)
-    p.add_argument("--output", required=True, help=".rtds binary or .csv")
 
+    outputs = {"fit": "codebook JSON path", "sample": ".rtds binary or .csv"}
+    for name, p in sub.choices.items():
+        p.add_argument("--output", required=True, help=outputs.get(name))
     for name in _CONFIG_COMMANDS:
         sub.choices[name].add_argument("--config", help="JSON config; flags override")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        parser, commands = _parsers()
         if argv[:1] and argv[0] in _CONFIG_COMMANDS:
             find = argparse.ArgumentParser(prog=f"rectree {argv[0]}", add_help=False)
             find.add_argument("--config")
             config = find.parse_known_args(argv[1:])[0].config
             if config:
                 # Config flags go first, so explicit flags after them win.
-                argv = argv[:1] + _config_flags(config) + argv[1:]
-        args = build_parser().parse_args(argv)
+                options = commands[argv[0]]._option_string_actions
+                argv = argv[:1] + _config_flags(config, options) + argv[1:]
+        args = parser.parse_args(argv)
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,8 @@ rho_J in the gain: the between-within identity
 forces the child weight, and a test verifies that only this version
 satisfies the identity.
 
-The atoms are Morton-sorted once, at the table depth, so every cell is a
-run of them and every parent a run of child rows
+The atoms are Morton-sorted once, at the deepest storable depth, so every
+cell at every depth is a run of them and every parent a run of child rows
 (:meth:`~rectree.stats._Level.child_runs`).  Each sum is one correctly
 rounded ``fsum`` per run, so the order within a run changes no bit.
 
@@ -78,20 +78,6 @@ class DiscreteDistribution:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def n_atoms(self) -> int:
-        return self.points.shape[0]
-
-
-def isolation_depth(dist: DiscreteDistribution) -> int:
-    """Smallest depth at which all atoms occupy distinct cells."""
-    cap = default_max_depth(dist.dim)
-    for depth in range(cap + 1):
-        codes = kernels.morton_encode(dist.points, depth)
-        if np.unique(codes).shape[0] == dist.n_atoms:
-            return depth
-    raise DepthCapError(f"atoms not separated by depth {cap}; they are too close")
-
 
 def _run_fsums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The correctly rounded sum of each run of ``values``, runs starting at ``starts``."""
@@ -112,20 +98,28 @@ def _weighted_level(points, weights, codes) -> _Level:
 def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
     """Exact weighted statistics for every nonempty cell, one level past isolation.
 
-    The table stops at min(isolation depth + 1, default_max_depth(D)).  A
-    cell at or below the isolation depth holds at most one atom, so it
-    cannot improve by splitting and its gain is exactly 0; gains are
-    populated at every stored depth, and thresholding the table at any
-    eta > 0 gives the untruncated population subtree.
+    The atoms are sorted once, at default_max_depth(D), and the isolation
+    depth is read off that sort; the table stops at min(isolation depth + 1,
+    default_max_depth(D)).  A cell at or below the isolation depth holds at
+    most one atom, so it cannot improve by splitting and its gain is exactly
+    0; gains are populated at every stored depth, and thresholding the table
+    at any eta > 0 gives the untruncated population subtree.
     """
-    cap = min(isolation_depth(dist) + 1, default_max_depth(dist.dim))
+    top = default_max_depth(dist.dim)
+    deep_codes = kernels.morton_encode(dist.points, top)
+    order = kernels.morton_argsort(deep_codes, dist.dim * top)
+    pts, w, deep_codes = dist.points[order], dist.weights[order], deep_codes[order]
+    # Sorted neighbours a, b first fall into different cells at depth
+    # top - (bit_length(a ^ b) - 1) // D: the smallest XOR gives the isolation
+    # depth (the initial value, of D * top + 1 bits, puts one atom's at 0).
+    closest = int(np.min(deep_codes[1:] ^ deep_codes[:-1], initial=1 << dist.dim * top))
+    if closest == 0:
+        raise DepthCapError(f"atoms not separated by depth {top}; they are too close")
+    cap = min(top - (closest.bit_length() - 1) // dist.dim + 1, top)
     if cap < 1:  # outer leaves reach depth 1, so the table needs that level
         raise DepthCapError(f"dim {dist.dim} has no depth-1 cells in a "
                             f"{kernels.MORTON_BITS}-bit code")
-    deep_codes = kernels.morton_encode(dist.points, cap)
-    order = kernels.morton_argsort(deep_codes, dist.dim * cap)
-    pts, w, deep_codes = dist.points[order], dist.weights[order], deep_codes[order]
-    levels = [_weighted_level(pts, w, deep_codes >> dist.dim * (cap - depth))
+    levels = [_weighted_level(pts, w, deep_codes >> dist.dim * (top - depth))
               for depth in range(cap + 1)]
     for parent, child in zip(levels, levels[1:]):
         first = child.child_runs(dist.dim)

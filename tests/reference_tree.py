@@ -17,6 +17,8 @@ reading of the definitions:
 - ``lookup`` and ``cells`` read one cell's statistics from a sample or an
   oracle table, with the count-0 statistics of an empty cell;
 - ``approximation_error_from_table`` sums the oracle error of each leaf;
+- ``isolation_depth`` encodes and counts the atoms' cells at each depth in
+  turn until they separate, the depth ``oracle_stats`` reads off its sort;
 - ``run_table_rows`` finds the leaf run holding each code with one binary
   search per code, the lookup a ``Quantizer``'s bucketed table replaces.
 """
@@ -29,6 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
+from rectree import kernels
 from rectree.errors import DepthCapError, DomainError
 from rectree.oracle import oracle_stats
 from rectree.reconstruction import threshold_subtree
@@ -230,6 +233,16 @@ def approximation_error_from_table(table, eta: float) -> float:
     """Exact expected distortion sum_{leaves} E_I, one table lookup per leaf."""
     leaves = outer_leaves(Subtree(threshold_subtree(table, eta), table.dim))
     return math.fsum(lookup(table, cell).error for cell in leaves)
+
+
+def isolation_depth(dist) -> int:
+    """Smallest depth at which all atoms occupy distinct cells."""
+    cap = default_max_depth(dist.dim)
+    for depth in range(cap + 1):
+        codes = kernels.morton_encode(dist.points, depth)
+        if np.unique(codes).shape[0] == dist.points.shape[0]:
+            return depth
+    raise DepthCapError(f"atoms not separated by depth {cap}; they are too close")
 
 
 def run_table_rows(starts: np.ndarray, codes: np.ndarray) -> np.ndarray:

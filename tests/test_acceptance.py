@@ -15,14 +15,14 @@ from rectree.baselines import kmeans_fit
 from rectree.cli import main as cli_main
 from rectree.datagen import GeneratorSpec, sample
 from rectree.experiment import RateExperimentConfig, run_approximation_trend, run_rate_experiment
-from rectree.oracle import DiscreteDistribution, isolation_depth, oracle_stats
+from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.reconstruction import (
     Quantizer, RateSchedule, quantizer_from_stats, threshold_subtree,
 )
 from rectree.stats import Dataset, build_stats
 from rectree.tree import default_max_depth, outer_leaves, smallest_subtree
 
-from reference_tree import lookup, root_cell
+from reference_tree import isolation_depth, lookup, root_cell
 
 
 def report(number, detail, started):

@@ -7,6 +7,7 @@ import pytest
 from rectree.cli import main
 from rectree.datagen import read_dataset, read_points_csv
 from rectree.reconstruction import load_codebook
+from rectree.stats import Dataset
 
 
 def run(*argv):
@@ -109,6 +110,14 @@ class TestPipeline:
                    "--seed", "1", "--output", out) == 0
         assert read_points_csv(out).shape == (20, 3)
 
+    def test_fit_checks_a_binary_dataset_once(self, workdir, monkeypatch):
+        # read_dataset returns a checked Dataset; fit uses it as it is.
+        checks, check = [], Dataset.__post_init__
+        monkeypatch.setattr(Dataset, "__post_init__", lambda self: checks.append(1) or check(self))
+        assert run("fit", "--data", workdir / "train.rtds", "--eta", "0.05",
+                   "--output", workdir / "cb.json") == 0
+        assert len(checks) == 1
+
 
 class TestByteOrderMark:
     """A CSV saved with a UTF-8 byte-order mark reads as the same rows, header or not."""
@@ -180,12 +189,12 @@ class TestExperimentCommands:
                    "--n-grid", "128,256", "--output", out) == 0
         assert len(out.read_text().splitlines()) == 3
 
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
         cfg.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(SystemExit):
-            run("rate-experiment", "--dim", "1", "--config", cfg,
-                "--output", tmp_path / "x.csv")
+        assert run("rate-experiment", "--dim", "1", "--config", cfg, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: config {cfg}: unknown key 'bogus'\n"
+        assert not out.exists()
 
     def test_config_values_take_the_flag_type(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -194,14 +203,60 @@ class TestExperimentCommands:
         assert run("rate-experiment", "--dim", "1", "--config", cfg, "--output", out) == 0
         assert len(out.read_text().splitlines()) == 3
 
-    @pytest.mark.parametrize("value", ["two", 2.5, [2], {"n": 2}])
-    def test_bad_config_value_is_a_parser_error(self, tmp_path, capsys, value):
-        cfg = tmp_path / "cfg.json"
+    @pytest.mark.parametrize("value, problem", [
+        ("two", "--trials 'two' is not an integer"),
+        (2.5, "--trials '2.5' is not an integer"),
+        ([2], "--trials takes a number or a string, not [2]"),
+        ({"n": 2}, '--trials takes a number or a string, not {"n": 2}'),
+    ], ids=["two", "2.5", "value2", "value3"])
+    def test_bad_config_value_is_a_parser_error(self, tmp_path, capsys, value, problem):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
         cfg.write_text(json.dumps({"trials": value}))
-        with pytest.raises(SystemExit) as exc:
-            run("rate-experiment", "--dim", "1", "--config", cfg, "--output", tmp_path / "x.csv")
-        assert exc.value.code == 2
-        assert "argument --trials: invalid int value" in capsys.readouterr().err
+        assert run("rate-experiment", "--dim", "1", "--config", cfg, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: config {cfg}: {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, problem", [
+        ("rate-experiment", {"trials": False}, "--trials takes a number or a string, not false"),
+        ("rate-experiment", {"trials": True}, "--trials takes a number or a string, not true"),
+        ("rate-experiment", {"theoretical_constant": 1},
+         "--theoretical-constant takes true or false, not 1"),
+        ("rate-experiment", {"theoretical_constant": "yes"},
+         '--theoretical-constant takes true or false, not "yes"'),
+        ("rate-experiment", {"generator": "cube"},
+         "--generator 'cube' is not one of uniform_cube, density_cube, circle, sphere, swiss_roll"),
+        ("rate-experiment", {"n_grid": [128, 256]},
+         "--n-grid takes a number or a string, not [128, 256]"),
+        ("approx-trend", {"etas": [0.1, 0.2]}, "--etas takes a number or a string, not [0.1, 0.2]"),
+        ("baseline", {"etas": "0.1", "density_bounds": [0.5, 2]},
+         "--density-bounds takes a number or a string, not [0.5, 2]"),
+        ("rate-experiment", {"config": "other.json"}, "unknown key 'config'"),
+        ("rate-experiment", {"help": True}, "unknown key 'help'"),
+    ], ids=["false", "true", "on-off-number", "on-off-string", "choice", "n-grid-list",
+            "etas-list", "bounds-list", "config", "help"])
+    def test_config_value_refusal_names_the_file(self, tmp_path, capsys, command, config,
+                                                 problem):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+        cfg.write_text(json.dumps(config))
+        assert run(command, "--config", cfg, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: config {cfg}: {problem}\n"
+        assert not out.exists()
+
+    def test_config_false_leaves_an_on_off_flag_off(self, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "rate.csv"
+        cfg.write_text(json.dumps({"n_grid": "128,256", "theoretical_constant": False,
+                                   "threshold_constant": 3, "holdout_n": None}))
+        assert run("rate-experiment", "--config", cfg, "--output", out) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_config_value_may_start_with_a_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-atoms.csv").write_text("0.25\n0.75\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({"atoms_csv": "-atoms.csv", "etas": "0.5"}))
+        assert run("approx-trend", "--config", "cfg.json", "--output", "config.csv") == 0
+        assert run("approx-trend", "--atoms-csv=-atoms.csv", "--etas", "0.5",
+                   "--output", "flags.csv") == 0
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
     @pytest.mark.parametrize("doc", [[1, 2], "n-grid", 3])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, doc):

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rectree import reconstruction
 from rectree.errors import DepthCapError
 from rectree.experiment import run_approximation_trend
-from rectree.oracle import DiscreteDistribution, isolation_depth, oracle_stats
+from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.reconstruction import quantizer_from_stats, threshold_subtree
 from rectree.stats import Dataset, build_stats
 from rectree.tree import CellId, default_max_depth
@@ -19,6 +19,7 @@ from reference_tree import (
     cell_diameter,
     cells,
     children,
+    isolation_depth,
     leaf_count_bound_monitor,
     locate,
     lookup,
@@ -49,7 +50,7 @@ def brute_force_population_subtree(dist, eta, search_depth):
     """
 
     def members(cell):
-        return [i for i in range(dist.n_atoms) if locate(dist.points[i], cell.depth) == cell]
+        return [i for i in range(len(dist.points)) if locate(dist.points[i], cell.depth) == cell]
 
     def center_mass(cell):
         sel = members(cell)
@@ -81,7 +82,7 @@ class TestDistribution:
         d = DiscreteDistribution(
             np.array([[0.2], [0.2], [0.8]]), np.array([0.25, 0.25, 0.5])
         )
-        assert d.n_atoms == 2
+        assert d.points.shape[0] == 2
         assert math.fsum(d.weights.tolist()) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_unnormalized(self):
@@ -96,9 +97,9 @@ class TestDistribution:
         assert str(exc.value) == f"2 atoms need one weight each, got shape {shape}"
 
     def test_isolation_depth(self):
-        assert isolation_depth(TWO_ATOM) == 1
         single = DiscreteDistribution(np.array([[0.4, 0.2]]), np.array([1.0]))
-        assert isolation_depth(single) == 0
+        assert isolation_depth(TWO_ATOM) == 1 and oracle_stats(TWO_ATOM).depth_cap == 2
+        assert isolation_depth(single) == 0 and oracle_stats(single).depth_cap == 1
 
 
 class TestOracleStats:
@@ -289,11 +290,52 @@ def grid_distributions(draw):
     return DiscreteDistribution(points, counts / counts.sum())
 
 
+@st.composite
+def separation_cases(draw):
+    """Grid atoms (duplicates merged), some with a cluster closer than a grid cell, in any dim."""
+    dim = draw(st.sampled_from([1, 2, 3, 31, 62, 63]))
+    m = draw(st.integers(1, 8))
+    side = draw(st.sampled_from([2, 8, 64, 2**20]))
+    cells = draw(st.lists(st.integers(0, side - 1), min_size=m * dim, max_size=m * dim))
+    points = (np.array(cells, dtype=float).reshape(m, dim) + 0.5) / side
+    gaps = np.array(draw(st.lists(st.integers(10, 45), max_size=4)), dtype=float)
+    if gaps.size:  # atoms 2**-gap from the first along one axis, toward the cube's middle
+        axis = draw(st.integers(0, dim - 1))
+        cluster = np.repeat(points[:1], gaps.size, axis=0)
+        cluster[:, axis] += np.where(cluster[:, axis] < 0.5, 1.0, -1.0) * 2.0**-gaps
+        points = np.vstack([points, cluster])
+    counts = np.array(draw(st.lists(st.integers(1, 5), min_size=len(points),
+                                    max_size=len(points))), dtype=float)
+    return DiscreteDistribution(points, counts / counts.sum())
+
+
 def trend_etas(table):
     """Root-only, every distinct positive gain (ties expand), and below the smallest."""
     gains = np.unique(np.concatenate([table.level(d).gains for d in range(table.depth_cap + 1)]))
     gains = gains[gains > 0]
     return [2.0] + gains[::-1].tolist() + ([gains[0] / 2] if gains.size else [])
+
+
+class TestIsolationDepthFromTheSort:
+    """The depth read off the one sort against the reference's loop over depths."""
+
+    @given(separation_cases())
+    @example(DiscreteDistribution(np.full((1, 63), 0.3), np.array([1.0])))  # no depth-1 cells
+    @example(DiscreteDistribution(np.array([[0.5], [0.5 + 2.0**-32]]), np.array([0.5, 0.5])))
+    @settings(max_examples=100, deadline=None)
+    def test_cap_matches_the_reference_loop(self, dist):
+        try:
+            cap = min(isolation_depth(dist) + 1, default_max_depth(dist.dim))
+        except DepthCapError as exc:
+            with pytest.raises(DepthCapError) as got:
+                oracle_stats(dist)
+            assert str(got.value) == str(exc)
+            return
+        if cap < 1:
+            with pytest.raises(DepthCapError, match=f"dim {dist.dim} has no depth-1 cells"):
+                oracle_stats(dist)
+        else:
+            assert oracle_stats(dist).depth_cap == cap
 
 
 class TestArrayLeafErrors:

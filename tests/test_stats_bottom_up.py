@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rectree.kernels
-from rectree.oracle import DiscreteDistribution, isolation_depth, oracle_stats
+from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.stats import Dataset, build_stats
 from rectree.tree import default_max_depth
+
+from reference_tree import isolation_depth
 
 
 def reference_levels(data, depth_cap):
