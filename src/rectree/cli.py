@@ -10,7 +10,6 @@ JSON config file (--config); explicit flags win over config values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -28,8 +27,7 @@ from .datagen import (
 )
 from .errors import naming
 from .experiment import (
-    RateExperimentConfig,
-    RateRow,
+    RATE_COLUMNS,
     run_approximation_trend,
     run_baseline_comparison,
     run_eta_sweep_experiment,
@@ -66,10 +64,8 @@ def _load_data(path: str, do_normalize: bool = False, dim: int | None = None) ->
 
 
 def _generator_from_args(args) -> GeneratorSpec:
-    bounds = None
-    if getattr(args, "density_bounds", None):
-        bounds = tuple(_list_flag("--density-bounds", args.density_bounds, float, length=2))
-    return GeneratorSpec(args.generator, args.dim, seed=args.seed, density_bounds=bounds)
+    return GeneratorSpec(args.generator, args.dim, seed=args.seed,
+                         density_bounds=args.density_bounds)
 
 
 def _schedule_from_args(args, dim: int) -> RateSchedule:
@@ -88,8 +84,14 @@ def _flag_names(keys) -> str:
     return ", ".join("--" + k.replace("_", "-") for k in keys)
 
 
-def _list_flag(flag: str, text: str, kind, length: int | None = None) -> list:
-    """The comma-separated values of a list flag; ValueError naming the flag and a bad token."""
+# The comma-separated list flags: value type, and the number of values (None: any;
+# --etas needs at least one).
+_LIST_FLAGS = {"--etas": (float, None), "--n-grid": (int, None), "--density-bounds": (float, 2)}
+
+
+def _list_flag(flag: str, text: str) -> tuple:
+    """The values of a list flag; ValueError naming the flag and a bad token."""
+    kind, length = _LIST_FLAGS[flag]
     values = []
     for tok in filter(str.strip, text.split(",")):
         try:
@@ -100,14 +102,9 @@ def _list_flag(flag: str, text: str, kind, length: int | None = None) -> list:
     if length is not None and len(values) != length:
         raise ValueError(f"{flag} {text!r}: needs {length} comma-separated values, "
                          f"not {len(values)}")
-    return values
-
-
-def _etas(text: str) -> list[float]:
-    values = _list_flag("--etas", text, float)
-    if not values:
-        raise ValueError(f"--etas {text!r}: no thresholds given")
-    return values
+    if flag == "--etas" and not values:
+        raise ValueError(f"{flag} {text!r}: no thresholds given")
+    return tuple(values)
 
 
 def _config_flags(path, options: dict) -> list[str]:
@@ -116,8 +113,8 @@ def _config_flags(path, options: dict) -> list[str]:
     ``options`` maps the command's flags to their argparse actions.  A key is
     a flag, in dashes or underscores, and its value is what would follow the
     flag: a number or a string of the flag's type and choices (a list flag's
-    values are one comma-separated string, which the command parses), or
-    true or false for an on/off flag.  null leaves the default.
+    values are one comma-separated string, parsed as on the command line),
+    or true or false for an on/off flag.  null leaves the default.
     """
     flags = []
     with naming(f"config {path}"):
@@ -145,6 +142,8 @@ def _config_flags(path, options: dict) -> list[str]:
                     raise ValueError(f"{flag} {text!r} is not {noun}") from None
             if action.choices and text not in action.choices:
                 raise ValueError(f"{flag} {text!r} is not one of {', '.join(action.choices)}")
+            if flag in _LIST_FLAGS:
+                _list_flag(flag, text)
             flags.append(flag if value is True else f"{flag}={text}")
     return flags
 
@@ -197,7 +196,6 @@ _SWEEP_HEADER = ["eta", "leaf_count", "train_distortion"]
 
 
 def _cmd_sweep(args) -> int:
-    etas = _etas(args.etas)
     given = [k for k in _SWEEP_GENERATOR if vars(args)[k] is not None]
     if args.data and given:
         raise ValueError(f"sweep --data does not take {_flag_names(given)}")
@@ -206,32 +204,23 @@ def _cmd_sweep(args) -> int:
     if args.data:
         data = _load_data(args.data, args.normalize)
         schedule = RateSchedule(1 << data.dim, args.gamma)
-        rows = [(eta, leaves, train) for eta, _, leaves, train in sweep(data, etas, schedule)]
+        rows = [(eta, leaves, train) for eta, _, leaves, train in sweep(data, args.etas, schedule)]
         write_csv(args.output, _SWEEP_HEADER, rows)
     else:
         vars(args).update({k: v for k, v in _SWEEP_GENERATOR.items() if vars(args)[k] is None})
         spec = _generator_from_args(args)
-        rows = run_eta_sweep_experiment(spec, args.n, etas, args.gamma, args.holdout_n)
+        rows = run_eta_sweep_experiment(spec, args.n, args.etas, args.gamma, args.holdout_n)
         write_csv(args.output, _SWEEP_HEADER + ["holdout_distortion"], rows)
     print(f"sweep: {len(rows)} rows -> {args.output}")
     return 0
 
 
 def _cmd_rate_experiment(args) -> int:
-    spec = _generator_from_args(args)
-    schedule = _schedule_from_args(args, args.dim)
-    cfg = RateExperimentConfig(
-        generator=spec,
-        n_grid=tuple(_list_flag("--n-grid", args.n_grid, int)),
-        schedule=schedule,
-        holdout_n=args.holdout_n,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    result = run_rate_experiment(cfg)
-    header = [field.name for field in dataclasses.fields(RateRow)]
-    write_csv(args.output, header, [dataclasses.astuple(row) for row in result.rows])
-    print(f"rate-experiment: fitted_slope={result.fitted_slope!r} -> {args.output}")
+    rows, slope = run_rate_experiment(
+        _generator_from_args(args), args.n_grid, _schedule_from_args(args, args.dim),
+        args.holdout_n, args.trials, args.seed)
+    write_csv(args.output, RATE_COLUMNS, rows)
+    print(f"rate-experiment: fitted_slope={slope!r} -> {args.output}")
     return 0
 
 
@@ -269,7 +258,7 @@ def _cmd_approx_trend(args) -> int:
     else:
         vars(args).update({k: v for k, v in _TREND_GRID.items() if vars(args)[k] is None})
         dist = _uniform_grid_atoms(args.uniform_atoms, args.dim)
-    rows, slope = run_approximation_trend(dist, _etas(args.etas))
+    rows, slope = run_approximation_trend(dist, args.etas)
     write_csv(args.output, ["eta", "approx_error", "leaf_count"], rows)
     print(f"approx-trend: fitted_slope={slope!r} -> {args.output}")
     return 0
@@ -277,7 +266,7 @@ def _cmd_approx_trend(args) -> int:
 
 def _cmd_baseline(args) -> int:
     spec = _generator_from_args(args)
-    rows = run_baseline_comparison(spec, args.n, _etas(args.etas), args.gamma, args.holdout_n)
+    rows = run_baseline_comparison(spec, args.n, args.etas, args.gamma, args.holdout_n)
     header = ["eta", "leaf_count", "tree_train_distortion", "tree_holdout_distortion",
               "k", "kmeans_train_distortion", "kmeans_holdout_distortion"]
     write_csv(args.output, header, rows)
@@ -409,6 +398,10 @@ def main(argv=None) -> int:
                 options = commands[argv[0]]._option_string_actions
                 argv = argv[:1] + _config_flags(config, options) + argv[1:]
         args = parser.parse_args(argv)
+        for flag in _LIST_FLAGS:
+            dest = flag[2:].replace("-", "_")
+            if vars(args).get(dest) is not None:
+                vars(args)[dest] = _list_flag(flag, vars(args)[dest])
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

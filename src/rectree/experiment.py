@@ -6,74 +6,28 @@ for a fixed quantizer).  Every run derives its generator seeds from the
 experiment seed with counter-based streams, so outputs are byte-identical
 across repeat runs with the same configuration.
 
-Each run returns rows of Python ints and floats (the rate run as
-``RateRow`` records); the command line writes them through
-:func:`~rectree.datagen.write_csv`, so this module does no file I/O.
+Each run returns rows of Python ints and floats; the command line writes
+them through :func:`~rectree.datagen.write_csv`, so this module does no
+file I/O.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import replace
 
 import numpy as np
 
 from .baselines import kmeans_distortion, kmeans_fit
 from .datagen import GeneratorSpec, sample
 from .oracle import DiscreteDistribution, oracle_stats
-from .reconstruction import RateSchedule, empirical_distortion, fit, quantizer_from_stats, sweep
+from .reconstruction import RateSchedule, empirical_distortion, quantizer_from_stats, sweep
 from .stats import Dataset
 
-
-@dataclass(frozen=True)
-class RateExperimentConfig:
-    """One distortion-vs-n run with the data-driven schedule eta_n."""
-
-    generator: GeneratorSpec
-    n_grid: tuple[int, ...]
-    schedule: RateSchedule | None = None  # defaults to RateSchedule(2**dim)
-    holdout_n: int | None = None  # defaults to 10 * max(n_grid)
-    trials: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be strictly increasing and nonempty")
-        if any(n < 2 for n in grid):
-            raise ValueError("n_grid entries must be at least 2")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed {self.seed} must be non-negative")
-        if self.holdout_n is not None and self.holdout_n < 1:
-            raise ValueError(f"holdout_n {self.holdout_n} must be positive")
-        dim = self.generator.ambient_dim
-        schedule = RateSchedule(1 << dim) if self.schedule is None else self.schedule
-        if schedule.branching != 1 << dim:
-            raise ValueError(f"schedule branching {schedule.branching} does not match dim {dim}")
-        object.__setattr__(self, "n_grid", grid)
-        object.__setattr__(self, "schedule", schedule)
-
-    @property
-    def effective_holdout_n(self) -> int:
-        return 10 * max(self.n_grid) if self.holdout_n is None else self.holdout_n
-
-
-@dataclass(frozen=True)
-class RateRow:
-    n: int
-    eta_n: float
-    j_n: int
-    leaf_count: float
-    holdout_distortion_mean: float
-    holdout_distortion_std: float
-
-
-@dataclass(frozen=True)
-class RateResult:
-    rows: tuple[RateRow, ...]
-    fitted_slope: float
+# The columns of a rate run's rows.
+RATE_COLUMNS = ("n", "eta_n", "j_n", "leaf_count", "holdout_distortion_mean",
+                "holdout_distortion_std")
 
 
 def _child_seed(*entropy: int) -> int:
@@ -96,44 +50,18 @@ def fit_loglog_slope(x, y) -> float:
     return float((lx * (ly - ly.mean())).sum() / (lx * lx).sum())
 
 
-def run_rate_experiment(cfg: RateExperimentConfig) -> RateResult:
-    """Fit with eta_n per n, evaluate on holdouts, aggregate, fit the slope."""
-    schedule = cfg.schedule
-    rows = []
-    for i, n in enumerate(cfg.n_grid):
-        eta = schedule.eta_n(n)
-        dists, leaves = [], []
-        for trial in range(cfg.trials):
-            train_spec = replace(cfg.generator, stream=_child_seed(cfg.seed, i, trial, 0))
-            holdout_spec = replace(cfg.generator, stream=_child_seed(cfg.seed, i, trial, 1))
-            quantizer = fit(sample(train_spec, n), eta, schedule)
-            holdout = sample(holdout_spec, cfg.effective_holdout_n)
-            dists.append(empirical_distortion(quantizer, holdout))
-            leaves.append(len(quantizer.starts))
-        mean = float(np.mean(dists))
-        std = float(np.std(dists, ddof=1)) if cfg.trials > 1 else 0.0
-        rows.append(
-            RateRow(n, eta, schedule.depth_cap(n), float(np.mean(leaves)), mean, std)
-        )
-    slope = fit_loglog_slope(
-        [math.log(r.n) / r.n for r in rows], [r.holdout_distortion_mean for r in rows]
-    )
-    return RateResult(tuple(rows), slope)
-
-
-def _sweep_with_holdout(
-    generator: GeneratorSpec, n: int, etas, gamma: float, holdout_n: int | None
+def _scored_sweep(
+    train_spec: GeneratorSpec, holdout_spec: GeneratorSpec, n: int, holdout_n: int | None, etas,
+    schedule: RateSchedule,
 ) -> tuple[Dataset, Dataset, list[tuple[float, int, float, float]]]:
-    """(train, holdout, rows): sweep a train sample, score each eta on an independent holdout.
+    """(train, holdout, rows): sweep n train points, score each eta on an independent holdout.
 
     Row: (eta, leaf_count, train_distortion, holdout_distortion).  The
     holdout has 10 n points unless ``holdout_n`` is given.
     """
     if holdout_n is not None and holdout_n < 1:
         raise ValueError(f"holdout_n {holdout_n} must be positive")
-    schedule = RateSchedule(1 << generator.ambient_dim, gamma)
-    train = sample(generator, n)
-    holdout_spec = replace(generator, stream=_child_seed(generator.seed, n, 0, 1))
+    train = sample(train_spec, n)
     holdout = sample(holdout_spec, 10 * n if holdout_n is None else holdout_n)
     rows = [
         (eta, leaf_count, train_dist, empirical_distortion(quantizer, holdout))
@@ -142,11 +70,59 @@ def _sweep_with_holdout(
     return train, holdout, rows
 
 
+def run_rate_experiment(
+    generator: GeneratorSpec, n_grid, schedule: RateSchedule | None = None,
+    holdout_n: int | None = None, trials: int = 1, seed: int = 0,
+) -> tuple[list[tuple[int, float, int, float, float, float]], float]:
+    """(rows, slope): fit at eta_n per n, score on holdouts, aggregate the trials, fit the slope.
+
+    Row: the :data:`RATE_COLUMNS`.  ``schedule`` defaults to
+    RateSchedule(2**dim) and ``holdout_n`` to 10 max(n_grid).  Trial t at
+    the i-th n samples its train set from stream _child_seed(seed, i, t, 0)
+    and its holdout from stream _child_seed(seed, i, t, 1).
+    """
+    for value in (*n_grid, trials):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"n_grid and trials take integers, not {value!r}")
+    grid = [int(n) for n in n_grid]
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("n_grid must be strictly increasing and nonempty")
+    if grid[0] < 2:
+        raise ValueError("n_grid entries must be at least 2")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be non-negative")
+    schedule = RateSchedule(1 << generator.ambient_dim) if schedule is None else schedule
+    holdout_n = 10 * grid[-1] if holdout_n is None else holdout_n
+    rows = []
+    for i, n in enumerate(grid):
+        eta = schedule.eta_n(n)
+        scored = [
+            _scored_sweep(replace(generator, stream=_child_seed(seed, i, trial, 0)),
+                          replace(generator, stream=_child_seed(seed, i, trial, 1)),
+                          n, holdout_n, [eta], schedule)[2][0]
+            for trial in range(trials)
+        ]
+        dists = [row[3] for row in scored]
+        std = float(np.std(dists, ddof=1)) if trials > 1 else 0.0
+        leaves = float(np.mean([row[1] for row in scored]))
+        rows.append((n, eta, schedule.depth_cap(n), leaves, float(np.mean(dists)), std))
+    slope = fit_loglog_slope([math.log(r[0]) / r[0] for r in rows], [r[4] for r in rows])
+    return rows, slope
+
+
 def run_eta_sweep_experiment(
     generator: GeneratorSpec, n: int, etas, gamma: float = 1.5, holdout_n: int | None = None
 ) -> list[tuple[float, int, float, float]]:
-    """(eta, leaf_count, train_distortion, holdout_distortion) per eta."""
-    return _sweep_with_holdout(generator, n, etas, gamma, holdout_n)[2]
+    """(eta, leaf_count, train_distortion, holdout_distortion) per eta.
+
+    The holdout is drawn from stream _child_seed(generator.seed, n, 0, 1)
+    and has 10 n points unless ``holdout_n`` is given.
+    """
+    holdout_spec = replace(generator, stream=_child_seed(generator.seed, n, 0, 1))
+    schedule = RateSchedule(1 << generator.ambient_dim, gamma)
+    return _scored_sweep(generator, holdout_spec, n, holdout_n, etas, schedule)[2]
 
 
 def run_approximation_trend(
@@ -172,7 +148,9 @@ def run_baseline_comparison(
     Row: (eta, leaf_count, tree_train, tree_holdout, k, kmeans_train,
     kmeans_holdout) with k = leaf_count.
     """
-    train, holdout, tree_rows = _sweep_with_holdout(generator, n, etas, gamma, holdout_n)
+    holdout_spec = replace(generator, stream=_child_seed(generator.seed, n, 0, 1))
+    schedule = RateSchedule(1 << generator.ambient_dim, gamma)
+    train, holdout, tree_rows = _scored_sweep(generator, holdout_spec, n, holdout_n, etas, schedule)
     rows = []
     for i, row in enumerate(tree_rows):
         k = min(row[1], train.n)

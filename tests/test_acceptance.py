@@ -14,7 +14,7 @@ from rectree import kernels
 from rectree.baselines import kmeans_fit
 from rectree.cli import main as cli_main
 from rectree.datagen import GeneratorSpec, sample
-from rectree.experiment import RateExperimentConfig, run_approximation_trend, run_rate_experiment
+from rectree.experiment import run_approximation_trend, run_rate_experiment
 from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.reconstruction import (
     Quantizer, RateSchedule, quantizer_from_stats, threshold_subtree,
@@ -193,17 +193,16 @@ def test_criterion_06_rate_trend():
     grid = tuple(2**k for k in range(8, 17))
     slopes = {}
     for dim, band in ((1, (0.45, 0.85)), (2, (0.30, 0.70))):
-        cfg = RateExperimentConfig(
+        _, slope = run_rate_experiment(
             generator=GeneratorSpec("uniform_cube", dim, seed=0),
             n_grid=grid,
             schedule=RateSchedule(1 << dim, gamma=1.5, beta=1.0),
             trials=5,
             seed=42,
         )
-        result = run_rate_experiment(cfg)
-        slopes[dim] = result.fitted_slope
-        assert band[0] <= result.fitted_slope <= band[1], (
-            f"D={dim} slope {result.fitted_slope:.3f} outside {band}"
+        slopes[dim] = slope
+        assert band[0] <= slope <= band[1], (
+            f"D={dim} slope {slope:.3f} outside {band}"
         )
     assert time.time() - started < 600
     report(
@@ -227,21 +226,20 @@ def test_criterion_07_approximation_trend():
 
 def test_criterion_08_manifold_exponent():
     started = time.time()
-    cfg = RateExperimentConfig(
+    _, slope = run_rate_experiment(
         generator=GeneratorSpec("circle", 3, seed=0),
         n_grid=tuple(2**k for k in range(8, 17)),
         schedule=RateSchedule(1 << 3, gamma=1.5, beta=1.0),
         trials=5,
         seed=42,
     )
-    result = run_rate_experiment(cfg)
-    assert 0.45 <= result.fitted_slope <= 0.85, (
-        f"circle slope {result.fitted_slope:.3f} outside the D=1 band"
+    assert 0.45 <= slope <= 0.85, (
+        f"circle slope {slope:.3f} outside the D=1 band"
     )
     assert time.time() - started < 600
     report(
         8,
-        f"circle in R^3 slope {result.fitted_slope:.3f} matches the intrinsic-dim band",
+        f"circle in R^3 slope {slope:.3f} matches the intrinsic-dim band",
         started,
     )
 

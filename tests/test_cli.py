@@ -4,6 +4,7 @@ import resource
 import numpy as np
 import pytest
 
+from rectree import cli
 from rectree.cli import main
 from rectree.datagen import read_dataset, read_points_csv
 from rectree.reconstruction import load_codebook
@@ -232,8 +233,14 @@ class TestExperimentCommands:
          "--density-bounds takes a number or a string, not [0.5, 2]"),
         ("rate-experiment", {"config": "other.json"}, "unknown key 'config'"),
         ("rate-experiment", {"help": True}, "unknown key 'help'"),
+        ("approx-trend", {"etas": "0.1,x"}, "--etas '0.1,x': 'x' is not a number"),
+        ("approx-trend", {"etas": ","}, "--etas ',': no thresholds given"),
+        ("rate-experiment", {"n_grid": "128,abc"}, "--n-grid '128,abc': 'abc' is not an integer"),
+        ("baseline", {"density_bounds": "1"},
+         "--density-bounds '1': needs 2 comma-separated values, not 1"),
     ], ids=["false", "true", "on-off-number", "on-off-string", "choice", "n-grid-list",
-            "etas-list", "bounds-list", "config", "help"])
+            "etas-list", "bounds-list", "config", "help", "etas-value", "etas-empty",
+            "n-grid-value", "bounds-count"])
     def test_config_value_refusal_names_the_file(self, tmp_path, capsys, command, config,
                                                  problem):
         cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
@@ -602,6 +609,12 @@ class TestErrors:
         assert run(*argv, "--output", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_list_flag_is_refused_before_the_command_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_uniform_grid_atoms", lambda *_: pytest.fail("built the atoms"))
+        assert run("approx-trend", "--uniform-atoms", "4000000", "--etas", "x",
+                   "--output", tmp_path / "t.csv") == 2
+        assert capsys.readouterr().err == "error: --etas 'x': 'x' is not a number\n"
 
     @pytest.mark.parametrize(
         "modes",

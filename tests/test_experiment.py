@@ -1,12 +1,15 @@
-import dataclasses
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rectree import experiment
+from rectree.baselines import kmeans_distortion, kmeans_fit
 from rectree.datagen import GeneratorSpec, sample, write_csv
 from rectree.experiment import (
-    RateExperimentConfig,
-    RateRow,
+    RATE_COLUMNS,
+    _child_seed,
     fit_loglog_slope,
     run_approximation_trend,
     run_baseline_comparison,
@@ -14,64 +17,111 @@ from rectree.experiment import (
     run_rate_experiment,
 )
 from rectree.oracle import DiscreteDistribution
-from rectree.reconstruction import RateSchedule, fit
+from rectree.reconstruction import RateSchedule, empirical_distortion, fit, sweep
 
 
-def small_config(**overrides):
-    defaults = dict(
+def small_run(**overrides):
+    kwargs = dict(
         generator=GeneratorSpec("uniform_cube", 1, seed=0),
         n_grid=(128, 256, 512),
         trials=2,
         holdout_n=2000,
         seed=5,
     )
-    defaults.update(overrides)
-    return RateExperimentConfig(**defaults)
+    kwargs.update(overrides)
+    return run_rate_experiment(**kwargs)
 
 
 class TestRateExperiment:
     def test_rows_match_schedule(self):
-        cfg = small_config()
-        result = run_rate_experiment(cfg)
+        rows, slope = small_run()
         schedule = RateSchedule(branching=2)
-        assert [r.n for r in result.rows] == [128, 256, 512]
-        for row in result.rows:
-            assert row.eta_n == pytest.approx(schedule.eta_n(row.n), rel=1e-15)
-            assert row.j_n == schedule.depth_cap(row.n)
-            assert row.holdout_distortion_mean > 0
-            assert row.holdout_distortion_std >= 0
-        assert np.isfinite(result.fitted_slope)
+        assert [row[0] for row in rows] == [128, 256, 512]
+        for n, eta_n, j_n, _, mean, std in rows:
+            assert eta_n == pytest.approx(schedule.eta_n(n), rel=1e-15)
+            assert j_n == schedule.depth_cap(n)
+            assert mean > 0
+            assert std >= 0
+        assert np.isfinite(slope)
 
     def test_deterministic_csv(self, tmp_path):
-        cfg = small_config()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        header = [field.name for field in dataclasses.fields(RateRow)]
         for path in (p1, p2):
-            rows = [dataclasses.astuple(row) for row in run_rate_experiment(cfg).rows]
-            write_csv(path, header, rows)
+            write_csv(path, RATE_COLUMNS, small_run()[0])
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            small_config(n_grid=(256, 128))
+            small_run(n_grid=(256, 128))
         with pytest.raises(ValueError):
-            small_config(trials=0)
+            small_run(trials=0)
         with pytest.raises(ValueError, match="^n_grid entries must be at least 2$"):
-            small_config(n_grid=(1, 4))
+            small_run(n_grid=(1, 4))
         with pytest.raises(ValueError, match="schedule branching 4 does not match dim 1"):
-            small_config(schedule=RateSchedule(4))
+            small_run(schedule=RateSchedule(4))
         with pytest.raises(ValueError, match="^seed -1 must be non-negative$"):
-            small_config(seed=-1)
+            small_run(seed=-1)
         for holdout_n in (0, -5):
             with pytest.raises(ValueError, match=f"^holdout_n {holdout_n} must be positive$"):
-                small_config(holdout_n=holdout_n)
+                small_run(holdout_n=holdout_n)
 
     def test_config_holds_one_schedule(self):
-        assert small_config().schedule == RateSchedule(2)
+        assert small_run() == small_run(schedule=RateSchedule(2))
         schedule = RateSchedule(2, gamma=1.2, beta=2.0, threshold_constant=0.7)
-        result = run_rate_experiment(small_config(schedule=schedule))
-        for row in result.rows:
-            assert row.eta_n == schedule.eta_n(row.n) and row.j_n == schedule.depth_cap(row.n)
+        rows, _ = small_run(schedule=schedule)
+        for n, eta_n, j_n, *_ in rows:
+            assert eta_n == schedule.eta_n(n) and j_n == schedule.depth_cap(n)
+
+    @pytest.mark.parametrize("overrides, bad", [
+        ({"n_grid": (128.5, 256.9)}, "128.5"),
+        ({"n_grid": (128, 256.0)}, "256.0"),
+        ({"n_grid": (True, 256)}, "True"),
+        ({"trials": 2.5}, "2.5"),
+        ({"trials": True}, "True"),
+    ], ids=["fractions", "whole-float", "bool", "trials-fraction", "trials-bool"])
+    def test_refuses_a_non_integer_before_sampling(self, monkeypatch, overrides, bad):
+        monkeypatch.setattr(experiment, "sample", lambda *_: pytest.fail("sampled first"))
+        with pytest.raises(TypeError, match=f"^n_grid and trials take integers, not {bad}$"):
+            small_run(**overrides)
+
+    def test_numpy_integers_give_python_rows(self):
+        rows, slope = small_run(n_grid=np.array([128, 256, 512]), trials=np.int64(2))
+        assert (rows, slope) == small_run()
+        assert {type(v) for row in rows for v in row} == {int, float}
+
+
+class TestRowsAreTheFitsOfTheirStreams:
+    """Each run's rows, recomputed from the streams it documents, compare with ==."""
+
+    def test_rate_rows(self):
+        gen, grid, seed, trials = GeneratorSpec("circle", 2, seed=4), (64, 200), 9, 3
+        rows, slope = run_rate_experiment(gen, grid, trials=trials, seed=seed)
+        schedule = RateSchedule(4)
+        for i, n in enumerate(grid):
+            eta, dists, leaves = schedule.eta_n(n), [], []
+            for t in range(trials):
+                quantizer = fit(sample(replace(gen, stream=_child_seed(seed, i, t, 0)), n), eta,
+                                schedule)
+                holdout = sample(replace(gen, stream=_child_seed(seed, i, t, 1)), 10 * grid[-1])
+                dists.append(empirical_distortion(quantizer, holdout))
+                leaves.append(len(quantizer.starts))
+            assert rows[i] == (n, eta, schedule.depth_cap(n), float(np.mean(leaves)),
+                               float(np.mean(dists)), float(np.std(dists, ddof=1)))
+        assert slope == fit_loglog_slope([math.log(n) / n for n in grid], [r[4] for r in rows])
+
+    def test_sweep_and_baseline_rows(self):
+        gen, n, etas = GeneratorSpec("swiss_roll", 3, seed=6), 700, [0.2, 0.05, 0.01]
+        train = sample(gen, n)
+        holdout = sample(replace(gen, stream=_child_seed(gen.seed, n, 0, 1)), 10 * n)
+        tree_rows = [(eta, leaves, train_dist, empirical_distortion(quantizer, holdout))
+                     for eta, quantizer, leaves, train_dist in sweep(train, etas, RateSchedule(8))]
+        assert run_eta_sweep_experiment(gen, n, etas) == tree_rows
+        rows = run_baseline_comparison(gen, n, etas)
+        for i, row in enumerate(rows):
+            k = min(row[1], n)
+            model = kmeans_fit(train, k, seed=_child_seed(gen.seed, n, i, 2))
+            assert row == (*tree_rows[i], k, model.final_objective,
+                           kmeans_distortion(model, holdout))
 
 
 class TestHoldoutEstimator:
