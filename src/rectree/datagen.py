@@ -23,6 +23,7 @@ diameter at most 1.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 import warnings
@@ -53,6 +54,8 @@ class GeneratorSpec:
     ``seed`` fixes the distribution itself, including the embedding
     rotation of manifold kinds; ``stream`` selects an independent draw
     stream from that same distribution (fresh trials, holdout sets).
+    ``ambient_dim``, ``seed`` and ``stream`` must be integers (numpy's
+    included, a bool not), or the spec is a TypeError naming the field.
     """
 
     kind: str
@@ -64,6 +67,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}; choose from {KINDS}")
+        for name in ("ambient_dim", "seed", "stream"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} takes an integer, not {value!r}")
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be positive")
         if self.seed < 0:

@@ -50,19 +50,32 @@ def fit_loglog_slope(x, y) -> float:
     return float((lx * (ly - ly.mean())).sum() / (lx * lx).sum())
 
 
+def _integer(what: str, value) -> None:
+    """TypeError ``WHAT, not VALUE`` unless ``value`` is an integer; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what}, not {value!r}")
+
+
 def _scored_sweep(
-    train_spec: GeneratorSpec, holdout_spec: GeneratorSpec, n: int, holdout_n: int | None, etas,
-    schedule: RateSchedule,
+    train_spec: GeneratorSpec, holdout_spec: GeneratorSpec | None, n: int, holdout_n: int | None,
+    etas, schedule: RateSchedule,
 ) -> tuple[Dataset, Dataset, list[tuple[float, int, float, float]]]:
     """(train, holdout, rows): sweep n train points, score each eta on an independent holdout.
 
     Row: (eta, leaf_count, train_distortion, holdout_distortion).  The
-    holdout has 10 n points unless ``holdout_n`` is given.
+    holdout has 10 n points unless ``holdout_n`` is given, and is drawn
+    from ``holdout_spec``, by default stream _child_seed(train_spec.seed,
+    n, 0, 1) of the train distribution.
     """
-    if holdout_n is not None and holdout_n < 1:
+    _integer("n takes an integer", n)
+    holdout_n = 10 * n if holdout_n is None else holdout_n
+    _integer("holdout_n takes an integer", holdout_n)
+    if holdout_n < 1:
         raise ValueError(f"holdout_n {holdout_n} must be positive")
+    if holdout_spec is None:
+        holdout_spec = replace(train_spec, stream=_child_seed(train_spec.seed, n, 0, 1))
     train = sample(train_spec, n)
-    holdout = sample(holdout_spec, 10 * n if holdout_n is None else holdout_n)
+    holdout = sample(holdout_spec, holdout_n)
     rows = [
         (eta, leaf_count, train_dist, empirical_distortion(quantizer, holdout))
         for eta, quantizer, leaf_count, train_dist in sweep(train, etas, schedule)
@@ -82,8 +95,8 @@ def run_rate_experiment(
     and its holdout from stream _child_seed(seed, i, t, 1).
     """
     for value in (*n_grid, trials):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"n_grid and trials take integers, not {value!r}")
+        _integer("n_grid and trials take integers", value)
+    _integer("seed takes an integer", seed)
     grid = [int(n) for n in n_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing and nonempty")
@@ -120,9 +133,8 @@ def run_eta_sweep_experiment(
     The holdout is drawn from stream _child_seed(generator.seed, n, 0, 1)
     and has 10 n points unless ``holdout_n`` is given.
     """
-    holdout_spec = replace(generator, stream=_child_seed(generator.seed, n, 0, 1))
     schedule = RateSchedule(1 << generator.ambient_dim, gamma)
-    return _scored_sweep(generator, holdout_spec, n, holdout_n, etas, schedule)[2]
+    return _scored_sweep(generator, None, n, holdout_n, etas, schedule)[2]
 
 
 def run_approximation_trend(
@@ -148,9 +160,8 @@ def run_baseline_comparison(
     Row: (eta, leaf_count, tree_train, tree_holdout, k, kmeans_train,
     kmeans_holdout) with k = leaf_count.
     """
-    holdout_spec = replace(generator, stream=_child_seed(generator.seed, n, 0, 1))
     schedule = RateSchedule(1 << generator.ambient_dim, gamma)
-    train, holdout, tree_rows = _scored_sweep(generator, holdout_spec, n, holdout_n, etas, schedule)
+    train, holdout, tree_rows = _scored_sweep(generator, None, n, holdout_n, etas, schedule)
     rows = []
     for i, row in enumerate(tree_rows):
         k = min(row[1], train.n)

@@ -29,8 +29,9 @@ subtree and only the leaves whose code vector is not their cube center,
 as flat (depth, index) arrays: every other outer leaf of the subtree is
 implied, so a fit's file grows with its subtree and its nonempty leaves,
 not with its (a - 1)|S| + 1 leaves.  :func:`load_codebook` builds the
-quantizer with the leaf builder of :func:`quantizer_from_stats`, and
-still reads version 1 files, which list every leaf.
+subtree's outer leaves at their cube centers and places the listed code
+vectors through the leaf lookup of :func:`decode`, and still reads
+version 1 files, which list every leaf.
 
 The data-driven run couples the threshold and the truncation depth to the
 sample size n:
@@ -290,39 +291,20 @@ def quantizer_from_stats(
     train distortion is the sum of the stored leaves' E_J; an empty one adds 0.
     """
     cap = stats.depth_cap if depth_cap is None else depth_cap
-    errors = []
-
-    def stored(depth, codes):
+    tables, errors = {}, []
+    for depth, codes in outer_leaves(_subtree_levels(stats, eta, cap), stats.dim).items():
         lv = stats.level(depth)
         rows = lv.rows(codes)
         have = rows >= 0
         errors.append(lv.errors[rows[have]])
-        return have, lv.centers[rows[have]]
-
-    leaves = outer_leaves(_subtree_levels(stats, eta, cap), stats.dim)
-    q = _outer_leaf_quantizer(stats.dim, leaves, stored, eta, cap, gamma, beta)
+        vectors = np.empty((codes.shape[0], stats.dim))
+        vectors[have] = lv.centers[rows[have]]
+        vectors[~have] = ((kernels.morton_decode(codes[~have], depth, stats.dim) + 0.5)
+                          * 2.0 ** -depth)
+        tables[depth] = (codes, vectors)
+    q = Quantizer.from_tables(stats.dim, tables, eta, cap, gamma, beta)
     q.train_distortion = math.fsum(np.concatenate(errors).tolist())
     return q
-
-
-def _outer_leaf_quantizer(dim: int, leaves: dict[int, np.ndarray], given, threshold: float,
-                          depth_cap: int, gamma: float | None = None,
-                          beta: float | None = None) -> Quantizer:
-    """The quantizer on a subtree's outer leaves, with given or cube-center code vectors.
-
-    ``leaves`` holds the sorted leaf codes per depth (:func:`outer_leaves`).
-    ``given(depth, codes)`` takes one depth's codes and returns a mask of
-    the leaves that have a code vector and those vectors in code order;
-    every other leaf gets its cube center (index + 0.5) 2**-depth.
-    """
-    tables = {}
-    for depth, codes in leaves.items():
-        have, vectors = given(depth, codes)
-        table = np.empty((codes.shape[0], dim))
-        table[have] = vectors
-        table[~have] = (kernels.morton_decode(codes[~have], depth, dim) + 0.5) * 2.0 ** -depth
-        tables[depth] = (codes, table)
-    return Quantizer.from_tables(dim, tables, threshold, depth_cap, gamma, beta)
 
 
 def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:
@@ -386,14 +368,21 @@ def decode(q: Quantizer, depths, index) -> np.ndarray:
         raise ValueError(f"depths must be (n,), got shape {depths.shape}")
     if index.shape != (depths.shape[0], q.dim):
         raise ValueError(f"index must be ({depths.shape[0]}, {q.dim}), got shape {index.shape}")
-    start = _lower_corners(depths, index, q.deepest)
-    rows = q._rows(start)
-    bad = np.flatnonzero((q.starts[rows] != start) | (q.depths[rows] != depths))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"row {i}: depth {depths[i]} index {index[i].tolist()} "
-                         "is not a leaf of this quantizer")
+    rows = _leaf_rows(q, depths, index, "row", "is not a leaf of this quantizer")
     return np.take(q.vectors, rows, axis=0)
+
+
+def _leaf_rows(q: Quantizer, depths: np.ndarray, index: np.ndarray, rows: str,
+               problem: str) -> np.ndarray:
+    """Row of ``q`` holding each (depth, index) leaf, found through :meth:`Quantizer._rows`.
+
+    ValueError naming the first row (``rows`` and its number) that is no
+    cell, or whose lower corner starts no leaf of its depth (``problem``).
+    """
+    start = _lower_corners(depths, index, q.deepest, rows)
+    found = q._rows(start)
+    _refuse(rows, depths, index, (q.starts[found] != start) | (q.depths[found] != depths), problem)
+    return found
 
 
 def empirical_distortion(q: Quantizer, data: Dataset) -> float:
@@ -504,9 +493,9 @@ def load_codebook(path) -> Quantizer:
     """Read a codebook file: version 2 as :func:`save_codebook` writes it, or version 1.
 
     A v1 file lists every leaf as one ``{"depth", "index", "code"}``
-    object.  A v2 file's quantizer is built as :func:`quantizer_from_stats`
-    builds a fit's: the outer leaves of the subtree, with the listed code
-    vectors and cube centers elsewhere.  ValueError, naming the file and
+    object.  A v2 file's quantizer holds the outer leaves of the subtree at
+    their cube centers, with each listed leaf found as :func:`decode` finds
+    a leaf and given its listed code vector.  ValueError, naming the file and
     the problem in one line, unless the file is well formed and its leaves
     tile the cube.
     """
@@ -571,37 +560,33 @@ def _load_v2(doc: dict) -> Quantizer:
     sub_depths, sub_index = _block(doc, "subtree", ("depth", "index"), dim)
     leaf_depths, leaf_index, vectors = _block(doc, "leaves", ("depth", "index", "code"), dim)
     _check_finite(vectors, "leaves row")
-    sub_codes = _cell_codes("subtree", sub_depths, sub_index)
-    leaf_codes = _cell_codes("leaves", leaf_depths, leaf_index)
-
-    def refuse(block, mask, problem):
-        depths, index = (sub_depths, sub_index) if block == "subtree" else (leaf_depths, leaf_index)
-        bad = np.flatnonzero(mask)
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"{block} row {i}: depth {depths[i]} index {index[i].tolist()} "
-                             f"{problem}")
-
     top = default_max_depth(dim)
-    refuse("subtree", sub_depths >= top, f"has children deeper than {top}")
+    # Both blocks' rows are checked for being cells before any structure check, and a
+    # file with several faults is refused for the first one in this order.
+    sub_codes = (_lower_corners(sub_depths, sub_index, top, "subtree row")
+                 >> dim * (top - sub_depths))
+    _lower_corners(leaf_depths, leaf_index, top, "leaves row")
+    subtree = ("subtree row", sub_depths, sub_index)
+    _refuse(*subtree, sub_depths >= top, f"has children deeper than {top}")
     if sub_depths.size and not (sub_depths == 0).any():
         raise ValueError("subtree lacks the root")
-    refuse("subtree", _repeats(sub_depths, sub_codes), "is listed twice")
+    _refuse(*subtree, _repeats(sub_depths, sub_codes), "is listed twice")
     levels = [np.unique(sub_codes[sub_depths == d]) for d in range(sub_depths.max(initial=-1) + 1)]
-    refuse("subtree", (sub_depths > 0) & ~_in_levels(dict(enumerate(levels)), sub_depths - 1,
-                                                     sub_codes >> dim),
-           "has no parent in the subtree")
+    orphans = np.zeros(sub_depths.shape[0], bool)
+    for depth in range(1, len(levels)):
+        at = sub_depths == depth
+        orphans[at] = ~np.isin(sub_codes[at] >> dim, levels[depth - 1])
+    _refuse(*subtree, orphans, "has no parent in the subtree")
     # With no subtree the one leaf is the root.
     leaves = outer_leaves(levels, dim) if levels else {0: np.zeros(1, np.int64)}
-    refuse("leaves", ~_in_levels(leaves, leaf_depths, leaf_codes),
-           "is not an outer leaf of the subtree")
-    refuse("leaves", _repeats(leaf_depths, leaf_codes), "is listed twice")
-
-    def listed(depth, codes):
-        at = leaf_depths == depth
-        return np.isin(codes, leaf_codes[at]), vectors[at][np.argsort(leaf_codes[at])]
-
-    return _outer_leaf_quantizer(dim, leaves, listed, eta, cap, gamma, beta)
+    centers = {d: (codes, (kernels.morton_decode(codes, d, dim) + 0.5) * 2.0 ** -d)
+               for d, codes in leaves.items()}
+    q = Quantizer.from_tables(dim, centers, eta, cap, gamma, beta)
+    rows = _leaf_rows(q, leaf_depths, leaf_index, "leaves row",
+                      "is not an outer leaf of the subtree")
+    _refuse("leaves row", leaf_depths, leaf_index, _repeats(leaf_depths, rows), "is listed twice")
+    q.vectors[rows] = vectors
+    return q
 
 
 def _block(doc: dict, name: str, keys: tuple[str, ...], dim: int) -> list[np.ndarray]:
@@ -624,12 +609,6 @@ def _block(doc: dict, name: str, keys: tuple[str, ...], dim: int) -> list[np.nda
     return arrays
 
 
-def _cell_codes(name: str, depths: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Morton code of each (depth, index) row at its own depth; ValueError if one is no cell."""
-    top = default_max_depth(index.shape[1])
-    return _lower_corners(depths, index, top, f"{name} row") >> index.shape[1] * (top - depths)
-
-
 def _repeats(depths: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Mask of the rows whose (depth, code) an earlier row already has."""
     order = np.lexsort((codes, depths))  # stable: equal rows stay in file order
@@ -638,10 +617,10 @@ def _repeats(depths: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _in_levels(levels: dict[int, np.ndarray], depths: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Mask of the (depth, code) rows that are cells of the per-depth ``levels``."""
-    hit = np.zeros(codes.shape[0], bool)
-    for depth, level in levels.items():
-        at = depths == depth
-        hit[at] = np.isin(codes[at], level)
-    return hit
+def _refuse(rows: str, depths: np.ndarray, index: np.ndarray, mask: np.ndarray,
+            problem: str) -> None:
+    """ValueError ``ROWS i: depth d index k PROBLEM`` for the first row i in ``mask``, if any."""
+    bad = np.flatnonzero(mask)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{rows} {i}: depth {depths[i]} index {index[i].tolist()} {problem}")

@@ -186,6 +186,37 @@ def test_saved_codebook_loads_bit_for_bit(tmp_path_factory, data, cap, quantile)
         assert_bit_identical(load_codebook(directory / "codebook.json"), q)
 
 
+@given(datasets(4), st.integers(1, 6), st.floats(0, 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_saved_codebook_rows_load_in_any_order(tmp_path_factory, data, cap, quantile, draw):
+    # The loader finds each listed leaf by lookup, so a file's row order is
+    # free; a repeated leaves row is refused at the later of its two copies.
+    stats = build_stats(data, cap)
+    gains = np.concatenate([stats.level(d).gains for d in range(stats.depth_cap)])
+    q = quantizer_from_stats(stats, float(np.quantile(gains, quantile, method="lower")) or 1e-300,
+                             0.8, 2.5, depth_cap=cap)
+    path = tmp_path_factory.mktemp("cb") / "codebook.json"
+    save_codebook(q, path)
+    doc = json.loads(path.read_text())
+    for block in ("subtree", "leaves"):
+        order = draw.draw(st.permutations(range(len(doc[block]["depth"]))))
+        doc[block] = {key: [values[i] for i in order] for key, values in doc[block].items()}
+    path.write_text(json.dumps(doc))
+    assert_bit_identical(load_codebook(path), q)
+    leaves = doc["leaves"]
+    if leaves["depth"]:
+        i = draw.draw(st.integers(0, len(leaves["depth"]) - 1))
+        j = draw.draw(st.integers(0, len(leaves["depth"])))
+        for values in leaves.values():
+            values.insert(j, values[i])
+        later = max(j, i + (j <= i))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_codebook(path)
+        assert str(exc.value) == (f"codebook {path}: leaves row {later}: depth "
+                                  f"{leaves['depth'][j]} index {leaves['index'][j]} is listed twice")
+
+
 @pytest.mark.parametrize("dim", [1, 13])
 @pytest.mark.parametrize("code", [0.5, 0.3])
 def test_single_root_leaf_round_trips(tmp_path, dim, code):

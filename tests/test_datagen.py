@@ -74,6 +74,19 @@ class TestSpecs:
         with pytest.raises(ValueError, match="^ambient_dim must be positive$"):
             GeneratorSpec("uniform_cube", 0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("ambient_dim", 1.5), ("ambient_dim", True), ("seed", 1.5), ("seed", True),
+        ("stream", 2.5), ("stream", True), ("stream", None),
+    ])
+    def test_refuses_a_non_integer_field(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} takes an integer, not {value}$"):
+            GeneratorSpec("uniform_cube", **{"ambient_dim": 2, field: value})
+
+    def test_numpy_integer_fields(self):
+        spec = GeneratorSpec("circle", np.int64(2), seed=np.int64(3), stream=np.int64(4))
+        assert sample(spec, 50).points.tolist() == sample(
+            GeneratorSpec("circle", 2, seed=3, stream=4), 50).points.tolist()
+
     def test_intrinsic_dims(self):
         assert GeneratorSpec("uniform_cube", 5).intrinsic_dim == 5
         assert GeneratorSpec("circle", 3).intrinsic_dim == 1

@@ -89,6 +89,21 @@ class TestRateExperiment:
         assert (rows, slope) == small_run()
         assert {type(v) for row in rows for v in row} == {int, float}
 
+    @pytest.mark.parametrize("overrides, bad", [
+        ({"seed": 1.5}, "seed takes an integer, not 1.5"),
+        ({"seed": True}, "seed takes an integer, not True"),
+        ({"holdout_n": 100.5}, "holdout_n takes an integer, not 100.5"),
+        ({"holdout_n": True}, "holdout_n takes an integer, not True"),
+    ], ids=["seed-fraction", "seed-bool", "holdout-fraction", "holdout-bool"])
+    def test_refuses_a_non_integer_seed_or_holdout_before_sampling(self, monkeypatch, overrides,
+                                                                  bad):
+        monkeypatch.setattr(experiment, "sample", lambda *_: pytest.fail("sampled first"))
+        with pytest.raises(TypeError, match=f"^{bad}$"):
+            small_run(**overrides)
+
+    def test_numpy_integer_seed_and_holdout(self):
+        assert small_run(seed=np.int64(5), holdout_n=np.int64(2000)) == small_run()
+
 
 class TestRowsAreTheFitsOfTheirStreams:
     """Each run's rows, recomputed from the streams it documents, compare with ==."""
@@ -155,6 +170,26 @@ class TestEtaSweepExperiment:
         for run in (run_eta_sweep_experiment, run_baseline_comparison):
             with pytest.raises(ValueError, match=f"^holdout_n {holdout_n} must be positive$"):
                 run(spec, 64, [0.1], holdout_n=holdout_n)
+
+    @pytest.mark.parametrize("n, holdout_n, bad", [
+        (64.7, None, "n takes an integer, not 64.7"),
+        (64.0, None, "n takes an integer, not 64.0"),
+        (True, None, "n takes an integer, not True"),
+        (64, 100.5, "holdout_n takes an integer, not 100.5"),
+        (64, True, "holdout_n takes an integer, not True"),
+    ], ids=["n-fraction", "n-whole-float", "n-bool", "holdout-fraction", "holdout-bool"])
+    def test_refuses_a_non_integer_before_sampling(self, monkeypatch, n, holdout_n, bad):
+        monkeypatch.setattr(experiment, "sample", lambda *_: pytest.fail("sampled first"))
+        spec = GeneratorSpec("uniform_cube", 1)
+        for run in (run_eta_sweep_experiment, run_baseline_comparison):
+            with pytest.raises(TypeError, match=f"^{bad}$"):
+                run(spec, n, [0.1], holdout_n=holdout_n)
+
+    def test_numpy_integers_give_the_same_rows(self):
+        spec = GeneratorSpec("uniform_cube", 1, seed=9)
+        for run in (run_eta_sweep_experiment, run_baseline_comparison):
+            assert (run(spec, np.int64(300), [0.5, 0.1], holdout_n=np.int64(600))
+                    == run(spec, 300, [0.5, 0.1], holdout_n=600))
 
     def test_csv_deterministic(self, tmp_path):
         args = (GeneratorSpec("uniform_cube", 1, seed=9), 500, [0.5, 0.1])
