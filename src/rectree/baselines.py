@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .errors import _integer
 from .stats import Dataset
 
 _TOL = 1e-10  # relative objective improvement below which Lloyd's iterations stop
@@ -62,6 +63,10 @@ def kmeans_fit(
     max_iters: int = 300,
 ) -> KMeansModel:
     """Lloyd iterations until the relative objective improvement drops below ``_TOL``."""
+    for name, value in (("k", k), ("seed", seed), ("max_iters", max_iters)):
+        _integer(f"{name} takes an integer", value)
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be non-negative")
     points = data.points
     n = points.shape[0]
     if not 1 <= k <= n:

@@ -23,7 +23,6 @@ diameter at most 1.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 import warnings
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, naming
+from .errors import DomainError, _integer, naming
 from .stats import Dataset
 
 KINDS = ("uniform_cube", "density_cube", "circle", "sphere", "swiss_roll")
@@ -68,9 +67,7 @@ class GeneratorSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}; choose from {KINDS}")
         for name in ("ambient_dim", "seed", "stream"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} takes an integer, not {value!r}")
+            _integer(f"{name} takes an integer", getattr(self, name))
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be positive")
         if self.seed < 0:
@@ -143,7 +140,8 @@ def _canonical_manifold(spec: GeneratorSpec, n: int, g: np.random.Generator):
 
 
 def sample(spec: GeneratorSpec, n: int) -> Dataset:
-    """Draw n points; deterministic given the spec."""
+    """Draw n points; deterministic given the spec.  TypeError unless n is an integer."""
+    _integer("n takes an integer", n)
     if n < 1:
         raise ValueError("n must be positive")
     d = spec.ambient_dim

@@ -1,5 +1,6 @@
-"""Exception types raised across the package, and the one boundary that names a file."""
+"""Exception types, the one boundary that names a file, and the one integer check."""
 
+import numbers
 from contextlib import contextmanager
 
 
@@ -26,3 +27,9 @@ def naming(what):
         raise kind(f"{what}: {exc}") from None
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{what}: {type(exc).__name__} {exc}") from None
+
+
+def _integer(what: str, value) -> None:
+    """TypeError ``WHAT, not VALUE`` unless ``value`` is an integer, numpy's too; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what}, not {value!r}")

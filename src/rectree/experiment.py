@@ -14,13 +14,13 @@ file I/O.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import replace
 
 import numpy as np
 
 from .baselines import kmeans_distortion, kmeans_fit
 from .datagen import GeneratorSpec, sample
+from .errors import _integer
 from .oracle import DiscreteDistribution, oracle_stats
 from .reconstruction import RateSchedule, empirical_distortion, quantizer_from_stats, sweep
 from .stats import Dataset
@@ -48,12 +48,6 @@ def fit_loglog_slope(x, y) -> float:
         return float("nan")
     lx = lx - lx.mean()
     return float((lx * (ly - ly.mean())).sum() / (lx * lx).sum())
-
-
-def _integer(what: str, value) -> None:
-    """TypeError ``WHAT, not VALUE`` unless ``value`` is an integer; a bool is none."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{what}, not {value!r}")
 
 
 def _scored_sweep(

@@ -92,7 +92,7 @@ def _weighted_level(points, weights, codes) -> _Level:
     centers = np.column_stack([_run_fsums(weights * x, starts) for x in points.T]) / masses[:, None]
     diff = points - np.repeat(centers, np.diff(starts, append=len(codes)), 0)
     errors = _run_fsums(weights * (diff**2).sum(axis=1), starts)
-    return _Level(codes[starts], masses, centers, errors, None)
+    return _Level(codes[starts], masses, centers, errors, None, np.full(len(starts), -np.inf))
 
 
 def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
@@ -103,7 +103,8 @@ def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
     default_max_depth(D)).  A cell at or below the isolation depth holds at
     most one atom, so it cannot improve by splitting and its gain is exactly
     0; gains are populated at every stored depth, and thresholding the table
-    at any eta > 0 gives the untruncated population subtree.
+    at any eta > 0 gives the untruncated population subtree.  Gains and
+    envelopes run bottom-up, as in :func:`~rectree.stats.build_stats`.
     """
     top = default_max_depth(dist.dim)
     deep_codes = kernels.morton_encode(dist.points, top)
@@ -121,9 +122,10 @@ def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
                             f"{kernels.MORTON_BITS}-bit code")
     levels = [_weighted_level(pts, w, deep_codes >> dist.dim * (top - depth))
               for depth in range(cap + 1)]
-    for parent, child in zip(levels, levels[1:]):
+    for parent, child in reversed(list(zip(levels, levels[1:]))):
         first = child.child_runs(dist.dim)
         diff = child.centers - np.repeat(parent.centers, np.diff(first, append=len(child.codes)), 0)
         parent.gains = np.sqrt(_run_fsums(child.counts * (diff**2).sum(axis=1), first))
+        parent.envelope = np.maximum(parent.gains, np.maximum.reduceat(child.envelope, first))
     levels[cap].gains = np.zeros(levels[cap].codes.shape[0])
     return StatsTable(dim=dist.dim, n=1, depth_cap=cap, _levels=levels)

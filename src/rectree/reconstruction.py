@@ -2,12 +2,15 @@
 
 Given per-cell statistics to a truncation depth j_n, a threshold eta > 0
 selects the cells whose refinement gain satisfies eps_I >= eta (inclusive,
-so ties expand).  The kept subtree is the smallest parent-closed set
-containing every selected cell, {root} when nothing is selected, and the
-quantizer is the outer-leaf partition of that subtree with one code vector
-per leaf: the leaf's center of mass when it saw training data, the cube
-center otherwise (so decoding is total).  Its train distortion is read
-from the table too, sum_{leaves J} E_J, so a sweep encodes no train point.
+so ties expand).  The kept subtree, the smallest parent-closed set
+containing every selected cell, is the root and the cells whose envelope
+(the largest gain at or below a cell) reaches eta, all above the table
+depth; a quantizer's ``depth_cap`` is a label, the table depth or the
+j_n of :func:`sweep`.  The quantizer is the outer-leaf partition of that
+subtree with one code vector per leaf: the leaf's center of mass when it
+saw training data, the cube center otherwise (so decoding is total).
+Its train distortion is read from the table too, sum_{leaves J} E_J, so
+a sweep encodes no train point.
 
 Subtrees nest as eta decreases, so one statistics table serves a whole
 list of thresholds: :func:`sweep` builds it once, for the smallest eta,
@@ -115,28 +118,17 @@ class RateSchedule:
         return math.sqrt((self.gamma + self.beta) * math.log(n) / (self.threshold_constant * n))
 
 
-def _subtree_levels(stats: StatsTable, eta: float, depth_cap: int | None) -> list[np.ndarray]:
-    """Sorted subtree codes per depth: the closure of codes[gains >= eta], depth < cap."""
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta {eta} must be finite and positive")
-    if depth_cap is not None and depth_cap < 0:
-        raise ValueError(f"depth_cap {depth_cap} must be non-negative")
-    cap = stats.depth_cap if depth_cap is None else min(depth_cap, stats.depth_cap)
-    marked = {d: stats.level(d).codes[stats.level(d).gains >= eta] for d in range(cap)}
-    return smallest_subtree(marked, stats.dim)
-
-
-def threshold_subtree(
-    stats: StatsTable, eta: float, depth_cap: int | None = None
-) -> frozenset[CellId]:
+def threshold_subtree(stats: StatsTable, eta: float,
+                      depth_cap: int | None = None) -> frozenset[CellId]:
     """Cells of the smallest subtree containing every cell with gain >= eta.
 
-    Only cells of depth < depth_cap are inspected: a gain needs children
-    statistics one level down, so the deepest measurable candidates sit
-    one level above the cap.  Returns {root} when no cell qualifies.
+    These are the root and the cells above the table depth whose envelope
+    reaches eta; {root} when no cell qualifies.  A ``depth_cap`` at or above
+    the table depth changes nothing, and one below it is refused.
     """
-    levels = _subtree_levels(stats, eta, depth_cap)
-    return frozenset(cell for depth, codes in enumerate(levels)
+    if depth_cap is not None and depth_cap < stats.depth_cap:
+        raise ValueError(f"depth_cap {depth_cap} is below the table depth {stats.depth_cap}")
+    return frozenset(cell for depth, codes in enumerate(smallest_subtree(stats, eta))
                      for cell in cells_from_codes(depth, codes, stats.dim))
 
 
@@ -278,21 +270,16 @@ class Codebook(Mapping):
         return self._q.starts.shape[0]
 
 
-def quantizer_from_stats(
-    stats: StatsTable,
-    eta: float,
-    gamma: float | None = None,
-    beta: float | None = None,
-    depth_cap: int | None = None,
-) -> Quantizer:
+def quantizer_from_stats(stats: StatsTable, eta: float, gamma: float | None = None,
+                         beta: float | None = None) -> Quantizer:
     """Threshold, take outer leaves, and attach code vectors.
 
     A stored leaf's code vector is the center of mass of its points, so the
     train distortion is the sum of the stored leaves' E_J; an empty one adds 0.
+    Its ``depth_cap`` is the table depth.
     """
-    cap = stats.depth_cap if depth_cap is None else depth_cap
     tables, errors = {}, []
-    for depth, codes in outer_leaves(_subtree_levels(stats, eta, cap), stats.dim).items():
+    for depth, codes in outer_leaves(smallest_subtree(stats, eta), stats.dim).items():
         lv = stats.level(depth)
         rows = lv.rows(codes)
         have = rows >= 0
@@ -302,7 +289,7 @@ def quantizer_from_stats(
         vectors[~have] = ((kernels.morton_decode(codes[~have], depth, stats.dim) + 0.5)
                           * 2.0 ** -depth)
         tables[depth] = (codes, vectors)
-    q = Quantizer.from_tables(stats.dim, tables, eta, cap, gamma, beta)
+    q = Quantizer.from_tables(stats.dim, tables, eta, stats.depth_cap, gamma, beta)
     q.train_distortion = math.fsum(np.concatenate(errors).tolist())
     return q
 
@@ -318,9 +305,10 @@ def sweep(
     """Quantizers for several thresholds from one statistics build.
 
     Returns (eta, quantizer, leaf_count, train_distortion) per eta, in the
-    given order.  The table stops at the depth min(j_n, j*) that the
-    smallest eta certifies (see :func:`~rectree.stats.build_stats`), so j_n
-    may exceed the deepest storable depth as long as j* does not.
+    given order, each quantizer's ``depth_cap`` being j_n.  The table stops
+    at the depth min(max(1, j_n), j*) that the smallest eta certifies (see
+    :func:`~rectree.stats.build_stats`), so j_n may exceed the deepest
+    storable depth as long as j* does not.
     Subtrees nest as eta decreases, so leaf counts are nondecreasing along
     a descending eta list.  ``train_distortion`` is sum_{leaves J} E_J
     read from the table: no train point is encoded.
@@ -338,7 +326,8 @@ def sweep(
     stats = build_stats(data, max(1, cap), min(etas))
     out = []
     for eta in etas:
-        q = quantizer_from_stats(stats, eta, schedule.gamma, schedule.beta, depth_cap=cap)
+        q = quantizer_from_stats(stats, eta, schedule.gamma, schedule.beta)
+        q.depth_cap = cap
         out.append((eta, q, len(q.starts), q.train_distortion))
     return out
 

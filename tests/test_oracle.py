@@ -257,10 +257,10 @@ class TestApproximationError:
 
         def counted(*args):
             calls.append(args[1])
-            return subtree_levels(*args)
+            return subtree(*args)
 
-        subtree_levels = reconstruction._subtree_levels
-        monkeypatch.setattr(reconstruction, "_subtree_levels", counted)
+        subtree = reconstruction.smallest_subtree
+        monkeypatch.setattr(reconstruction, "smallest_subtree", counted)
         for eta in (0.3, 0.05, 0.01):
             quantizer_from_stats(table, eta)
         assert calls == [0.3, 0.05, 0.01]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectree import kernels, reconstruction
+from rectree.datagen import GeneratorSpec, sample
 from rectree.errors import DepthCapError, DomainError
 from rectree.reconstruction import (
     Quantizer,
@@ -120,10 +121,21 @@ class TestThresholdSubtree:
         table = build_stats(TWO_POINT, 2)
         with pytest.raises(ValueError) as exc:
             threshold_subtree(table, 0.1, -1)
-        assert str(exc.value) == "depth_cap -1 must be non-negative"
-        with pytest.raises(ValueError) as exc:
-            quantizer_from_stats(table, 0.1, depth_cap=-3)
-        assert str(exc.value) == "depth_cap -3 must be non-negative"
+        assert str(exc.value) == "depth_cap -1 is below the table depth 2"
+
+    def test_depth_cap_at_or_above_the_table_depth(self):
+        # The envelope mixes in every gain above the table depth, so a cap
+        # there or deeper changes nothing and a shallower one is refused.
+        table = build_stats(uniform_data(4, 400, 2), 4)
+        for eta, deepest in ((0.2, 0), (0.02, 2), (0.002, 3)):
+            subtree = threshold_subtree(table, eta)
+            assert max(cell.depth for cell in subtree) == deepest
+            for cap in (4, 5, 40):
+                assert threshold_subtree(table, eta, cap) == subtree
+            for cap in (3, 1, 0):
+                with pytest.raises(ValueError) as exc:
+                    threshold_subtree(table, eta, cap)
+                assert str(exc.value) == f"depth_cap {cap} is below the table depth 4"
 
     def test_rejects_nonpositive_eta(self):
         table = build_stats(TWO_POINT, 2)
@@ -155,6 +167,23 @@ class TestFit:
         q = fit(data, 1e-12, schedule)
         assert empirical_distortion(q, data) <= 1e-28
 
+    def test_zero_depth_cap_keeps_the_root(self, tmp_path):
+        # j_n = 0: the table reaches depth 1, the subtree is {root} and j_n labels the file.
+        data = sample(GeneratorSpec("sphere", 13), 300)
+        schedule = RateSchedule(branching=1 << 13)
+        assert schedule.depth_cap(data.n) == 0
+        q = fit(data, schedule.eta_n(data.n), schedule)
+        assert q.depth_cap == 0
+        assert len(q.starts) == 8192 and np.all(q.depths == 1)
+        save_codebook(q, tmp_path / "codebook.json")
+        assert json.loads((tmp_path / "codebook.json").read_text())["depth_cap"] == 0
+        back = load_codebook(tmp_path / "codebook.json")
+        for name in ("starts", "depths", "vectors"):
+            got, want = getattr(back, name), getattr(q, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (back.threshold, back.depth_cap, back.gamma, back.beta) == (
+            q.threshold, 0, q.gamma, q.beta)
+
     def test_leaf_depth_capped(self):
         data = uniform_data(3, 2000, 1)
         schedule = RateSchedule(branching=2)
@@ -175,7 +204,7 @@ class TestFit:
         assert q.depth_cap == 33
         assert {cell.depth for cell in q.leaves} == {4}
         table = build_stats(data, 32)
-        assert set(q.leaves) == set(quantizer_from_stats(table, q.threshold, depth_cap=32).leaves)
+        assert set(q.leaves) == set(quantizer_from_stats(table, q.threshold).leaves)
 
     def test_branching_mismatch(self):
         with pytest.raises(ValueError):
