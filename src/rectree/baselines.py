@@ -65,8 +65,8 @@ def kmeans_fit(
     """Lloyd iterations until the relative objective improvement drops below ``_TOL``."""
     for name, value in (("k", k), ("seed", seed), ("max_iters", max_iters)):
         _integer(f"{name} takes an integer", value)
-    if seed < 0:
-        raise ValueError(f"seed {seed} must be non-negative")
+    if not 0 <= int(seed) < 1 << 128:  # Philox's key is 128 bits
+        raise ValueError(f"seed {seed} must be " + ("non-negative" if seed < 0 else "below 2**128"))
     points = data.points
     n = points.shape[0]
     if not 1 <= k <= n:

@@ -124,8 +124,10 @@ def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
               for depth in range(cap + 1)]
     for parent, child in reversed(list(zip(levels, levels[1:]))):
         first = child.child_runs(dist.dim)
-        diff = child.centers - np.repeat(parent.centers, np.diff(first, append=len(child.codes)), 0)
+        runs = np.diff(first, append=len(child.codes))
+        diff = child.centers - np.repeat(parent.centers, runs, 0)
         parent.gains = np.sqrt(_run_fsums(child.counts * (diff**2).sum(axis=1), first))
         parent.envelope = np.maximum(parent.gains, np.maximum.reduceat(child.envelope, first))
+        child.parent_envelope = np.repeat(np.inf if parent is levels[0] else parent.envelope, runs)
     levels[cap].gains = np.zeros(levels[cap].codes.shape[0])
     return StatsTable(dim=dist.dim, n=1, depth_cap=cap, _levels=levels)

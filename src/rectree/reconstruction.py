@@ -8,9 +8,9 @@ containing every selected cell, is the root and the cells whose envelope
 depth; a quantizer's ``depth_cap`` is a label, the table depth or the
 j_n of :func:`sweep`.  The quantizer is the outer-leaf partition of that
 subtree with one code vector per leaf: the leaf's center of mass when it
-saw training data, the cube center otherwise (so decoding is total).
-Its train distortion is read from the table too, sum_{leaves J} E_J, so
-a sweep encodes no train point.
+saw training data (a mask over the table's rows), the cube center
+otherwise (so decoding is total).  Its train distortion is read from the
+table too, sum_{leaves J} E_J, so a sweep encodes no train point.
 
 Subtrees nest as eta decreases, so one statistics table serves a whole
 list of thresholds: :func:`sweep` builds it once, for the smallest eta,
@@ -21,11 +21,10 @@ leaves as sorted runs of deepest-level codes, so a leaf count is
 bucketed lookup: a table over the cells of a coarser depth k gives the
 row wherever one run starts in the cell, and only codes in a cell that
 several runs share are searched among the run starts.  :func:`encode`
-and :func:`decode` speak (depth,
-lattice index) arrays, the form of the codebook file and the ``rectree
-encode``/``decode`` CSVs.  ``CellId`` appears only in views built on
-request: the frozenset that :func:`threshold_subtree` returns and a
-quantizer's ``leaves``/``codebook``.
+and :func:`decode` speak (depth, lattice index) arrays, the form of the
+codebook file and the ``rectree encode``/``decode`` CSVs.  ``CellId``
+appears only in views built on request: the frozenset that
+:func:`threshold_subtree` returns and a quantizer's ``leaves``/``codebook``.
 
 The codebook file (:func:`save_codebook`, format version 2) holds the
 subtree and only the leaves whose code vector is not their cube center,
@@ -33,8 +32,8 @@ as flat (depth, index) arrays: every other outer leaf of the subtree is
 implied, so a fit's file grows with its subtree and its nonempty leaves,
 not with its (a - 1)|S| + 1 leaves.  :func:`load_codebook` builds the
 subtree's outer leaves at their cube centers and places the listed code
-vectors through the leaf lookup of :func:`decode`, and still reads
-version 1 files, which list every leaf.
+vectors through the leaf lookup of :func:`decode`, as a fit does its
+nonempty leaves, and still reads version 1 files, which list every leaf.
 
 The data-driven run couples the threshold and the truncation depth to the
 sample size n:
@@ -272,26 +271,30 @@ class Codebook(Mapping):
 
 def quantizer_from_stats(stats: StatsTable, eta: float, gamma: float | None = None,
                          beta: float | None = None) -> Quantizer:
-    """Threshold, take outer leaves, and attach code vectors.
+    """Threshold, take outer leaves at their cube centers, and attach code vectors.
 
-    A stored leaf's code vector is the center of mass of its points, so the
-    train distortion is the sum of the stored leaves' E_J; an empty one adds 0.
-    Its ``depth_cap`` is the table depth.
+    The nonempty leaves, the rows with envelope < eta <= their parent's,
+    get their centers of mass through :meth:`Quantizer._rows`; the train
+    distortion sums their E_J.  Its ``depth_cap`` is the table depth.
     """
-    tables, errors = {}, []
-    for depth, codes in outer_leaves(smallest_subtree(stats, eta), stats.dim).items():
+    q = _centered(smallest_subtree(stats, eta), stats.dim, eta, stats.depth_cap, gamma, beta)
+    leaves = []
+    for depth in range(1, q.deepest + 1):
         lv = stats.level(depth)
-        rows = lv.rows(codes)
-        have = rows >= 0
-        errors.append(lv.errors[rows[have]])
-        vectors = np.empty((codes.shape[0], stats.dim))
-        vectors[have] = lv.centers[rows[have]]
-        vectors[~have] = ((kernels.morton_decode(codes[~have], depth, stats.dim) + 0.5)
-                          * 2.0 ** -depth)
-        tables[depth] = (codes, vectors)
-    q = Quantizer.from_tables(stats.dim, tables, eta, stats.depth_cap, gamma, beta)
-    q.train_distortion = math.fsum(np.concatenate(errors).tolist())
+        mask = (lv.envelope < eta) & (eta <= lv.parent_envelope)
+        leaves.append((lv.codes[mask] << stats.dim * (q.deepest - depth), lv.centers[mask],
+                       lv.errors[mask]))
+    starts, centers, errors = map(np.concatenate, zip(*leaves))
+    q.vectors[q._rows(starts)] = centers
+    q.train_distortion = math.fsum(errors.tolist())
     return q
+
+
+def _centered(levels: list[np.ndarray], dim: int, *header) -> Quantizer:
+    """The outer leaves of a subtree's codes per depth (the root if none) at their cube centers."""
+    leaves = outer_leaves(levels, dim) if levels else {0: np.zeros(1, np.int64)}
+    return Quantizer.from_tables(dim, {d: (codes, (kernels.morton_decode(codes, d, dim) + 0.5)
+                                           * 2.0 ** -d) for d, codes in leaves.items()}, *header)
 
 
 def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:
@@ -566,11 +569,7 @@ def _load_v2(doc: dict) -> Quantizer:
         at = sub_depths == depth
         orphans[at] = ~np.isin(sub_codes[at] >> dim, levels[depth - 1])
     _refuse(*subtree, orphans, "has no parent in the subtree")
-    # With no subtree the one leaf is the root.
-    leaves = outer_leaves(levels, dim) if levels else {0: np.zeros(1, np.int64)}
-    centers = {d: (codes, (kernels.morton_decode(codes, d, dim) + 0.5) * 2.0 ** -d)
-               for d, codes in leaves.items()}
-    q = Quantizer.from_tables(dim, centers, eta, cap, gamma, beta)
+    q = _centered(levels, dim, eta, cap, gamma, beta)
     rows = _leaf_rows(q, leaf_depths, leaf_index, "leaves row",
                       "is not an outer leaf of the subtree")
     _refuse("leaves row", leaf_depths, leaf_index, _repeats(leaf_depths, rows), "is listed twice")

@@ -37,11 +37,12 @@ measured, so their gain is undefined (``None``) and their envelope -inf:
 thresholding keeps the root and the cells with t_I >= eta, all above it.
 
 Empty cells are not stored.  They contribute zero to every sum above, so
-sparse storage is exact: :meth:`_Level.rows` finds the stored row of each
-code of a level, or -1 for an empty cell.  The oracle's exact population
-table (:func:`~rectree.oracle.oracle_stats`) is a table of this type with
-the masses as counts and n = 1, so ``counts / n`` is a cell's share in
-both; it populates gains at its deepest level too, where they are 0.
+sparse storage is exact, and each row stores its parent's t (+inf at
+depth 1): the nonempty leaves at eta are the rows with t_I < eta <=
+t_parent(I).  The oracle's exact population table
+(:func:`~rectree.oracle.oracle_stats`) is a table of this type with the
+masses as counts and n = 1, so ``counts / n`` is a cell's share in both;
+it populates gains at its deepest level too, where they are 0.
 """
 
 from __future__ import annotations
@@ -90,12 +91,7 @@ class _Level:
     errors: np.ndarray   # E_I, already divided by n
     gains: np.ndarray | None
     envelope: np.ndarray  # t_I, the largest gain at or below I; -inf at the table depth
-
-    def rows(self, codes: np.ndarray) -> np.ndarray:
-        """Row of each code in this level; -1 where the cell is empty."""
-        rows = np.searchsorted(self.codes, codes)
-        rows[rows == self.codes.shape[0]] = 0
-        return np.where(self.codes[rows] == codes, rows, -1)
+    parent_envelope: np.ndarray | None = None  # +inf at depth 1 (S holds the root), None at 0
 
     def child_runs(self, dim: int) -> np.ndarray:
         """First row of each parent's run of children, this level being the children."""
@@ -205,11 +201,13 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
         # not depend on the depth the table stops at.
         centers = np.add.reduceat(pts, starts[depth], axis=0) / counts[depth][:, None]
         first = child.child_runs(dim)
-        diff = child.centers - np.repeat(centers, np.diff(first, append=len(child.codes)), 0)
+        runs = np.diff(first, append=len(child.codes))
+        diff = child.centers - np.repeat(centers, runs, 0)
         between = np.add.reduceat(child.counts * np.einsum("ij,ij->i", diff, diff), first)
         scatters = np.add.reduceat(scatters, first) + between
         gains = np.sqrt(between / n)
         envelope = np.maximum(gains, np.maximum.reduceat(child.envelope, first))
+        child.parent_envelope = np.repeat(np.inf if depth == 0 else envelope, runs)
         levels.append(_Level(codes(depth), counts[depth], centers, scatters / n, gains, envelope))
 
     return StatsTable(dim=dim, n=n, depth_cap=cap, _levels=levels[::-1])

@@ -3,14 +3,16 @@
 The reference thresholds cell by cell, closes the marked set with
 ``smallest_subtree``, takes ``outer_leaves`` and looks every leaf up in the
 statistics table; the fitted path does the same on sorted Morton-code
-arrays.  Both must give the same leaves and the same code vectors bit for
-bit.  The codebook file must give them back bit for bit: the v2 file that
+arrays.  Both must give the same leaves, the same code vectors and the
+same train distortion bit for bit, on sample and oracle tables.  The
+codebook file must give them back bit for bit: the v2 file that
 ``save_codebook`` writes, and the v1 file of the old per-leaf writer.  The
 subtree that the table's envelope column gives must be the ``np.union1d``
 closure of the marked codes, on sample and oracle tables.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -32,13 +34,15 @@ from reference_tree import closure_levels, lookup, outer_leaves, smallest_subtre
 
 
 def reference_leaves(stats, eta, cap):
-    """Per-cell path: leaf -> code vector, as the fit path computed it cell by cell."""
+    """Per-cell path: the subtree, leaf -> code vector and the train distortion, cell by cell."""
     marked = []
     for depth in range(stats.depth_cap if cap is None else min(cap, stats.depth_cap)):
         lv = stats.level(depth)
         marked += cells_from_codes(depth, lv.codes[lv.gains >= eta], stats.dim)
     subtree = smallest_subtree(marked, dim=stats.dim)
-    return subtree, {cell: lookup(stats, cell).center for cell in outer_leaves(subtree)}
+    leaves = {cell: lookup(stats, cell) for cell in outer_leaves(subtree)}
+    distortion = math.fsum(leaf.error for leaf in leaves.values())  # an empty leaf's E_J is 0
+    return subtree, {cell: leaf.center for cell, leaf in leaves.items()}, distortion
 
 
 def reference_tables(codebook):
@@ -79,8 +83,9 @@ def reference_codebook_bytes(q, codebook) -> bytes:
 
 def assert_same_quantizer(stats, eta, cap):
     q = quantizer_from_stats(stats, eta)
-    subtree, codebook = reference_leaves(stats, eta, cap)
+    subtree, codebook, distortion = reference_leaves(stats, eta, cap)
     assert threshold_subtree(stats, eta, cap) == subtree.cells
+    assert q.train_distortion == distortion
     assert len(q.leaves) == len(codebook)
     got, want = q.tables(), reference_tables(codebook)
     assert list(got) == list(want)
@@ -131,21 +136,6 @@ def datasets(max_dim):
     return build()
 
 
-@given(datasets(4), st.integers(1, 6), st.floats(0, 1), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_matches_per_cell_reference(data, cap, quantile, cap_from_table):
-    # A cap passed explicitly is the table depth: one below it is refused.
-    depth = cap if cap_from_table else max(1, cap - 1)
-    stats = build_stats(data, depth)
-    gains = np.concatenate([stats.level(d).gains for d in range(stats.depth_cap)])
-    # Thresholds from root-only (above every gain) to full depth (the
-    # smallest positive gain), through ties at the gains themselves.
-    positive = gains[gains > 0]
-    for eta in (1e9, float(np.quantile(gains, quantile, method="lower")) or 1e-300, 1e-300,
-                float(positive.min()) if positive.size else 1.0):
-        assert_same_quantizer(stats, eta, None if cap_from_table else depth)
-
-
 def oracle_tables(max_dim):
     """Exact tables of atoms in [0, 1)^D, some on dyadic boundaries and some coincident."""
 
@@ -158,16 +148,34 @@ def oracle_tables(max_dim):
     return build()
 
 
+@given(st.one_of(st.builds(build_stats, datasets(4), st.integers(1, 6)), oracle_tables(3)),
+       st.floats(0, 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_matches_per_cell_reference(stats, quantile, cap_from_table):
+    # A cap passed explicitly is the table depth: one below it is refused.
+    gains = np.concatenate([stats.level(d).gains for d in range(stats.depth_cap)])
+    # Thresholds from root-only (above every gain) to full depth (the
+    # smallest positive gain), through ties at the gains themselves.
+    positive = gains[gains > 0]
+    for eta in (1e9, float(np.quantile(gains, quantile, method="lower")) or 1e-300, 1e-300,
+                float(positive.min()) if positive.size else 1.0):
+        assert_same_quantizer(stats, eta, None if cap_from_table else stats.depth_cap)
+
+
 @given(st.one_of(st.builds(build_stats, datasets(4), st.integers(1, 6)), oracle_tables(3)))
 @settings(max_examples=150, deadline=None)
 def test_envelope_subtree_is_the_closure_of_the_marked_cells(stats):
     dim, a = stats.dim, 1 << stats.dim
     levels = [stats.level(d) for d in range(stats.depth_cap + 1)]
     # The envelope is -inf at the table depth and never grows from a parent to a child.
+    # Each cell's parent_envelope is its parent's envelope, +inf below the root.
     assert np.all(levels[-1].envelope == -np.inf)
-    for parent, child in zip(levels, levels[1:]):
+    for depth, (parent, child) in enumerate(zip(levels, levels[1:])):
         assert np.all(parent.envelope >= parent.gains)
-        assert np.all(child.envelope <= parent.envelope[parent.rows(child.codes >> dim)])
+        above = parent.envelope[np.searchsorted(parent.codes, child.codes >> dim)]
+        assert np.array_equal(child.parent_envelope, np.full_like(above, np.inf) if depth == 0
+                              else above)
+        assert np.all(child.envelope <= above)
     # Thresholds above every gain, at gains (ties expand) and just either side of them.
     gains = np.unique(np.concatenate([lv.gains for lv in levels[:-1]]))
     gains = gains[gains > 0]

@@ -47,6 +47,12 @@ class TestKMeansFit:
         with pytest.raises(ValueError, match="^seed -1 must be non-negative$"):
             kmeans_fit(uniform_data(5, 40, 2), 3, seed=-1)
 
+    def test_refuses_a_seed_of_129_bits(self):
+        data = uniform_data(5, 40, 2)
+        with pytest.raises(ValueError, match=rf"^seed {2**128} must be below 2\*\*128$"):
+            kmeans_fit(data, 3, seed=2**128)
+        assert kmeans_fit(data, 3, seed=2**128 - 1).centers.shape == (3, 2)
+
     def test_numpy_integers_give_the_same_centers(self):
         data = uniform_data(5, 40, 2)
         got = kmeans_fit(data, np.int64(3), seed=np.int64(1), max_iters=np.int32(50))
