@@ -148,12 +148,11 @@ def _config_flags(path, options: dict) -> list[str]:
     return flags
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> None:
     data = _load_data(args.data, args.normalize)
     quantizer = fit(data, args.eta, RateSchedule(1 << data.dim, args.gamma))
     save_codebook(quantizer, args.output)
     print(f"fit: {len(quantizer.starts)} leaves at eta={args.eta} -> {args.output}")
-    return 0
 
 
 def _codebook_and_data(args) -> tuple[Quantizer, Dataset]:
@@ -161,16 +160,15 @@ def _codebook_and_data(args) -> tuple[Quantizer, Dataset]:
     return q, _load_data(args.data, dim=q.dim)
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> None:
     q, data = _codebook_and_data(args)
     depths, index = encode(q, data.points)
     header = ["depth"] + [f"k{j}" for j in range(q.dim)]
     write_csv(args.output, header, np.column_stack([depths, index]).tolist())
     print(f"encode: {data.n} points -> {args.output}")
-    return 0
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args) -> None:
     q = load_codebook(args.codebook)
     ids = read_points_csv(args.ids, dtype=np.int64)
     with naming(args.ids):
@@ -179,15 +177,13 @@ def _cmd_decode(args) -> int:
         vectors = decode(q, ids[:, 0], ids[:, 1:])
     write_csv(args.output, [f"x{k}" for k in range(q.dim)], vectors.tolist())
     print(f"decode: {ids.shape[0]} ids -> {args.output}")
-    return 0
 
 
-def _cmd_distortion(args) -> int:
+def _cmd_distortion(args) -> None:
     q, data = _codebook_and_data(args)
     value = empirical_distortion(q, data)
     write_csv(args.output, ["n", "distortion"], [(data.n, value)])
     print(f"distortion: {value!r} over n={data.n}")
-    return 0
 
 
 # The generator-mode flags of sweep, with their defaults; --data mode refuses them.
@@ -195,7 +191,7 @@ _SWEEP_GENERATOR = {"n": 1024, "dim": 1, "seed": 0, "holdout_n": None, "density_
 _SWEEP_HEADER = ["eta", "leaf_count", "train_distortion"]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     given = [k for k in _SWEEP_GENERATOR if vars(args)[k] is not None]
     if args.data and given:
         raise ValueError(f"sweep --data does not take {_flag_names(given)}")
@@ -212,16 +208,14 @@ def _cmd_sweep(args) -> int:
         rows = run_eta_sweep_experiment(spec, args.n, args.etas, args.gamma, args.holdout_n)
         write_csv(args.output, _SWEEP_HEADER + ["holdout_distortion"], rows)
     print(f"sweep: {len(rows)} rows -> {args.output}")
-    return 0
 
 
-def _cmd_rate_experiment(args) -> int:
+def _cmd_rate_experiment(args) -> None:
     rows, slope = run_rate_experiment(
         _generator_from_args(args), args.n_grid, _schedule_from_args(args, args.dim),
         args.holdout_n, args.trials, args.seed)
     write_csv(args.output, RATE_COLUMNS, rows)
     print(f"rate-experiment: fitted_slope={slope!r} -> {args.output}")
-    return 0
 
 
 def _uniform_grid_atoms(count: int, dim: int) -> DiscreteDistribution:
@@ -242,7 +236,7 @@ def _uniform_grid_atoms(count: int, dim: int) -> DiscreteDistribution:
 _TREND_GRID = {"uniform_atoms": 4096, "dim": 1}
 
 
-def _cmd_approx_trend(args) -> int:
+def _cmd_approx_trend(args) -> None:
     given = [k for k in _TREND_GRID if vars(args)[k] is not None]
     if args.atoms_csv and given:
         raise ValueError(f"approx-trend --atoms-csv does not take {_flag_names(given)}")
@@ -261,20 +255,18 @@ def _cmd_approx_trend(args) -> int:
     rows, slope = run_approximation_trend(dist, args.etas)
     write_csv(args.output, ["eta", "approx_error", "leaf_count"], rows)
     print(f"approx-trend: fitted_slope={slope!r} -> {args.output}")
-    return 0
 
 
-def _cmd_baseline(args) -> int:
+def _cmd_baseline(args) -> None:
     spec = _generator_from_args(args)
     rows = run_baseline_comparison(spec, args.n, args.etas, args.gamma, args.holdout_n)
     header = ["eta", "leaf_count", "tree_train_distortion", "tree_holdout_distortion",
               "k", "kmeans_train_distortion", "kmeans_holdout_distortion"]
     write_csv(args.output, header, rows)
     print(f"baseline: {len(rows)} matched rows -> {args.output}")
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     spec = _generator_from_args(args)
     data = sample(spec, args.n)
     if args.output.endswith(".csv"):
@@ -282,7 +274,6 @@ def _cmd_sample(args) -> int:
     else:
         write_dataset(args.output, data)
     print(f"sample: {data.n} points ({spec.kind}, dim {spec.ambient_dim}) -> {args.output}")
-    return 0
 
 
 def _parsers() -> tuple[argparse.ArgumentParser, dict]:
@@ -402,7 +393,8 @@ def main(argv=None) -> int:
             dest = flag[2:].replace("-", "_")
             if vars(args).get(dest) is not None:
                 vars(args)[dest] = _list_flag(flag, vars(args)[dest])
-        return args.run(args)
+        args.run(args)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

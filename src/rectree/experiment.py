@@ -62,6 +62,8 @@ def _scored_sweep(
     n, 0, 1) of the train distribution.
     """
     _integer("n takes an integer", n)
+    if n < 1:
+        raise ValueError(f"n {n} must be positive")
     holdout_n = 10 * n if holdout_n is None else holdout_n
     _integer("holdout_n takes an integer", holdout_n)
     if holdout_n < 1:

@@ -6,7 +6,8 @@ Conventions:
   coordinate in [0, 1);
 * a cell at depth j is addressed by the bit-interleaved (Morton) code of
   its lattice index, which requires depth * dim <= MORTON_BITS = 62 so
-  codes fit in a signed 64-bit integer;
+  codes fit in a signed 64-bit integer; :func:`default_max_depth` is the
+  deepest depth that rule allows in D dimensions (at most 32);
 * the code of the enclosing cell at depth j - 1 is ``code >> dim``;
 * codes are ordered by :func:`morton_argsort`, a radix sort whose
   permutation is exactly that of ``np.argsort(codes, kind="stable")``.
@@ -16,6 +17,11 @@ import numpy as np
 
 BACKEND = "python"
 MORTON_BITS = 62
+
+
+def default_max_depth(dim):
+    """Default storage depth cap: 32 per coordinate, scaled down by D."""
+    return min(32, MORTON_BITS // dim)
 
 
 def morton_encode(points, depth):

@@ -27,8 +27,10 @@ counts and n = 1, so the sample pipeline applies unchanged:
 ``quantizer_from_stats(table, eta)`` the population quantizer.  Atoms
 separate at a finite depth, the isolation depth, below which every cell
 holds at most one atom and has gain exactly 0.  The table stops one level
-past it (or at :func:`~rectree.tree.default_max_depth`, where atoms isolated
-there have nothing below), so it is exact and untruncated for every eta > 0.
+past it (or at :func:`~rectree.kernels.default_max_depth`, where atoms
+isolated there have nothing below), so it is exact and untruncated for
+every eta > 0.  A dim whose 62-bit code has no depth-1 cell (D >= 63) is
+refused by the check :func:`~rectree.stats.build_stats` makes.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DepthCapError
-from .stats import Dataset, StatsTable, _Level
-from .tree import default_max_depth
+from .stats import Dataset, StatsTable, _check_depth_one, _Level
 
 
 @dataclass(frozen=True)
@@ -98,15 +99,16 @@ def _weighted_level(points, weights, codes) -> _Level:
 def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
     """Exact weighted statistics for every nonempty cell, one level past isolation.
 
-    The atoms are sorted once, at default_max_depth(D), and the isolation
-    depth is read off that sort; the table stops at min(isolation depth + 1,
-    default_max_depth(D)).  A cell at or below the isolation depth holds at
+    The atoms are sorted once, at the deepest storable depth
+    default_max_depth(D) (:func:`~rectree.kernels.default_max_depth`), and
+    the isolation depth is read off that sort; the table stops at
+    min(isolation depth + 1, default_max_depth(D)).  A cell at or below the isolation depth holds at
     most one atom, so it cannot improve by splitting and its gain is exactly
     0; gains are populated at every stored depth, and thresholding the table
     at any eta > 0 gives the untruncated population subtree.  Gains and
     envelopes run bottom-up, as in :func:`~rectree.stats.build_stats`.
     """
-    top = default_max_depth(dist.dim)
+    top = kernels.default_max_depth(dist.dim)
     deep_codes = kernels.morton_encode(dist.points, top)
     order = kernels.morton_argsort(deep_codes, dist.dim * top)
     pts, w, deep_codes = dist.points[order], dist.weights[order], deep_codes[order]
@@ -116,10 +118,8 @@ def oracle_stats(dist: DiscreteDistribution) -> StatsTable:
     closest = int(np.min(deep_codes[1:] ^ deep_codes[:-1], initial=1 << dist.dim * top))
     if closest == 0:
         raise DepthCapError(f"atoms not separated by depth {top}; they are too close")
+    _check_depth_one(dist.dim, 1)  # outer leaves reach depth 1, so the table needs that level
     cap = min(top - (closest.bit_length() - 1) // dist.dim + 1, top)
-    if cap < 1:  # outer leaves reach depth 1, so the table needs that level
-        raise DepthCapError(f"dim {dist.dim} has no depth-1 cells in a "
-                            f"{kernels.MORTON_BITS}-bit code")
     levels = [_weighted_level(pts, w, deep_codes >> dist.dim * (top - depth))
               for depth in range(cap + 1)]
     for parent, child in reversed(list(zip(levels, levels[1:]))):

@@ -15,7 +15,9 @@ table too, sum_{leaves J} E_J, so a sweep encodes no train point.
 Subtrees nest as eta decreases, so one statistics table serves a whole
 list of thresholds: :func:`sweep` builds it once, for the smallest eta,
 and :func:`fit` is the sweep over one threshold.  The path runs on sorted
-Morton-code arrays, one per depth, and a :class:`Quantizer` holds its
+Morton-code arrays, one per depth: :func:`~rectree.stats.smallest_subtree`
+masks the table's envelope column at eta, :func:`outer_leaves` takes the
+children of that subtree outside it, and a :class:`Quantizer` holds its
 leaves as sorted runs of deepest-level codes, so a leaf count is
 ``len(q.starts)``.  A point's or a leaf's row is found through one
 bucketed lookup: a table over the cells of a coarser depth k gives the
@@ -63,8 +65,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, naming
-from .stats import Dataset, StatsTable, build_stats
-from .tree import CellId, cells_from_codes, default_max_depth, outer_leaves, smallest_subtree
+from .stats import Dataset, StatsTable, build_stats, smallest_subtree
+from .tree import CellId, cells_from_codes
 
 CODEBOOK_FORMAT = "rectree-codebook"
 CODEBOOK_VERSION = 2
@@ -297,6 +299,24 @@ def _centered(levels: list[np.ndarray], dim: int, *header) -> Quantizer:
                                            * 2.0 ** -d) for d, codes in leaves.items()}, *header)
 
 
+def outer_leaves(levels: list[np.ndarray], dim: int) -> dict[int, np.ndarray]:
+    """All cells not in the subtree whose parent is in it: sorted codes per depth.
+
+    ``levels`` are the subtree's codes per depth.  The depth-(d + 1) leaves
+    are the children of the depth-d subtree cells minus the depth-(d + 1)
+    subtree cells.
+    """
+    offsets = np.arange(1 << dim, dtype=np.int64)
+    leaves = {}
+    for depth, codes in enumerate(levels):
+        kids = ((codes[:, None] << dim) | offsets).ravel()
+        if depth + 1 < len(levels):
+            kids = kids[~np.isin(kids, levels[depth + 1], assume_unique=True)]
+        if kids.size:
+            leaves[depth + 1] = kids
+    return leaves
+
+
 def fit(data: Dataset, eta: float, schedule: RateSchedule) -> Quantizer:
     """The quantizer of :func:`sweep` at the one threshold eta."""
     return sweep(data, [eta], schedule)[0][1]
@@ -467,10 +487,10 @@ def _lower_corners(depths: np.ndarray, index: np.ndarray, deepest: int,
     """Depth-``deepest`` Morton code of each (depth, index) row's lower corner.
 
     ValueError naming the first row that is no cell (``rows`` and its
-    number): a depth outside 0..default_max_depth or an index outside
+    number): a depth outside 0..kernels.default_max_depth or an index outside
     0..2**depth - 1.
     """
-    top = default_max_depth(index.shape[1])
+    top = kernels.default_max_depth(index.shape[1])
     outside = (index < 0) | (index >> depths[:, None] != 0)
     bad = np.flatnonzero((depths < 0) | (depths > top) | outside.any(axis=1))
     if bad.size:
@@ -552,7 +572,7 @@ def _load_v2(doc: dict) -> Quantizer:
     sub_depths, sub_index = _block(doc, "subtree", ("depth", "index"), dim)
     leaf_depths, leaf_index, vectors = _block(doc, "leaves", ("depth", "index", "code"), dim)
     _check_finite(vectors, "leaves row")
-    top = default_max_depth(dim)
+    top = kernels.default_max_depth(dim)
     # Both blocks' rows are checked for being cells before any structure check, and a
     # file with several faults is refused for the first one in this order.
     sub_codes = (_lower_corners(sub_depths, sub_index, top, "subtree row")

@@ -34,7 +34,8 @@ is the child's.
 
 Cells at the table depth are unexpandable: their children are never
 measured, so their gain is undefined (``None``) and their envelope -inf:
-thresholding keeps the root and the cells with t_I >= eta, all above it.
+thresholding keeps the root and the cells with t_I >= eta, all above it,
+which :func:`smallest_subtree` reads off as one mask per depth.
 
 Empty cells are not stored.  They contribute zero to every sum above, so
 sparse storage is exact, and each row stores its parent's t (+inf at
@@ -47,13 +48,13 @@ it populates gains at its deepest level too, where they are 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .errors import DepthCapError, DomainError
-from .tree import default_max_depth
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,27 @@ class StatsTable:
         return self._levels[depth].errors - within
 
 
+def smallest_subtree(stats: StatsTable, eta: float) -> list[np.ndarray]:
+    """The smallest subtree holding every cell of gain >= eta: sorted codes per depth.
+
+    A cell is in the subtree exactly when its envelope, the largest gain
+    among it and its stored descendants, reaches eta; the root always is.
+    The envelope never grows down a path, so the nonempty levels are a
+    prefix: the result holds depths 0..deepest, {root} when no cell
+    reaches eta.
+    """
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta {eta} must be finite and positive")
+    kept = [lv.codes[lv.envelope >= eta] for lv in map(stats.level, range(1, stats.depth_cap))]
+    return [np.zeros(1, dtype=np.int64)] + [codes for codes in kept if codes.size]
+
+
+def _check_depth_one(dim: int, depth: int) -> None:
+    """DepthCapError if ``depth`` >= 1 but a Morton code of ``dim`` coordinates has no depth 1."""
+    if depth >= 1 > kernels.default_max_depth(dim):
+        raise DepthCapError(f"dim {dim} has no depth-1 cells in a {kernels.MORTON_BITS}-bit code")
+
+
 def gain_bound(share, depth: int, dim: int, summed=1):
     """An upper bound on the computed gain of a depth-``depth`` cell holding ``share`` of the mass.
 
@@ -149,8 +171,10 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
     every cell below eta.  No cell at or below j* can reach eta, so a
     threshold >= eta selects the same cells from this table as from the
     one built to depth_cap, and finds every leaf in it.  With ``eta``,
-    depth_cap may exceed :func:`~rectree.tree.default_max_depth` as long
-    as j* does not.
+    depth_cap may exceed :func:`~rectree.kernels.default_max_depth` as long
+    as j* does not.  A depth_cap >= 1 in a dim whose Morton code has no
+    depth-1 cell (D >= 63) is refused, as :func:`~rectree.oracle.oracle_stats`
+    refuses it.
 
     One Morton sort orders the points at the deepest depth searched: an
     LSD radix sort of the dim * deepest code bits in 16-bit digits
@@ -163,7 +187,8 @@ def build_stats(data: Dataset, depth_cap: int, eta: float | None = None) -> Stat
     every parent is the merge of its run of child rows, whether it has one
     child or many, and its envelope the maximum of its gain and theirs.
     """
-    dim, n, max_depth = data.dim, data.n, default_max_depth(data.dim)
+    dim, n, max_depth = data.dim, data.n, kernels.default_max_depth(data.dim)
+    _check_depth_one(dim, depth_cap)
     if depth_cap < 0 or (eta is None and depth_cap > max_depth):
         raise DepthCapError(f"depth_cap {depth_cap} outside 0..{max_depth}")
     deepest = min(depth_cap, max_depth)

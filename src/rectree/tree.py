@@ -18,28 +18,23 @@ satisfy the exact cardinality bound
     #leaves <= (a - 1) * #subtree + 1,      a = 2**D.
 
 A tree is held as one sorted int64 array of Morton codes per depth
-(Gargantini's linear quadtree, CACM 1982): :func:`smallest_subtree` reads
-the subtree that a threshold keeps off a statistics table's envelope
-column, one mask per depth, and :func:`outer_leaves` takes its leaves.
-:class:`CellId` and the code conversions serve only the API boundary: the
-``CellId`` views of a quantizer and of
+(Gargantini's linear quadtree, CACM 1982):
+:func:`~rectree.stats.smallest_subtree` reads the subtree that a threshold
+keeps off a statistics table's envelope column, one mask per depth, and
+:func:`~rectree.reconstruction.outer_leaves` takes its leaves.  This
+module holds only the API boundary: :class:`CellId` and the code
+conversions behind the ``CellId`` views of a quantizer and of
 :func:`~rectree.reconstruction.threshold_subtree`, which returns a
 subtree as a frozenset of cells.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-
-
-def default_max_depth(dim: int) -> int:
-    """Default storage depth cap: 32 per coordinate, scaled down by D."""
-    return min(32, kernels.MORTON_BITS // dim)
 
 
 @dataclass(frozen=True)
@@ -75,36 +70,3 @@ def cell_to_code(cell: CellId) -> int:
 def cells_from_codes(depth: int, codes: np.ndarray, dim: int) -> list[CellId]:
     """The cells of one depth's Morton codes, in code order."""
     return [CellId(depth, tuple(k)) for k in kernels.morton_decode(codes, depth, dim).tolist()]
-
-
-def smallest_subtree(stats, eta: float) -> list[np.ndarray]:
-    """The smallest subtree holding every cell of gain >= eta: sorted codes per depth.
-
-    ``stats`` is a :class:`~rectree.stats.StatsTable`.  A cell is in the
-    subtree exactly when its envelope, the largest gain among it and its
-    stored descendants, reaches eta; the root always is.  The envelope
-    never grows down a path, so the nonempty levels are a prefix: the
-    result holds depths 0..deepest, {root} when no cell reaches eta.
-    """
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta {eta} must be finite and positive")
-    kept = [lv.codes[lv.envelope >= eta] for lv in map(stats.level, range(1, stats.depth_cap))]
-    return [np.zeros(1, dtype=np.int64)] + [codes for codes in kept if codes.size]
-
-
-def outer_leaves(levels: list[np.ndarray], dim: int) -> dict[int, np.ndarray]:
-    """All cells not in the subtree whose parent is in it: sorted codes per depth.
-
-    ``levels`` are the subtree's codes per depth.  The depth-(d + 1) leaves
-    are the children of the depth-d subtree cells minus the depth-(d + 1)
-    subtree cells.
-    """
-    offsets = np.arange(1 << dim, dtype=np.int64)
-    leaves = {}
-    for depth, codes in enumerate(levels):
-        kids = ((codes[:, None] << dim) | offsets).ravel()
-        if depth + 1 < len(levels):
-            kids = kids[~np.isin(kids, levels[depth + 1], assume_unique=True)]
-        if kids.size:
-            leaves[depth + 1] = kids
-    return leaves

@@ -38,7 +38,8 @@ from rectree import kernels
 from rectree.errors import DepthCapError, DomainError
 from rectree.oracle import oracle_stats
 from rectree.reconstruction import threshold_subtree
-from rectree.tree import CellId, cell_to_code, cells_from_codes, default_max_depth
+from rectree.kernels import default_max_depth
+from rectree.tree import CellId, cell_to_code, cells_from_codes
 
 
 class StructureError(ValueError):

@@ -15,12 +15,12 @@ from rectree.baselines import kmeans_fit
 from rectree.cli import main as cli_main
 from rectree.datagen import GeneratorSpec, sample
 from rectree.experiment import run_approximation_trend, run_rate_experiment
+from rectree.kernels import default_max_depth
 from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.reconstruction import (
-    Quantizer, RateSchedule, quantizer_from_stats, threshold_subtree,
+    Quantizer, RateSchedule, outer_leaves, quantizer_from_stats, threshold_subtree,
 )
 from rectree.stats import Dataset, build_stats
-from rectree.tree import default_max_depth, outer_leaves
 
 from reference_tree import closure_levels, isolation_depth, lookup, root_cell
 
@@ -69,7 +69,7 @@ def test_criterion_01_between_within_identity():
 def test_criterion_02_outer_leaf_partition():
     started = time.time()
     rng = np.random.default_rng(2024_02)
-    from rectree.tree import default_max_depth as dmax
+    from rectree.kernels import default_max_depth as dmax
 
     for trial in range(1000):
         dim = int(rng.integers(1, 4))

@@ -27,8 +27,8 @@ from rectree.reconstruction import (
     save_codebook,
     threshold_subtree,
 )
-from rectree.stats import Dataset, build_stats
-from rectree.tree import cell_to_code, cells_from_codes, smallest_subtree as envelope_subtree
+from rectree.stats import Dataset, build_stats, smallest_subtree as envelope_subtree
+from rectree.tree import cell_to_code, cells_from_codes
 
 from reference_tree import closure_levels, lookup, outer_leaves, smallest_subtree
 

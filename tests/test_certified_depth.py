@@ -18,7 +18,8 @@ from rectree import kernels
 from rectree.errors import DepthCapError
 from rectree.reconstruction import Quantizer, fit, load_codebook, quantizer_from_stats, RateSchedule
 from rectree.stats import Dataset, build_stats, gain_bound
-from rectree.tree import CellId, cell_to_code, default_max_depth
+from rectree.kernels import default_max_depth
+from rectree.tree import CellId, cell_to_code
 
 
 def corner_pair(rng, depth, dim, copies):

@@ -648,6 +648,45 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--generator", "uniform_cube", "--n", "-5", "--etas", "0.1"],
+             "n -5 must be positive"),
+            (["sweep", "--generator", "uniform_cube", "--n", "0", "--etas", "0.1"],
+             "n 0 must be positive"),
+            (["baseline", "--n", "-3", "--holdout-n", "10", "--etas", "0.1"],
+             "n -3 must be positive"),
+        ],
+        ids=["sweep-negative", "sweep-zero", "baseline-negative-with-holdout"],
+    )
+    def test_nonpositive_n_is_refused_under_its_own_name(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--output", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--data", "{data}", "--eta", "100"],
+            ["sweep", "--data", "{data}", "--etas", "100,1"],
+            ["sweep", "--generator", "uniform_cube", "--dim", "63", "--n", "8", "--etas", "0.1"],
+            ["rate-experiment", "--dim", "63", "--n-grid", "8,16", "--holdout-n", "10"],
+            ["baseline", "--dim", "63", "--n", "8", "--holdout-n", "10", "--etas", "0.1"],
+        ],
+        ids=["fit", "sweep-data", "sweep-generator", "rate-experiment", "baseline"],
+    )
+    def test_dim_without_depth_one_cells_is_refused(self, tmp_path, capsys, argv):
+        data = tmp_path / "wide.rtds"
+        assert run("sample", "--generator", "uniform_cube", "--dim", "63", "--n", "8",
+                   "--output", data) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(*[a.format(data=data) for a in argv], "--output", out) == 2
+        assert capsys.readouterr().err == "error: dim 63 has no depth-1 cells in a 62-bit code\n"
+        assert not out.exists()
+
 
 def _v1_codebook(dim, leaves):
     return json.dumps({"format": "rectree-codebook", "version": 1, "dim": dim, "eta": 0.1,

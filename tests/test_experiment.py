@@ -171,6 +171,15 @@ class TestEtaSweepExperiment:
             with pytest.raises(ValueError, match=f"^holdout_n {holdout_n} must be positive$"):
                 run(spec, 64, [0.1], holdout_n=holdout_n)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("holdout_n", [None, 10])
+    def test_refuses_a_nonpositive_n_before_the_holdout(self, monkeypatch, n, holdout_n):
+        monkeypatch.setattr(experiment, "sample", lambda *_: pytest.fail("sampled first"))
+        spec = GeneratorSpec("uniform_cube", 1)
+        for run in (run_eta_sweep_experiment, run_baseline_comparison):
+            with pytest.raises(ValueError, match=f"^n {n} must be positive$"):
+                run(spec, n, [0.1], holdout_n=holdout_n)
+
     @pytest.mark.parametrize("n, holdout_n, bad", [
         (64.7, None, "n takes an integer, not 64.7"),
         (64.0, None, "n takes an integer, not 64.0"),

@@ -10,7 +10,8 @@ from rectree.experiment import run_approximation_trend
 from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.reconstruction import quantizer_from_stats, threshold_subtree
 from rectree.stats import Dataset, build_stats
-from rectree.tree import CellId, default_max_depth
+from rectree.kernels import default_max_depth
+from rectree.tree import CellId
 
 import reference_tree
 from reference_tree import (

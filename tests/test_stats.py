@@ -79,6 +79,15 @@ class TestBuildStats:
         with pytest.raises(DepthCapError):
             build_stats(TWO_POINT, 64)
 
+    @pytest.mark.parametrize("eta", [None, 100.0])
+    def test_refuses_depth_one_where_no_code_holds_it(self, eta):
+        # 63 coordinates leave no bit of a 62-bit code for depth 1, whatever eta certifies.
+        data = Dataset(np.full((3, 63), 0.3))
+        with pytest.raises(DepthCapError, match="^dim 63 has no depth-1 cells in a 62-bit code$"):
+            build_stats(data, 1, eta)
+        table = build_stats(data, 0, eta)
+        assert table.depth_cap == 0 and table.level(0).counts.tolist() == [3]
+
     @pytest.mark.parametrize("depth", [-1, 3])
     def test_level_outside_the_table(self, depth):
         with pytest.raises(DepthCapError, match=f"^depth {depth} outside table range 0..2$"):

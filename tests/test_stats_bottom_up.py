@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import rectree.kernels
 from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.stats import Dataset, build_stats
-from rectree.tree import default_max_depth
+from rectree.kernels import default_max_depth
 
 from reference_tree import isolation_depth
 

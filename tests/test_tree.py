@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectree.errors import DepthCapError, DomainError
-from rectree.tree import CellId, cell_to_code, cells_from_codes, default_max_depth
+from rectree.kernels import default_max_depth
+from rectree.tree import CellId, cell_to_code, cells_from_codes
 
 from reference_tree import (
     StructureError,
