@@ -23,9 +23,7 @@ from .reconstruction import (
     quantizer_from_stats,
     save_codebook,
     sweep,
-    threshold_subtree,
 )
 from .stats import Dataset, StatsTable, build_stats
-from .tree import CellId
 
 __version__ = "0.1.0"

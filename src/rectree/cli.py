@@ -219,6 +219,10 @@ def _cmd_rate_experiment(args) -> None:
 
 
 def _uniform_grid_atoms(count: int, dim: int) -> DiscreteDistribution:
+    """Equal-mass atoms at the cell centers of a grid of round(count^(1/dim))^dim cells.
+
+    Not ``count`` atoms unless it is a dim-th power: 4096 gives 8192 in 13-D and 3125 in 5-D.
+    """
     if count < 1 or dim < 1:
         raise ValueError(f"--uniform-atoms {count} and --dim {dim} must be positive")
     per_axis = max(1, round(count ** (1.0 / dim)))
@@ -344,7 +348,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
 
     p = command("approx-trend", _cmd_approx_trend, "exact oracle approximation error vs eta")
     p.add_argument("--uniform-atoms", type=int,
-                   help="grid atoms (default 4096); not with --atoms-csv")
+                   help="a grid of round(N^(1/D))^D atoms for --uniform-atoms N and --dim D "
+                   "(default N = 4096); not with --atoms-csv")
     p.add_argument("--dim", type=int, help="grid dimension (default 1); not with --atoms-csv")
     p.add_argument("--atoms-csv", default=None)
     p.add_argument("--weighted", action="store_true",

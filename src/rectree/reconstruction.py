@@ -24,9 +24,10 @@ bucketed lookup: a table over the cells of a coarser depth k gives the
 row wherever one run starts in the cell, and only codes in a cell that
 several runs share are searched among the run starts.  :func:`encode`
 and :func:`decode` speak (depth, lattice index) arrays, the form of the
-codebook file and the ``rectree encode``/``decode`` CSVs.  ``CellId``
-appears only in views built on request: the frozenset that
-:func:`threshold_subtree` returns and a quantizer's ``leaves``/``codebook``.
+codebook file and the ``rectree encode``/``decode`` CSVs; :func:`decode`
+is the one way to read a leaf's code vector.  ``CellId`` appears only in
+views built on request: the frozenset that :func:`threshold_subtree`
+returns and a quantizer's ``leaves``.
 
 The codebook file (:func:`save_codebook`, format version 2) holds the
 subtree and only the leaves whose code vector is not their cube center,
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,27 +140,29 @@ class Quantizer:
 
     With m the deepest leaf depth, a depth-d leaf of Morton code c is the
     run [c << dim (m - d), (c + 1) << dim (m - d)) of depth-m codes.  The
-    leaves are held as their run starts, sorted (so the runs tile
-    [0, 2**(dim m)) in order), with each leaf's depth and code vector in
-    the same order.  ``tables()`` is a per-depth view of these rows, and
-    ``codebook`` and ``leaves`` are views keyed by ``CellId``.
+    constructor takes the leaves as rows in any order: run starts (n,),
+    int8 depths (n,) and code vectors (n, dim), n >= 1.  It sorts them by
+    run start with one stable :func:`~rectree.kernels.morton_argsort`, so
+    the runs tile [0, 2**(dim m)) in order.  ``tables()`` is a per-depth
+    view of these rows, :func:`decode` reads a leaf's code vector, and
+    ``leaves`` is the set of leaf ``CellId``s, built only when iterated.
     ``train_distortion`` is sum_{leaves J} E_J over the data of the table
     it was built from (an oracle's distribution included); None if loaded.
 
     The leaves tile the cube exactly when their runs abut from 0 to
     2**(dim m): no duplicate, no leaf inside another, and no gap.  The
-    constructor checks this, so a point's leaf is the last run starting
-    at or below its depth-m code.  ``assign`` and ``decode`` find it with
-    one gather from a table over the depth-k cells, k <= m: a cell that
-    one run starts in, or that lies inside a shallower leaf, holds that
-    leaf's row; only a code in a cell shared by several runs (all deeper
-    than k) is searched among the run starts.  k is the deepest depth
+    constructor checks this after the sort, so a point's leaf is the last
+    run starting at or below its depth-m code.  ``assign`` and ``decode``
+    find it with one gather from a table over the depth-k cells, k <= m: a
+    cell that one run starts in, or that lies inside a shallower leaf,
+    holds that leaf's row; only a code in a cell shared by several runs
+    (all deeper than k) is searched among the run starts.  k is the deepest depth
     whose table has at most min(2**18, 16 n) cells for n codes, and 0
     (search every code, no table) when n is below the leaf count.
     """
 
     dim: int
-    starts: np.ndarray = field(repr=False)   # int64, sorted depth-m codes
+    starts: np.ndarray = field(repr=False)   # int64 depth-m codes, sorted on construction
     depths: np.ndarray = field(repr=False)   # int8
     vectors: np.ndarray = field(repr=False)  # (leaves, dim)
     threshold: float
@@ -170,7 +173,15 @@ class Quantizer:
     deepest: int = field(init=False)
 
     def __post_init__(self):
+        n = self.starts.size
+        shapes = self.starts.shape, self.depths.shape, self.vectors.shape
+        if n < 1 or shapes != ((n,), (n,), (n, self.dim)):
+            raise ValueError("starts, depths and vectors must have shapes (n,), (n,), "
+                             f"(n, {self.dim}) with n >= 1, not {', '.join(map(str, shapes))}")
         self.deepest = int(self.depths.max())
+        order = kernels.morton_argsort(self.starts, self.dim * self.deepest)
+        self.starts, self.depths, self.vectors = (self.starts[order], self.depths[order],
+                                                  self.vectors[order])
         shifts = self.dim * (self.deepest - self.depths.astype(np.int64))
         ends = self.starts + (1 << shifts)
         bad = np.flatnonzero(self.starts[1:] != ends[:-1])
@@ -184,19 +195,6 @@ class Quantizer:
             gap = 0 if self.starts[0] != 0 else int(ends[bad[0]] if bad.size else ends[-1])
             raise ValueError(f"no leaf covers the depth-{self.deepest} cell of code {gap}")
 
-    @classmethod
-    def from_tables(cls, dim: int, tables: dict[int, tuple[np.ndarray, np.ndarray]],
-                    threshold: float, depth_cap: int,
-                    gamma: float | None = None, beta: float | None = None) -> "Quantizer":
-        """A quantizer from per-depth (leaf codes, code vectors) tables that tile the cube."""
-        deepest = max(tables)
-        starts = np.concatenate([codes << dim * (deepest - d) for d, (codes, _) in tables.items()])
-        depths = np.concatenate([np.full(len(c), d, np.int8) for d, (c, _) in tables.items()])
-        vectors = np.concatenate([vectors for _, vectors in tables.values()])
-        order = kernels.morton_argsort(starts, dim * deepest)
-        return cls(dim, starts[order], depths[order], vectors[order],
-                   threshold, depth_cap, gamma, beta)
-
     def tables(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per-depth (sorted Morton codes, aligned code-vector matrix), ascending in depth."""
         out = {}
@@ -207,13 +205,9 @@ class Quantizer:
         return out
 
     @property
-    def codebook(self) -> "Codebook":
-        return Codebook(self)
-
-    @property
-    def leaves(self):
-        """The leaves as a set of CellIds."""
-        return self.codebook.keys()
+    def leaves(self) -> "_Codebook":
+        """The leaves as a lazy set of CellIds: counted and tested without building one."""
+        return _Codebook(self)
 
     def assign(self, points) -> np.ndarray:
         """Leaf row of each point: the run holding its depth-m code (one encode, one lookup)."""
@@ -251,17 +245,20 @@ class Quantizer:
         return np.take(self.vectors, self.assign(points), axis=0)
 
 
-class Codebook(Mapping):
-    """Leaf CellId -> code vector, read from a quantizer's rows on demand."""
+class _Codebook(Set):
+    """A quantizer's leaf CellIds, built from its rows when iterated; membership is a decode."""
+
+    _from_iterable = set  # the result type of &, |, - and ^, as for a dict's keys
 
     def __init__(self, quantizer: Quantizer):
         self._q = quantizer
 
-    def __getitem__(self, cell: CellId) -> np.ndarray:
+    def __contains__(self, cell) -> bool:
         try:
-            return decode(self._q, [cell.depth], [cell.index])[0]
+            decode(self._q, [cell.depth], [cell.index])
         except (AttributeError, ValueError):
-            raise KeyError(cell) from None
+            return False
+        return True
 
     def __iter__(self):
         for depth, (codes, _) in self._q.tables().items():
@@ -295,8 +292,11 @@ def quantizer_from_stats(stats: StatsTable, eta: float, gamma: float | None = No
 def _centered(levels: list[np.ndarray], dim: int, *header) -> Quantizer:
     """The outer leaves of a subtree's codes per depth (the root if none) at their cube centers."""
     leaves = outer_leaves(levels, dim) if levels else {0: np.zeros(1, np.int64)}
-    return Quantizer.from_tables(dim, {d: (codes, (kernels.morton_decode(codes, d, dim) + 0.5)
-                                           * 2.0 ** -d) for d, codes in leaves.items()}, *header)
+    deepest = max(leaves)
+    rows = [(codes << dim * (deepest - d), np.full(codes.shape[0], d, np.int8),
+             (kernels.morton_decode(codes, d, dim) + 0.5) * 2.0 ** -d)
+            for d, codes in leaves.items()]
+    return Quantizer(dim, *map(np.concatenate, zip(*rows)), *header)
 
 
 def outer_leaves(levels: list[np.ndarray], dim: int) -> dict[int, np.ndarray]:
@@ -505,11 +505,12 @@ def load_codebook(path) -> Quantizer:
     """Read a codebook file: version 2 as :func:`save_codebook` writes it, or version 1.
 
     A v1 file lists every leaf as one ``{"depth", "index", "code"}``
-    object.  A v2 file's quantizer holds the outer leaves of the subtree at
-    their cube centers, with each listed leaf found as :func:`decode` finds
-    a leaf and given its listed code vector.  ValueError, naming the file and
-    the problem in one line, unless the file is well formed and its leaves
-    tile the cube.
+    object, in any order: its rows go to the :class:`Quantizer`
+    constructor, which sorts them.  A v2 file's quantizer holds the outer
+    leaves of the subtree at their cube centers, with each listed leaf
+    found as :func:`decode` finds a leaf and given its listed code vector.
+    ValueError, naming the file and the problem in one line, unless the
+    file is well formed and its leaves tile the cube.
     """
     with naming(f"codebook {path}"):
         with open(path, encoding="utf-8") as fh:
@@ -551,11 +552,8 @@ def _load_v1(doc: dict) -> Quantizer:
     index = _numbers([row["index"] for row in rows], "leaf indices").reshape(len(rows), dim)
     vectors = _numbers([row["code"] for row in rows], "leaf codes", float).reshape(len(rows), dim)
     _check_finite(vectors, "row")
-    deepest = int(depths.max())
-    start = _lower_corners(depths, index, deepest)
-    order = kernels.morton_argsort(start, dim * deepest)
-    return Quantizer(dim, start[order], depths[order].astype(np.int8), vectors[order],
-                     eta, cap, gamma, beta)
+    return Quantizer(dim, _lower_corners(depths, index, int(depths.max())), depths.astype(np.int8),
+                     vectors, eta, cap, gamma, beta)
 
 
 def _check_finite(vectors: np.ndarray, rows: str) -> None:

@@ -23,7 +23,9 @@ reading of the definitions:
 - ``isolation_depth`` encodes and counts the atoms' cells at each depth in
   turn until they separate, the depth ``oracle_stats`` reads off its sort;
 - ``run_table_rows`` finds the leaf run holding each code with one binary
-  search per code, the lookup a ``Quantizer``'s bucketed table replaces.
+  search per code, the lookup a ``Quantizer``'s bucketed table replaces;
+- ``quantizer_from_tables`` builds a ``Quantizer`` from per-depth tables
+  of leaf codes and code vectors, their rows concatenated unsorted.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from rectree import kernels
 from rectree.errors import DepthCapError, DomainError
 from rectree.oracle import oracle_stats
-from rectree.reconstruction import threshold_subtree
+from rectree.reconstruction import Quantizer, threshold_subtree
 from rectree.kernels import default_max_depth
 from rectree.tree import CellId, cell_to_code, cells_from_codes
 
@@ -270,6 +272,15 @@ def isolation_depth(dist) -> int:
 def run_table_rows(starts: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Row of the last run starting at or below each code (-1 below the first)."""
     return np.searchsorted(starts, codes, side="right") - 1
+
+
+def quantizer_from_tables(dim: int, tables: dict, *header, **named) -> Quantizer:
+    """A Quantizer of per-depth (leaf codes, code vectors) tables; the constructor sorts them."""
+    deepest = max(tables)
+    starts = np.concatenate([codes << dim * (deepest - d) for d, (codes, _) in tables.items()])
+    depths = np.concatenate([np.full(len(codes), d, np.int8) for d, (codes, _) in tables.items()])
+    vectors = np.concatenate([vectors for _, vectors in tables.values()])
+    return Quantizer(dim, starts, depths, vectors, *header, **named)
 
 
 def leaf_count_bound_monitor(dist, etas) -> list[tuple[float, int, int]]:

@@ -18,11 +18,13 @@ from rectree.experiment import run_approximation_trend, run_rate_experiment
 from rectree.kernels import default_max_depth
 from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.reconstruction import (
-    Quantizer, RateSchedule, outer_leaves, quantizer_from_stats, threshold_subtree,
+    RateSchedule, decode, outer_leaves, quantizer_from_stats, threshold_subtree,
 )
 from rectree.stats import Dataset, build_stats
 
-from reference_tree import closure_levels, isolation_depth, lookup, root_cell
+from reference_tree import (
+    closure_levels, isolation_depth, lookup, quantizer_from_tables, root_cell,
+)
 
 
 def report(number, detail, started):
@@ -118,7 +120,7 @@ def test_criterion_02_outer_leaf_partition():
         assert np.array_equal(hits, np.ones(10_000, dtype=np.int64)), f"trial {trial}"
         # One quantizer over the leaves locates every point in the same leaf.
         tables = {d: (codes, np.zeros((codes.shape[0], dim))) for d, codes in by_depth.items()}
-        q = Quantizer.from_tables(dim, tables, 1.0, max(by_depth))
+        q = quantizer_from_tables(dim, tables, 1.0, max(by_depth))
         rows = q.assign(points)
         assert np.array_equal(q.depths[rows], leaf_depth), f"trial {trial}"
         shift = dim * (q.deepest - leaf_depth)
@@ -145,7 +147,8 @@ def test_criterion_03_oracle_equivalence():
             q_e = quantizer_from_stats(table, float(eta))
             assert set(q_o.leaves) == set(q_e.leaves)
             for cell in q_o.leaves:
-                assert np.max(np.abs(q_o.codebook[cell] - q_e.codebook[cell])) <= 1e-12
+                row = [cell.depth], [cell.index]
+                assert np.max(np.abs(decode(q_o, *row) - decode(q_e, *row))) <= 1e-12
     assert time.time() - started < 60
     report(3, "50 distributions x 10 thresholds: subtrees equal, centers within 1e-12", started)
 

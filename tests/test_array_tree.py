@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.reconstruction import (
     CODEBOOK_FORMAT,
-    Quantizer,
     load_codebook,
     quantizer_from_stats,
     save_codebook,
@@ -30,7 +29,9 @@ from rectree.reconstruction import (
 from rectree.stats import Dataset, build_stats, smallest_subtree as envelope_subtree
 from rectree.tree import cell_to_code, cells_from_codes
 
-from reference_tree import closure_levels, lookup, outer_leaves, smallest_subtree
+from reference_tree import (
+    closure_levels, lookup, outer_leaves, quantizer_from_tables, smallest_subtree,
+)
 
 
 def reference_leaves(stats, eta, cap):
@@ -216,7 +217,7 @@ def test_codebook_file_matches_for_edge_values(tmp_path, eta, gamma, beta):
         1: (np.array([1, 2, 3]), np.array([[1e-300, 5e-324], [1 / 3, 1e17], [-0.0, 0.75]])),
         2: (np.arange(4), np.array([[0.125, -0.0], [1e17, 1 / 3], [5e-324, 1e-300], [0.0, 1.0]])),
     }
-    q = Quantizer.from_tables(2, tables, eta, 7, gamma, beta)
+    q = quantizer_from_tables(2, tables, eta, 7, gamma, beta)
     codebook = {cell: vector for depth, (codes, vectors) in tables.items()
                 for cell, vector in zip(cells_from_codes(depth, codes, 2), vectors)}
     assert_same_file(tmp_path, q, codebook)
@@ -271,7 +272,7 @@ def test_saved_codebook_rows_load_in_any_order(tmp_path_factory, data, cap, quan
 @pytest.mark.parametrize("dim", [1, 13])
 @pytest.mark.parametrize("code", [0.5, 0.3])
 def test_single_root_leaf_round_trips(tmp_path, dim, code):
-    q = Quantizer.from_tables(dim, {0: (np.array([0]), np.full((1, dim), code))}, 0.1, 0)
+    q = quantizer_from_tables(dim, {0: (np.array([0]), np.full((1, dim), code))}, 0.1, 0)
     path = tmp_path / "codebook.json"
     save_codebook(q, path)
     doc = json.loads(path.read_text())
@@ -304,7 +305,7 @@ def test_codebook_v2_golden_file(tmp_path):
         1: (np.array([1, 2, 3]), np.array([[0.75, 0.25], [1 / 3, 1e17], [-0.0, 0.75]])),
         2: (np.arange(4), np.array([[0.125, 0.125], [5e-324, 1e-300], [0.125, 0.375], [0.375, 0.4]])),
     }
-    q = Quantizer.from_tables(2, tables, 0.1, 7, 0.8, 2.5)
+    q = quantizer_from_tables(2, tables, 0.1, 7, 0.8, 2.5)
     path = tmp_path / "codebook.json"
     save_codebook(q, path)
     assert path.read_text(encoding="utf-8") == GOLDEN_V2

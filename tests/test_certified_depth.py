@@ -16,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from rectree import kernels
 from rectree.errors import DepthCapError
-from rectree.reconstruction import Quantizer, fit, load_codebook, quantizer_from_stats, RateSchedule
+from rectree.reconstruction import fit, load_codebook, quantizer_from_stats, RateSchedule
 from rectree.stats import Dataset, build_stats, gain_bound
 from rectree.kernels import default_max_depth
 from rectree.tree import CellId, cell_to_code
+
+from reference_tree import quantizer_from_tables
 
 
 def corner_pair(rng, depth, dim, copies):
@@ -231,4 +233,4 @@ def test_loaded_run_table_matches_per_depth_search(tmp_path_factory, case):
 def test_leaves_that_do_not_tile_are_refused_at_construction(tables, message):
     tables = {d: (np.array(codes), np.full((len(codes), 1), 0.5)) for d, codes in tables.items()}
     with pytest.raises(ValueError, match=f"^{message}$"):
-        Quantizer.from_tables(1, tables, 0.1, 2)
+        quantizer_from_tables(1, tables, 0.1, 2)

@@ -280,6 +280,13 @@ class TestExperimentCommands:
                    "--etas", "0.5,0.125,0.03125", "--output", out) == 0
         assert out.read_text().splitlines()[0] == "eta,approx_error,leaf_count"
 
+    @pytest.mark.parametrize("count, dim, atoms", [(4096, 13, 8192), (4096, 5, 3125), (3, 2, 4)])
+    def test_uniform_grid_has_round_nth_root_atoms_per_axis(self, capsys, count, dim, atoms):
+        assert cli._uniform_grid_atoms(count, dim).points.shape == (atoms, dim)
+        with pytest.raises(SystemExit):
+            run("approx-trend", "--help")
+        assert "a grid of round(N^(1/D))^D atoms" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize(
         "argv",
         [["rate-experiment", "--dim", "1", "--n-grid", "2,4", "--holdout-n", "100"],

@@ -86,8 +86,8 @@ def test_cli_outputs(monkeypatch, tmp_path):
         commands = [
             ["sample", "--generator", "swiss_roll", "--dim", "3", "--n", "6000", "--seed", "2",
              "--output", data],
-            # Leaves down to j_n = 6: 18-bit leaf codes, two passes in
-            # Quantizer.from_tables and in load_codebook (encode).
+            # Leaves down to j_n = 6: 18-bit leaf codes, two passes in the
+            # Quantizer constructor, which fit and load_codebook (encode) call.
             ["fit", "--data", data, "--eta", "0.0005", "--output", codebook],
             ["encode", "--codebook", codebook, "--data", data, "--output", out / "ids.csv"],
             ["sweep", "--data", data, "--etas", "0.1,0.01,0.0005", "--output", out / "sweep.csv"],

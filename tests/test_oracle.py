@@ -8,7 +8,7 @@ from rectree import reconstruction
 from rectree.errors import DepthCapError
 from rectree.experiment import run_approximation_trend
 from rectree.oracle import DiscreteDistribution, oracle_stats
-from rectree.reconstruction import quantizer_from_stats, threshold_subtree
+from rectree.reconstruction import decode, quantizer_from_stats, threshold_subtree
 from rectree.stats import Dataset, build_stats
 from rectree.kernels import default_max_depth
 from rectree.tree import CellId
@@ -387,7 +387,8 @@ class TestOracleEmpiricalEquivalence:
             assert set(q_o.leaves) == set(q_e.leaves)
             for cell in q_o.leaves:
                 np.testing.assert_allclose(
-                    q_o.codebook[cell], q_e.codebook[cell], atol=1e-12
+                    decode(q_o, [cell.depth], [cell.index])[0],
+                    decode(q_e, [cell.depth], [cell.index])[0], atol=1e-12
                 )
 
 

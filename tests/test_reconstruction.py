@@ -5,11 +5,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import rectree
 from rectree import kernels, reconstruction
 from rectree.datagen import GeneratorSpec, sample
 from rectree.errors import DepthCapError, DomainError
+from rectree.oracle import DiscreteDistribution, oracle_stats
 from rectree.reconstruction import (
     Quantizer,
     RateSchedule,
@@ -26,7 +28,7 @@ from rectree.reconstruction import (
 from rectree.stats import Dataset, build_stats
 from rectree.tree import CellId
 
-from reference_tree import cube_center, root_cell, run_table_rows
+from reference_tree import cube_center, quantizer_from_tables, root_cell, run_table_rows
 
 TWO_POINT = Dataset(np.array([[0.1], [0.9]]))
 
@@ -153,8 +155,8 @@ class TestFit:
     def test_single_point(self):
         q = fit(Dataset(np.array([[0.7]])), 0.01, RateSchedule(branching=2))
         assert set(q.leaves) == {CellId(1, (0,)), CellId(1, (1,))}
-        assert np.array_equal(q.codebook[CellId(1, (1,))], [0.7])
-        assert np.array_equal(q.codebook[CellId(1, (0,))], cube_center(CellId(1, (0,))))
+        assert np.array_equal(decode(q, [1], [(1,)])[0], [0.7])
+        assert np.array_equal(decode(q, [1], [(0,)])[0], cube_center(CellId(1, (0,))))
 
     def test_isolating_fit_zero_distortion(self):
         # one point per depth-j_n cell, tiny eta: occupied leaves isolate points
@@ -225,7 +227,7 @@ class TestEncodeDecode:
         depths, index = encode(q, np.random.default_rng(2).random((50, 1)))
         rec = decode(q, depths, index)
         assert not np.shares_memory(rec, q.vectors)
-        assert CellId(30, (5,)) not in q.codebook
+        assert CellId(30, (5,)) not in q.leaves
         again = encode(q, rec)
         assert np.array_equal(again[0], depths) and np.array_equal(again[1], index)
 
@@ -296,7 +298,7 @@ class TestEncodeDecode:
             codes = np.arange(0 if depth == deepest else 1, 1 << dim)
             centers = (kernels.morton_decode(codes, depth, dim) + 0.5) * 2.0**-depth
             tables[depth] = (codes, centers)
-        return Quantizer.from_tables(dim, tables, threshold=0.1, depth_cap=deepest)
+        return quantizer_from_tables(dim, tables, threshold=0.1, depth_cap=deepest)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("deepest", [3, 8, 16])
@@ -317,7 +319,7 @@ class TestEncodeDecode:
         # reconstructed as [[0.00195, 0.50195]].
         codes = np.arange(1 << 16)
         centers = (kernels.morton_decode(codes, 8, 2) + 0.5) / 256
-        q = Quantizer.from_tables(2, {8: (codes, centers)}, threshold=0.1, depth_cap=8)
+        q = quantizer_from_tables(2, {8: (codes, centers)}, threshold=0.1, depth_cap=8)
         for point in ([1.0, 0.5], [-0.001, 0.5], [np.nan, 0.5]):
             with pytest.raises(DomainError):
                 q.reconstruct(np.array([point]))
@@ -383,7 +385,7 @@ def tilings(draw, dims=(1, 2, 3)):
         codes = np.array(sorted(c for d, c in leaves if d == depth), dtype=np.int64)
         centers = (kernels.morton_decode(codes, depth, dim) + 0.5) * 2.0**-depth
         tables[depth] = (codes, centers)
-    return Quantizer.from_tables(dim, tables, threshold=0.1, depth_cap=top)
+    return quantizer_from_tables(dim, tables, threshold=0.1, depth_cap=top)
 
 
 def leaf_cells(q):
@@ -449,7 +451,7 @@ class TestLeafLookup:
 
     @pytest.mark.parametrize("dim", [19, 20])
     def test_root_leaf_in_high_dimension(self, dim):
-        q = Quantizer.from_tables(dim, {0: (np.array([0]), np.full((1, dim), 0.5))},
+        q = quantizer_from_tables(dim, {0: (np.array([0]), np.full((1, dim), 0.5))},
                                   threshold=0.1, depth_cap=0)
         points = np.random.default_rng(dim).random((3000, dim))
         points[0] = np.nextafter(1.0, 0.0)
@@ -466,16 +468,100 @@ class TestLeafLookup:
             decode(q, [0, 1], np.zeros((2, dim), np.int64))
 
 
+def rows_of(q, order):
+    """The constructor arguments of ``q`` with its leaf rows taken in ``order``."""
+    return (q.dim, q.starts[order], q.depths[order], q.vectors[order], q.threshold, q.depth_cap,
+            q.gamma, q.beta, q.train_distortion)
+
+
+class TestConstruction:
+    """The constructor takes leaf rows in any order and sorts them before its tiling check."""
+
+    @given(st.integers(1, 2), st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from([0.3, 0.05, 0.01]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_row_order_builds_the_same_quantizer(self, dim, seed, oracle, eta, data):
+        points = np.random.default_rng(seed).random((200, dim)) ** 2
+        if oracle:
+            table = oracle_stats(DiscreteDistribution(points[:20], np.full(20, 0.05)))
+        else:
+            table = build_stats(Dataset(points), 6)
+        q = quantizer_from_stats(table, eta)
+        order = data.draw(st.permutations(range(q.starts.shape[0])))
+        again = Quantizer(*rows_of(q, np.array(order, np.int64)))
+        for name in ("starts", "depths", "vectors"):
+            mine, theirs = getattr(again, name), getattr(q, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        assert again.deepest == q.deepest and again.train_distortion == q.train_distortion
+
+    @given(q=tilings(), fault=st.sampled_from(["duplicate", "nested", "gap"]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shuffled_rows_that_do_not_tile_are_refused(self, q, fault, data):
+        n = q.starts.shape[0]
+        assume(n > 1)
+        i = data.draw(st.integers(0, n - 1))
+        args = list(rows_of(q, np.arange(n)))
+        if fault == "duplicate":
+            args[1:4] = (np.append(a, a[i:i + 1], axis=0) for a in args[1:4])
+            depth = int(q.depths[i])
+            index = kernels.morton_decode(q.starts[i:i + 1] >> q.dim * (q.deepest - depth),
+                                          depth, q.dim)[0].tolist()
+            message = re.escape(f"duplicate leaf, depth {depth} index {index}")
+        elif fault == "nested":
+            # The parent of a leaf holds that leaf and its siblings.
+            shift = q.dim * (q.deepest - q.depths[i] + 1)
+            parent = q.starts[i] >> shift << shift
+            args[1:4] = (np.append(q.starts, parent), np.append(q.depths, q.depths[i] - 1),
+                         np.vstack([q.vectors, q.vectors[i]]))
+            message = "one leaf inside another, depth "
+        else:
+            args[1:4] = (np.delete(a, i, axis=0) for a in args[1:4])
+            message = f"no leaf covers the depth-{q.deepest} cell of code {q.starts[i]}"
+        order = np.array(data.draw(st.permutations(range(args[1].shape[0]))), np.int64)
+        args[1:4] = (a[order] for a in args[1:4])
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Quantizer(*args)
+
+    @pytest.mark.parametrize("starts, depths, vectors, shapes", [
+        ([0, 1], [1], np.zeros((2, 1)), "(2,), (1,), (2, 1)"),
+        ([0, 1], [1, 1], np.zeros((3, 1)), "(2,), (2,), (3, 1)"),
+        ([0, 1], [1, 1], np.zeros((2, 2)), "(2,), (2,), (2, 2)"),
+        ([], [], np.zeros((0, 1)), "(0,), (0,), (0, 1)"),
+    ], ids=["short-depths", "long-vectors", "wide-vectors", "no-rows"])
+    def test_rows_that_do_not_line_up_are_refused(self, starts, depths, vectors, shapes):
+        with pytest.raises(ValueError) as exc:
+            Quantizer(1, np.array(starts, np.int64), np.array(depths, np.int8), vectors, 0.1, 1)
+        assert str(exc.value) == ("starts, depths and vectors must have shapes (n,), (n,), "
+                                  f"(n, 1) with n >= 1, not {shapes}")
+
+    def test_leaf_count_builds_no_cell(self, monkeypatch):
+        # A root split in 13 dimensions, the leaf count of a high-dimensional fit,
+        # its rows given last code first.
+        codes = np.arange(1 << 13)[::-1]
+        q = quantizer_from_tables(13, {1: (codes, (kernels.morton_decode(codes, 1, 13) + 0.5) / 2)},
+                                  threshold=0.1, depth_cap=1)
+        monkeypatch.setattr(reconstruction, "cells_from_codes", lambda *_: pytest.fail("built"))
+        assert len(q.leaves) == 1 << 13
+        assert CellId(1, (1,) * 13) in q.leaves and CellId(2, (0,) * 13) not in q.leaves
+
+    def test_one_way_to_build_and_to_read(self):
+        assert not hasattr(rectree, "CellId") and not hasattr(rectree, "threshold_subtree")
+        assert not hasattr(Quantizer, "from_tables") and not hasattr(Quantizer, "codebook")
+        assert not hasattr(reconstruction, "Codebook")
+        assert reconstruction.threshold_subtree and reconstruction.CellId is CellId
+
+
 class TestDistortion:
     def test_codebook_points_have_zero_distortion(self):
         q = fit(uniform_data(5, 500, 2), 0.05, RateSchedule(branching=4))
-        codes = Dataset(np.array([q.codebook[c] for c in q.leaves if q.codebook[c].min() >= 0]))
+        vectors = [decode(q, [c.depth], [c.index])[0] for c in q.leaves]
+        codes = Dataset(np.array([v for v in vectors if v.min() >= 0]))
         assert empirical_distortion(q, codes) == 0.0
 
     def test_single_cell_quantizer_equals_root_error(self):
         root = root_cell(1)
         tables = {root.depth: (np.array([0]), TWO_POINT.points.mean(axis=0)[None, :])}
-        q = Quantizer.from_tables(1, tables, threshold=1.0, depth_cap=0)
+        q = quantizer_from_tables(1, tables, threshold=1.0, depth_cap=0)
         assert empirical_distortion(q, TWO_POINT) == pytest.approx(0.16, rel=1e-12)
 
     def test_reencoding_decoded_points_is_stable(self):
@@ -495,7 +581,8 @@ class TestSweep:
             single = fit(data, eta, schedule)
             assert set(q.leaves) == set(single.leaves)
             for cell in q.leaves:
-                assert np.array_equal(q.codebook[cell], single.codebook[cell])
+                assert np.array_equal(decode(q, [cell.depth], [cell.index]),
+                                      decode(single, [cell.depth], [cell.index]))
             assert leaf_count == len(q.leaves)
             assert train == pytest.approx(empirical_distortion(single, data), rel=1e-12, abs=0)
 
@@ -603,7 +690,8 @@ class TestSerialization:
         assert back.depth_cap == q.depth_cap
         assert back.gamma == q.gamma and back.beta == q.beta
         for cell in q.leaves:
-            assert np.array_equal(back.codebook[cell], q.codebook[cell])
+            assert np.array_equal(decode(back, [cell.depth], [cell.index]),
+                                  decode(q, [cell.depth], [cell.index]))
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -631,7 +719,7 @@ class TestSaveRefusesNonFiniteCodes:
         # index 1 is row 2, after both depth-1 leaves.
         tables = {1: (np.array([1]), np.array([[0.75]])),
                   2: (np.array([0, 1]), np.array([[0.125], [bad]]))}
-        q = Quantizer.from_tables(1, tables, 0.1, 3)
+        q = quantizer_from_tables(1, tables, 0.1, 3)
         path = tmp_path / "codebook.json"
         with pytest.raises(ValueError, match=rf"codebook .*codebook.json: row 2: code \[{bad}\] "
                                              "is not finite"):
@@ -643,7 +731,7 @@ class TestSaveRefusesWhatLoadRefuses:
     @pytest.mark.parametrize("eta, cap", [(0.0, 3), (math.nan, 3), (-1.0, 3), (0.1, -1)],
                              ids=["eta-zero", "eta-nan", "eta-negative", "cap-negative"])
     def test_header_load_refuses_is_not_written(self, tmp_path, eta, cap):
-        q = Quantizer.from_tables(1, {1: (np.array([0, 1]), np.array([[0.25], [0.75]]))}, eta, cap)
+        q = quantizer_from_tables(1, {1: (np.array([0, 1]), np.array([[0.25], [0.75]]))}, eta, cap)
         path = tmp_path / "codebook.json"
         message = f"codebook {path}: needs a finite eta > 0 and a depth_cap >= 0, not {eta} and {cap}"
         with pytest.raises(ValueError) as exc:
