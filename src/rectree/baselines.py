@@ -29,7 +29,6 @@ _TOL = 1e-10  # relative objective improvement below which Lloyd's iterations st
 @dataclass(frozen=True)
 class KMeansModel:
     centers: np.ndarray
-    k: int
     iterations_run: int
     final_objective: float
     objective_trace: tuple[float, ...]
@@ -104,7 +103,6 @@ def kmeans_fit(
 
     return KMeansModel(
         centers=centers,
-        k=k,
         iterations_run=len(trace),
         final_objective=trace[-1],
         objective_trace=tuple(trace),

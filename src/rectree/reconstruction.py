@@ -26,8 +26,7 @@ several runs share are searched among the run starts.  :func:`encode`
 and :func:`decode` speak (depth, lattice index) arrays, the form of the
 codebook file and the ``rectree encode``/``decode`` CSVs; :func:`decode`
 is the one way to read a leaf's code vector.  ``CellId`` appears only in
-views built on request: the frozenset that :func:`threshold_subtree`
-returns and a quantizer's ``leaves``.
+the frozenset that :func:`threshold_subtree` returns.
 
 The codebook file (:func:`save_codebook`, format version 2) holds the
 subtree and only the leaves whose code vector is not their cube center,
@@ -59,7 +58,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,9 +141,11 @@ class Quantizer:
     constructor takes the leaves as rows in any order: run starts (n,),
     int8 depths (n,) and code vectors (n, dim), n >= 1.  It sorts them by
     run start with one stable :func:`~rectree.kernels.morton_argsort`, so
-    the runs tile [0, 2**(dim m)) in order.  ``tables()`` is a per-depth
-    view of these rows, :func:`decode` reads a leaf's code vector, and
-    ``leaves`` is the set of leaf ``CellId``s, built only when iterated.
+    the runs tile [0, 2**(dim m)) in order.  It refuses rows that are no
+    leaves: non-integer starts or depths, or a depth outside
+    0..kernels.default_max_depth(dim).  ``tables()`` is a per-depth view of
+    these rows, :func:`decode` reads a leaf's code vector, and a leaf count
+    is ``len(q.starts)``.
     ``train_distortion`` is sum_{leaves J} E_J over the data of the table
     it was built from (an oracle's distribution included); None if loaded.
 
@@ -178,6 +178,13 @@ class Quantizer:
         if n < 1 or shapes != ((n,), (n,), (n, self.dim)):
             raise ValueError("starts, depths and vectors must have shapes (n,), (n,), "
                              f"(n, {self.dim}) with n >= 1, not {', '.join(map(str, shapes))}")
+        for name, array in (("starts", self.starts), ("depths", self.depths)):
+            if array.dtype.kind != "i":
+                raise TypeError(f"{name} must be integers, not {array.dtype}")
+        top = kernels.default_max_depth(self.dim)
+        bad = np.flatnonzero((self.depths < 0) | (self.depths > top))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: depth {self.depths[bad[0]]} is outside 0..{top}")
         self.deepest = int(self.depths.max())
         order = kernels.morton_argsort(self.starts, self.dim * self.deepest)
         self.starts, self.depths, self.vectors = (self.starts[order], self.depths[order],
@@ -205,9 +212,13 @@ class Quantizer:
         return out
 
     @property
-    def leaves(self) -> "_Codebook":
-        """The leaves as a lazy set of CellIds: counted and tested without building one."""
-        return _Codebook(self)
+    def leaves(self) -> np.ndarray:
+        """The leaves' sorted run starts, one per leaf: ``starts`` under another name.
+
+        Kept only because the benchmark counts leaves with ``len(q.leaves)``;
+        once it reads ``len(q.starts)``, the name goes.
+        """
+        return self.starts
 
     def assign(self, points) -> np.ndarray:
         """Leaf row of each point: the run holding its depth-m code (one encode, one lookup)."""
@@ -243,29 +254,6 @@ class Quantizer:
     def reconstruct(self, points) -> np.ndarray:
         """Code vector of the leaf containing each point."""
         return np.take(self.vectors, self.assign(points), axis=0)
-
-
-class _Codebook(Set):
-    """A quantizer's leaf CellIds, built from its rows when iterated; membership is a decode."""
-
-    _from_iterable = set  # the result type of &, |, - and ^, as for a dict's keys
-
-    def __init__(self, quantizer: Quantizer):
-        self._q = quantizer
-
-    def __contains__(self, cell) -> bool:
-        try:
-            decode(self._q, [cell.depth], [cell.index])
-        except (AttributeError, ValueError):
-            return False
-        return True
-
-    def __iter__(self):
-        for depth, (codes, _) in self._q.tables().items():
-            yield from cells_from_codes(depth, codes, self._q.dim)
-
-    def __len__(self) -> int:
-        return self._q.starts.shape[0]
 
 
 def quantizer_from_stats(stats: StatsTable, eta: float, gamma: float | None = None,

@@ -23,7 +23,7 @@ A tree is held as one sorted int64 array of Morton codes per depth
 keeps off a statistics table's envelope column, one mask per depth, and
 :func:`~rectree.reconstruction.outer_leaves` takes its leaves.  This
 module holds only the API boundary: :class:`CellId` and the code
-conversions behind the ``CellId`` views of a quantizer and of
+conversions behind the one ``CellId`` view,
 :func:`~rectree.reconstruction.threshold_subtree`, which returns a
 subtree as a frozenset of cells.
 """

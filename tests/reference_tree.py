@@ -1,10 +1,10 @@
 """Per-cell reference model of the dyadic tree, for tests only.
 
-``rectree.tree`` holds a tree as one sorted array of Morton codes per
-depth.  This module keeps the cell-by-cell form of the same definitions
-(``CellId`` in, ``CellId`` out, frozensets for subtrees and leaf sets),
-so that tests can check the array form and the oracle against a literal
-reading of the definitions:
+``rectree.stats`` and ``rectree.reconstruction`` hold a tree as one
+sorted array of Morton codes per depth.  This module keeps the
+cell-by-cell form of the same definitions (``CellId`` in, ``CellId``
+out, frozensets for subtrees and leaf sets), so that tests can check the
+array form and the oracle against a literal reading of the definitions:
 
 - ``locate``, ``children``, ``parent`` and ``ancestors`` walk the tree one
   cell at a time;
@@ -15,7 +15,7 @@ reading of the definitions:
 - ``smallest_subtree`` closes a marked set under ``parent``;
 - ``closure_levels`` closes per-depth arrays of marked Morton codes with
   ``np.union1d``, one level at a time: the closure that the envelope
-  column of a statistics table replaced in ``rectree.tree``;
+  column of a statistics table replaced;
 - ``outer_leaves`` takes the children of the subtree not in the subtree;
 - ``lookup`` and ``cells`` read one cell's statistics from a sample or an
   oracle table, with the count-0 statistics of an empty cell;
@@ -25,7 +25,9 @@ reading of the definitions:
 - ``run_table_rows`` finds the leaf run holding each code with one binary
   search per code, the lookup a ``Quantizer``'s bucketed table replaces;
 - ``quantizer_from_tables`` builds a ``Quantizer`` from per-depth tables
-  of leaf codes and code vectors, their rows concatenated unsorted.
+  of leaf codes and code vectors, their rows concatenated unsorted;
+- ``leaf_cells`` reads a ``Quantizer``'s leaves back as a frozenset of
+  ``CellId``s, for the tests that compare leaf sets or ask membership.
 """
 
 from __future__ import annotations
@@ -281,6 +283,12 @@ def quantizer_from_tables(dim: int, tables: dict, *header, **named) -> Quantizer
     depths = np.concatenate([np.full(len(codes), d, np.int8) for d, (codes, _) in tables.items()])
     vectors = np.concatenate([vectors for _, vectors in tables.values()])
     return Quantizer(dim, starts, depths, vectors, *header, **named)
+
+
+def leaf_cells(q: Quantizer) -> frozenset[CellId]:
+    """The leaves of a Quantizer as CellIds, read from its per-depth tables."""
+    return frozenset(cell for depth, (codes, _) in q.tables().items()
+                     for cell in cells_from_codes(depth, codes, q.dim))
 
 
 def leaf_count_bound_monitor(dist, etas) -> list[tuple[float, int, int]]:

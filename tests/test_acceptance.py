@@ -23,7 +23,7 @@ from rectree.reconstruction import (
 from rectree.stats import Dataset, build_stats
 
 from reference_tree import (
-    closure_levels, isolation_depth, lookup, quantizer_from_tables, root_cell,
+    closure_levels, isolation_depth, leaf_cells, lookup, quantizer_from_tables, root_cell,
 )
 
 
@@ -145,8 +145,8 @@ def test_criterion_03_oracle_equivalence():
             assert sub_o == sub_e, f"trial {trial} eta={eta}"
             q_o = quantizer_from_stats(table_o, float(eta))
             q_e = quantizer_from_stats(table, float(eta))
-            assert set(q_o.leaves) == set(q_e.leaves)
-            for cell in q_o.leaves:
+            assert leaf_cells(q_o) == leaf_cells(q_e)
+            for cell in leaf_cells(q_o):
                 row = [cell.depth], [cell.index]
                 assert np.max(np.abs(decode(q_o, *row) - decode(q_e, *row))) <= 1e-12
     assert time.time() - started < 60

@@ -87,7 +87,7 @@ def assert_same_quantizer(stats, eta, cap):
     subtree, codebook, distortion = reference_leaves(stats, eta, cap)
     assert threshold_subtree(stats, eta, cap) == subtree.cells
     assert q.train_distortion == distortion
-    assert len(q.leaves) == len(codebook)
+    assert len(q.starts) == len(codebook)
     got, want = q.tables(), reference_tables(codebook)
     assert list(got) == list(want)
     for depth in want:
@@ -197,7 +197,7 @@ def test_one_cell_subtree_in_13_dimensions(tmp_path):
     rng = np.random.default_rng(5)
     stats = build_stats(Dataset(rng.random((300, 13))), 1)
     q, codebook = assert_same_quantizer(stats, 1e9, 1)
-    assert len(q.leaves) == 1 << 13
+    assert len(q.starts) == 1 << 13
     assert_same_file(tmp_path, q, codebook)
 
 

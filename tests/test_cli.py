@@ -31,7 +31,7 @@ class TestPipeline:
         assert run("fit", "--data", workdir / "train.rtds", "--eta", "0.05",
                    "--output", cb) == 0
         q = load_codebook(cb)
-        assert len(q.leaves) >= 4
+        assert len(q.starts) >= 4
 
         ids = workdir / "ids.csv"
         rec = workdir / "rec.csv"
@@ -69,7 +69,7 @@ class TestPipeline:
             eta, leaves, value = line.split(",")
             cb, dist = workdir / f"cb-{eta}.json", workdir / f"dist-{eta}.csv"
             assert run("fit", "--data", train, "--eta", eta, "--output", cb) == 0
-            assert len(load_codebook(cb).leaves) == int(leaves)
+            assert len(load_codebook(cb).starts) == int(leaves)
             assert run("distortion", "--codebook", cb, "--data", train, "--output", dist) == 0
             encoded = float(dist.read_text().splitlines()[1].split(",")[1])
             assert float(value) == pytest.approx(encoded, rel=1e-12, abs=0.0)

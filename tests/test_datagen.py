@@ -149,6 +149,24 @@ class TestSample:
         data = sample(GeneratorSpec(kind, dim, seed=2), 400)
         assert pairwise_distances(data.points, 400).max() <= 1.0
 
+    def test_sphere_redraws_a_zero_direction(self):
+        # A zero row of the first normal draw has no direction: it is drawn again.
+        class FirstDrawHasAZeroRow:
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(0), 0
+
+            def standard_normal(self, shape):
+                draw = self.rng.standard_normal(shape)
+                if self.calls == 0:
+                    draw[1] = 0.0
+                self.calls += 1
+                return draw
+
+        g = FirstDrawHasAZeroRow()
+        pts, _, _ = _canonical_manifold(GeneratorSpec("sphere", 3), 4, g)
+        assert g.calls == 2 and pts.shape == (4, 3) and np.isfinite(pts).all()
+        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0, atol=1e-15)
+
     def test_density_flat_bounds_match_uniform(self):
         # two-sample energy statistic: zero in expectation for equal laws
         def energy(a, b, n, seed=7, m=20000):

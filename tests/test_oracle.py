@@ -21,6 +21,7 @@ from reference_tree import (
     cells,
     children,
     isolation_depth,
+    leaf_cells,
     leaf_count_bound_monitor,
     locate,
     lookup,
@@ -384,8 +385,8 @@ class TestOracleEmpiricalEquivalence:
             assert sub_o == sub_e
             q_o = quantizer_from_stats(table_o, eta)
             q_e = quantizer_from_stats(table_e, eta)
-            assert set(q_o.leaves) == set(q_e.leaves)
-            for cell in q_o.leaves:
+            assert leaf_cells(q_o) == leaf_cells(q_e)
+            for cell in leaf_cells(q_o):
                 np.testing.assert_allclose(
                     decode(q_o, [cell.depth], [cell.index])[0],
                     decode(q_e, [cell.depth], [cell.index])[0], atol=1e-12

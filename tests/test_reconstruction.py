@@ -28,7 +28,9 @@ from rectree.reconstruction import (
 from rectree.stats import Dataset, build_stats
 from rectree.tree import CellId
 
-from reference_tree import cube_center, quantizer_from_tables, root_cell, run_table_rows
+from reference_tree import (
+    cube_center, leaf_cells, quantizer_from_tables, root_cell, run_table_rows,
+)
 
 TWO_POINT = Dataset(np.array([[0.1], [0.9]]))
 
@@ -150,11 +152,11 @@ class TestFit:
     def test_degenerate_eta_single_level(self):
         data = uniform_data(0, 500, 2)
         q = fit(data, 1.0, RateSchedule(branching=4))
-        assert set(q.leaves) == {CellId(1, idx) for idx in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+        assert leaf_cells(q) == {CellId(1, idx) for idx in [(0, 0), (0, 1), (1, 0), (1, 1)]}
 
     def test_single_point(self):
         q = fit(Dataset(np.array([[0.7]])), 0.01, RateSchedule(branching=2))
-        assert set(q.leaves) == {CellId(1, (0,)), CellId(1, (1,))}
+        assert leaf_cells(q) == {CellId(1, (0,)), CellId(1, (1,))}
         assert np.array_equal(decode(q, [1], [(1,)])[0], [0.7])
         assert np.array_equal(decode(q, [1], [(0,)])[0], cube_center(CellId(1, (0,))))
 
@@ -190,7 +192,7 @@ class TestFit:
         data = uniform_data(3, 2000, 1)
         schedule = RateSchedule(branching=2)
         q = fit(data, 0.001, schedule)
-        assert all(cell.depth <= schedule.depth_cap(data.n) for cell in q.leaves)
+        assert all(cell.depth <= schedule.depth_cap(data.n) for cell in leaf_cells(q))
 
     def test_depth_cap_error(self):
         # j_n = 80, and at eta = 1e-12 a one-point cell can reach eta down to depth 37.
@@ -204,9 +206,9 @@ class TestFit:
         assert schedule.depth_cap(data.n) == 33
         q = fit(data, 0.01, schedule)
         assert q.depth_cap == 33
-        assert {cell.depth for cell in q.leaves} == {4}
+        assert {cell.depth for cell in leaf_cells(q)} == {4}
         table = build_stats(data, 32)
-        assert set(q.leaves) == set(quantizer_from_stats(table, q.threshold).leaves)
+        assert leaf_cells(q) == leaf_cells(quantizer_from_stats(table, q.threshold))
 
     def test_branching_mismatch(self):
         with pytest.raises(ValueError):
@@ -227,7 +229,7 @@ class TestEncodeDecode:
         depths, index = encode(q, np.random.default_rng(2).random((50, 1)))
         rec = decode(q, depths, index)
         assert not np.shares_memory(rec, q.vectors)
-        assert CellId(30, (5,)) not in q.leaves
+        assert CellId(30, (5,)) not in leaf_cells(q)
         again = encode(q, rec)
         assert np.array_equal(again[0], depths) and np.array_equal(again[1], index)
 
@@ -388,7 +390,7 @@ def tilings(draw, dims=(1, 2, 3)):
     return quantizer_from_tables(dim, tables, threshold=0.1, depth_cap=top)
 
 
-def leaf_cells(q):
+def leaf_ids(q):
     """(depths, lattice indices) of every leaf, in row order."""
     index = kernels.morton_decode(q.starts, q.deepest, q.dim) >> (q.deepest - q.depths[:, None])
     return q.depths.astype(np.int64), index
@@ -405,7 +407,7 @@ class TestLeafLookup:
         n = data.draw(st.sampled_from([0, 1, leaves - 1, leaves, 4 * leaves, 5000]))
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
-        depths, index = leaf_cells(q)
+        depths, index = leaf_ids(q)
         picks = rng.integers(0, leaves, n)
         corners = index[picks] * 2.0 ** -depths[picks, None]
         points = np.where(rng.random((n, q.dim)) < 0.5, rng.random((n, q.dim)), corners)
@@ -427,7 +429,7 @@ class TestLeafLookup:
         leaves = len(q.starts)
         n = data.draw(st.sampled_from([0, 1, leaves - 1, leaves, 4 * leaves, 5000]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        leaf_depths, leaf_index = leaf_cells(q)
+        leaf_depths, leaf_index = leaf_ids(q)
         picks = rng.integers(0, leaves, n)
         depths, index = leaf_depths[picks], leaf_index[picks]
         assert np.array_equal(decode(q, depths, index), q.vectors[picks])
@@ -534,27 +536,45 @@ class TestConstruction:
         assert str(exc.value) == ("starts, depths and vectors must have shapes (n,), (n,), "
                                   f"(n, 1) with n >= 1, not {shapes}")
 
-    def test_leaf_count_builds_no_cell(self, monkeypatch):
+    @pytest.mark.parametrize("starts, depths, dtype", [
+        (np.array([0.0, 1.0]), np.array([1, 1], np.int8), "starts must be integers, not float64"),
+        (np.array([0, 1]), np.array([1.0, 1.0]), "depths must be integers, not float64"),
+    ], ids=["float-starts", "float-depths"])
+    def test_non_integer_rows_are_refused(self, starts, depths, dtype):
+        with pytest.raises(TypeError) as exc:
+            Quantizer(1, starts, depths, np.zeros((2, 1)), 0.1, 1)
+        assert str(exc.value) == dtype
+
+    @pytest.mark.parametrize("depths, row", [
+        ([1, -1], "row 1: depth -1"),
+        ([99, 1], "row 0: depth 99"),
+    ], ids=["negative", "beyond-the-code"])
+    def test_depths_no_code_holds_are_refused(self, depths, row):
+        with pytest.raises(ValueError) as exc:
+            Quantizer(1, np.array([0, 1]), np.array(depths, np.int8), np.zeros((2, 1)), 0.1, 1)
+        assert str(exc.value) == f"{row} is outside 0..{kernels.default_max_depth(1)}"
+
+    def test_leaf_count_builds_no_cell(self):
         # A root split in 13 dimensions, the leaf count of a high-dimensional fit,
-        # its rows given last code first.
+        # its rows given last code first.  The benchmark counts leaves as
+        # len(q.leaves): the sorted run starts, one int64 per leaf.
         codes = np.arange(1 << 13)[::-1]
         q = quantizer_from_tables(13, {1: (codes, (kernels.morton_decode(codes, 1, 13) + 0.5) / 2)},
                                   threshold=0.1, depth_cap=1)
-        monkeypatch.setattr(reconstruction, "cells_from_codes", lambda *_: pytest.fail("built"))
-        assert len(q.leaves) == 1 << 13
-        assert CellId(1, (1,) * 13) in q.leaves and CellId(2, (0,) * 13) not in q.leaves
+        assert q.leaves is q.starts and q.leaves.dtype == np.int64
+        assert len(q.leaves) == 1 << 13 and np.array_equal(q.starts, codes[::-1])
 
     def test_one_way_to_build_and_to_read(self):
         assert not hasattr(rectree, "CellId") and not hasattr(rectree, "threshold_subtree")
         assert not hasattr(Quantizer, "from_tables") and not hasattr(Quantizer, "codebook")
-        assert not hasattr(reconstruction, "Codebook")
+        assert not hasattr(reconstruction, "Codebook") and not hasattr(reconstruction, "_Codebook")
         assert reconstruction.threshold_subtree and reconstruction.CellId is CellId
 
 
 class TestDistortion:
     def test_codebook_points_have_zero_distortion(self):
         q = fit(uniform_data(5, 500, 2), 0.05, RateSchedule(branching=4))
-        vectors = [decode(q, [c.depth], [c.index])[0] for c in q.leaves]
+        vectors = [decode(q, [c.depth], [c.index])[0] for c in leaf_cells(q)]
         codes = Dataset(np.array([v for v in vectors if v.min() >= 0]))
         assert empirical_distortion(q, codes) == 0.0
 
@@ -579,11 +599,11 @@ class TestSweep:
         results = sweep(data, etas, schedule)
         for eta, q, leaf_count, train in results:
             single = fit(data, eta, schedule)
-            assert set(q.leaves) == set(single.leaves)
-            for cell in q.leaves:
+            assert leaf_cells(q) == leaf_cells(single)
+            for cell in leaf_cells(q):
                 assert np.array_equal(decode(q, [cell.depth], [cell.index]),
                                       decode(single, [cell.depth], [cell.index]))
-            assert leaf_count == len(q.leaves)
+            assert leaf_count == len(q.starts)
             assert train == pytest.approx(empirical_distortion(single, data), rel=1e-12, abs=0)
 
     def test_fit_is_the_one_threshold_sweep(self):
@@ -593,7 +613,7 @@ class TestSweep:
         ((eta, swept, leaf_count, train),) = sweep(data, [1], schedule)
         assert type(q.threshold) is float and q.threshold == eta == 1.0
         assert np.array_equal(q.starts, swept.starts) and np.array_equal(q.vectors, swept.vectors)
-        assert leaf_count == len(q.starts) == len(q.leaves) and train == q.train_distortion
+        assert leaf_count == len(q.starts) and train == q.train_distortion
 
     def test_monotonicity(self):
         data = uniform_data(9, 1500, 2)
@@ -685,11 +705,11 @@ class TestSerialization:
         path = tmp_path / "codebook.json"
         save_codebook(q, path)
         back = load_codebook(path)
-        assert set(back.leaves) == set(q.leaves)
+        assert leaf_cells(back) == leaf_cells(q)
         assert back.threshold == q.threshold
         assert back.depth_cap == q.depth_cap
         assert back.gamma == q.gamma and back.beta == q.beta
-        for cell in q.leaves:
+        for cell in leaf_cells(q):
             assert np.array_equal(decode(back, [cell.depth], [cell.index]),
                                   decode(q, [cell.depth], [cell.index]))
 
@@ -816,7 +836,7 @@ class TestCodebookValidation:
         rows = [leaf(1, 1, code=[0.7]), leaf(2, 0, code=[0.1]), leaf(2, 1, code=[0.3])]
         path.write_text(json.dumps(codebook_doc(rows)))
         q = load_codebook(path)
-        assert len(q.leaves) == 3
+        assert len(q.starts) == 3
         depths, index = encode(q, np.array([[0.1]]))
         assert depths.tolist() == [2] and index.tolist() == [[0]]
         assert np.array_equal(decode(q, [1], [[1]]), [[0.7]])
