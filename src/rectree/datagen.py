@@ -205,9 +205,8 @@ def write_dataset(path, data: Dataset) -> None:
 def read_dataset(path) -> Dataset:
     """Read a :func:`write_dataset` file; a malformed one raises a ValueError naming it.
 
-    A version 1 file also holds a flag byte, a scale and a translation
-    between its header and its points; they are skipped.  A point outside
-    the cube is a DomainError naming the file.
+    Only version 2 is read; an older file is refused as unsupported.  A
+    point outside the cube is a DomainError naming the file.
     """
     with naming(path), open(path, "rb") as fh:
         head = fh.read(4 + _HEADER.size)
@@ -216,15 +215,13 @@ def read_dataset(path) -> Dataset:
         if len(head) < 4 + _HEADER.size:
             raise ValueError("dataset header truncated")
         version, dim, n = _HEADER.unpack_from(head, 4)
-        if version not in (1, _VERSION):
+        if version != _VERSION:
             raise ValueError(f"unsupported dataset version {version}")
         if dim < 1:
             raise ValueError(f"dataset dimension must be at least 1, got {dim}")
-        skip = 9 + 8 * dim if version == 1 else 0
-        size, expected = os.fstat(fh.fileno()).st_size, len(head) + skip + 8 * dim * n
+        size, expected = os.fstat(fh.fileno()).st_size, len(head) + 8 * dim * n
         if size != expected:
             raise ValueError(f"{size} bytes, expected {expected} for n = {n}, dim = {dim}")
-        fh.seek(skip, os.SEEK_CUR)
         points = np.frombuffer(fh.read(8 * dim * n), dtype="<f8").reshape(n, dim).copy()
         return Dataset(points)
 

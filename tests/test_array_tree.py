@@ -5,10 +5,10 @@ The reference thresholds cell by cell, closes the marked set with
 statistics table; the fitted path does the same on sorted Morton-code
 arrays.  Both must give the same leaves, the same code vectors and the
 same train distortion bit for bit, on sample and oracle tables.  The
-codebook file must give them back bit for bit: the v2 file that
-``save_codebook`` writes, and the v1 file of the old per-leaf writer.  The
-subtree that the table's envelope column gives must be the ``np.union1d``
-closure of the marked codes, on sample and oracle tables.
+codebook file that ``save_codebook`` writes must hold the document a
+per-leaf writer builds from the reference, and give them back bit for
+bit.  The subtree that the table's envelope column gives must be the
+``np.union1d`` closure of the marked codes, on sample and oracle tables.
 """
 
 import json
@@ -30,7 +30,8 @@ from rectree.stats import Dataset, build_stats, smallest_subtree as envelope_sub
 from rectree.tree import cell_to_code, cells_from_codes
 
 from reference_tree import (
-    closure_levels, lookup, outer_leaves, quantizer_from_tables, smallest_subtree,
+    ancestors, closure_levels, cube_center, lookup, outer_leaves, quantizer_from_tables,
+    smallest_subtree,
 )
 
 
@@ -60,26 +61,21 @@ def reference_tables(codebook):
     return tables
 
 
-def reference_codebook_bytes(q, codebook) -> bytes:
-    """The v1 codebook writer, one leaf at a time."""
-    doc = {
-        "format": CODEBOOK_FORMAT,
-        "version": 1,
-        "dim": q.dim,
-        "eta": q.threshold,
-        "gamma": q.gamma,
-        "beta": q.beta,
-        "depth_cap": q.depth_cap,
-        "leaves": [
-            {
-                "depth": cell.depth,
-                "index": list(cell.index),
-                "code": [float(v) for v in codebook[cell]],
-            }
-            for cell in sorted(codebook, key=lambda c: (c.depth, c.index))
-        ],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode()
+def reference_codebook_doc(q, codebook) -> dict:
+    """The v2 document written leaf by leaf: every strict ancestor of a leaf, and the leaves
+    whose code vector is not bit for bit their cube center, each in (depth, index) order."""
+    def ordered(cells):
+        return sorted(cells, key=lambda c: (c.depth, c.index))
+
+    subtree = ordered({above for cell in codebook for above in ancestors(cell)[1:]})
+    listed = ordered(cell for cell, vector in codebook.items()
+                     if np.asarray(vector, np.float64).tobytes() != cube_center(cell).tobytes())
+    return {"format": CODEBOOK_FORMAT, "version": 2, "dim": q.dim, "eta": q.threshold,
+            "gamma": q.gamma, "beta": q.beta, "depth_cap": q.depth_cap,
+            "subtree": {"depth": [c.depth for c in subtree],
+                        "index": [list(c.index) for c in subtree]},
+            "leaves": {"depth": [c.depth for c in listed], "index": [list(c.index) for c in listed],
+                       "code": [[float(v) for v in codebook[c]] for c in listed]}}
 
 
 def assert_same_quantizer(stats, eta, cap):
@@ -107,16 +103,14 @@ def assert_bit_identical(got, want):
 
 
 def assert_same_file(directory, q, codebook):
-    """The v2 file and the per-leaf v1 file both load to ``q``; v1 -> v2 round-trips."""
-    v1, v2, again = (directory / name for name in ("v1.json", "v2.json", "again.json"))
-    save_codebook(q, v2)
-    assert_bit_identical(load_codebook(v2), q)
-    v1.write_bytes(reference_codebook_bytes(q, codebook))
-    from_v1 = load_codebook(v1)
-    assert_bit_identical(from_v1, q)
-    save_codebook(from_v1, again)
-    assert again.read_bytes() == v2.read_bytes()
-    assert_bit_identical(load_codebook(again), q)
+    """The saved file holds the per-leaf document, loads to ``q`` and saves again unchanged."""
+    path, again = directory / "codebook.json", directory / "again.json"
+    save_codebook(q, path)
+    assert json.loads(path.read_text(encoding="utf-8")) == reference_codebook_doc(q, codebook)
+    back = load_codebook(path)
+    assert_bit_identical(back, q)
+    save_codebook(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def datasets(max_dim):

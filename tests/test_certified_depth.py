@@ -196,17 +196,24 @@ def tilings(draw):
 @settings(max_examples=80, deadline=None)
 def test_loaded_run_table_matches_per_depth_search(tmp_path_factory, case):
     dim, leaves, rng = case
-    rows = [{"depth": d, "index": list(k), "code": rng.random(dim).tolist()} for d, k in leaves]
-    doc = {"format": "rectree-codebook", "version": 1, "dim": dim, "eta": 0.1,
-           "gamma": None, "beta": None, "depth_cap": 3, "leaves": rows}
+    # A v2 file listing every leaf with its code; the subtree is every strict
+    # ancestor of a leaf, its rows shuffled too.
+    codes = [rng.random(dim).tolist() for _ in leaves]
+    subtree = sorted({(e, tuple(k >> (d - e) for k in index)) for d, index in leaves
+                      for e in range(d)})
+    rng.shuffle(subtree)
+    doc = {"format": "rectree-codebook", "version": 2, "dim": dim, "eta": 0.1,
+           "gamma": None, "beta": None, "depth_cap": 3,
+           "subtree": {"depth": [d for d, _ in subtree], "index": [list(k) for _, k in subtree]},
+           "leaves": {"depth": [d for d, _ in leaves], "index": [list(k) for _, k in leaves],
+                      "code": codes}}
     path = tmp_path_factory.mktemp("cb") / "codebook.json"
     path.write_text(json.dumps(doc))
     q = load_codebook(path)
     # The reference tables come from the file's rows, not from the quantizer.
     by_depth = {}
-    for row in rows:
-        cell = CellId(row["depth"], tuple(row["index"]))
-        by_depth.setdefault(cell.depth, []).append((cell_to_code(cell), row["code"]))
+    for (depth, index), code in zip(leaves, codes):
+        by_depth.setdefault(depth, []).append((cell_to_code(CellId(depth, index)), code))
     tables = {}
     for depth in sorted(by_depth):
         entries = sorted(by_depth[depth])
@@ -227,8 +234,15 @@ def test_loaded_run_table_matches_per_depth_search(tmp_path_factory, case):
         ({2: [0, 1, 2]}, "no leaf covers the depth-2 cell of code 3"),
         ({2: [0, 1, 1, 2, 3]}, r"duplicate leaf, depth 2 index \[1\]"),
         ({1: [0, 1], 2: [1]}, r"one leaf inside another, depth 2 index \[1\]"),
+        ({1: [0, 1, 0]}, r"duplicate leaf, depth 1 index \[0\]"),
+        ({1: [0, 1], 2: [0]}, r"one leaf inside another, depth 2 index \[0\]"),
+        ({0: [0], 3: [5]}, r"one leaf inside another, depth 3 index \[5\]"),
+        ({1: [0]}, "no leaf covers the depth-1 cell of code 1"),
+        ({1: [1], 2: [1]}, "no leaf covers the depth-2 cell of code 0"),
+        ({1: [0], 2: [3]}, "no leaf covers the depth-2 cell of code 2"),
     ],
-    ids=["gap", "gap-first", "gap-last", "duplicate", "nested"],
+    ids=["gap", "gap-first", "gap-last", "duplicate", "nested", "duplicate-at-depth-1",
+         "nested-first", "nested-deep", "gap-at-depth-1", "gap-first-mixed", "gap-inside-mixed"],
 )
 def test_leaves_that_do_not_tile_are_refused_at_construction(tables, message):
     tables = {d: (np.array(codes), np.full((len(codes), 1), 0.5)) for d, codes in tables.items()}

@@ -1,5 +1,6 @@
 import json
 import resource
+import struct
 
 import numpy as np
 import pytest
@@ -695,9 +696,11 @@ class TestErrors:
         assert not out.exists()
 
 
-def _v1_codebook(dim, leaves):
-    return json.dumps({"format": "rectree-codebook", "version": 1, "dim": dim, "eta": 0.1,
-                       "depth_cap": 3, "leaves": leaves})
+def _codebook(dim, depths, index, codes):
+    """A hand-written codebook whose subtree is the root alone, listing the given leaves."""
+    return json.dumps({"format": "rectree-codebook", "version": 2, "dim": dim, "eta": 0.1,
+                       "depth_cap": 3, "subtree": {"depth": [0], "index": [[0] * dim]},
+                       "leaves": {"depth": depths, "index": index, "code": codes}})
 
 
 # Refusals of outside input that once printed no file name: (the file, its
@@ -710,13 +713,21 @@ UNNAMED_REFUSALS = [
     ("v7.json", json.dumps({"format": "rectree-codebook", "version": 7}),
      ["encode", "--codebook", "{file}", "--data", "{train}"],
      "codebook {file}: unsupported codebook version 7"),
-    ("short.json", _v1_codebook(2, [{"depth": 0, "index": [0], "code": [0.5, 0.5]}]),
+    ("short.json", _codebook(2, [1], [[0]], [[0.5, 0.5]]),
      ["encode", "--codebook", "{file}", "--data", "{train}"],
-     "codebook {file}: row 0: index and code need 2 entries each"),
-    ("range.json", _v1_codebook(1, [{"depth": 1, "index": [0], "code": [0.5]},
-                                    {"depth": 1, "index": [5], "code": [0.5]}]),
+     "codebook {file}: leaves depth/index/code must have shapes (n,), (n, 2), (n, 2), "
+     "not (1,), (1, 1), (1, 2)"),
+    ("range.json", _codebook(1, [1, 1], [[0], [5]], [[0.5], [0.5]]),
      ["encode", "--codebook", "{file}", "--data", "{train}"],
-     "codebook {file}: row 1: no cell of depth 1 (0..32) has index [5]"),
+     "codebook {file}: leaves row 1: no cell of depth 1 (0..32) has index [5]"),
+    # Version 1 files, which nothing writes any more, are refused as unsupported.
+    ("v1.json", json.dumps({"format": "rectree-codebook", "version": 1, "dim": 1, "eta": 0.1,
+                            "depth_cap": 3, "leaves": [{"depth": 0, "index": [0], "code": [0.5]}]}),
+     ["encode", "--codebook", "{file}", "--data", "{train}"],
+     "codebook {file}: unsupported codebook version 1"),
+    ("v1.rtds", b"RTDS" + struct.pack("<IIQBddd", 1, 1, 1, 0, 0.25, 0.5, 0.5),
+     ["fit", "--data", "{file}", "--eta", "0.1"],
+     "{file}: unsupported dataset version 1"),
     ("cfg.json", '{"n_grid": nope}', ["rate-experiment", "--config", "{file}"],
      "config {file}: Expecting value: line 1 column 12 (char 11)"),
     ("x.csv", b"\xff0.1\n0.2\n", ["fit", "--data", "{file}", "--eta", "0.1"],
@@ -729,7 +740,8 @@ UNNAMED_REFUSALS = [
 class TestRefusalsNameTheirFile:
     @pytest.mark.parametrize(
         "name, content, argv, message", UNNAMED_REFUSALS,
-        ids=["not-json", "not-utf8", "version-7", "v1-short-index", "v1-index-range",
+        ids=["not-json", "not-utf8", "version-7", "short-index", "index-range",
+             "codebook-version-1", "dataset-version-1",
              "config-not-json", "csv-not-utf8", "csv-outside-cube"],
     )
     def test_one_error_line_names_the_file(self, workdir, capsys, name, content, argv, message):

@@ -266,28 +266,15 @@ class TestFileFormats:
         assert path.read_bytes() == header + pts.astype("<f8").tobytes()
         assert np.array_equal(read_dataset(path).points, pts)
 
-    @pytest.mark.parametrize("flag", [0, 1])
-    def test_reads_version_1(self, tmp_path, flag):
-        # Version 1 put a flag byte, a scale and a translation before the points.
-        pts = np.random.default_rng(3).random((7, 3))
-        path = tmp_path / "v1.rtds"
-        path.write_bytes(b"RTDS" + struct.pack("<IIQB", 1, 3, 7, flag) + struct.pack("<d", 0.25)
-                         + struct.pack("<3d", 0.5, 0.5, 0.5) + pts.astype("<f8").tobytes())
-        assert np.array_equal(read_dataset(path).points, pts)
-
-    def test_version_1_size_check_counts_the_map(self, tmp_path):
-        path = tmp_path / "v1.rtds"  # the scale is missing
-        path.write_bytes(b"RTDS" + struct.pack("<IIQB", 1, 2, 1, 0) + bytes(8 * 2 + 8 * 2))
-        with pytest.raises(ValueError) as exc:
-            read_dataset(path)
-        assert str(exc.value) == f"{path}: 53 bytes, expected 61 for n = 1, dim = 2"
-
     def test_refuses_version_3(self, tmp_path):
-        path = tmp_path / "v3.rtds"
-        path.write_bytes(b"RTDS" + struct.pack("<IIQ", 3, 1, 1) + bytes(8))
-        with pytest.raises(ValueError) as exc:
-            read_dataset(path)
-        assert str(exc.value) == f"{path}: unsupported dataset version 3"
+        # Version 1 (a flag byte, a scale and a translation before the points) is
+        # refused like any version no writer makes, before its size is checked.
+        path = tmp_path / "old.rtds"
+        for version, tail in ((1, struct.pack("<Bdd", 0, 0.25, 0.5) + bytes(8)), (3, bytes(8))):
+            path.write_bytes(b"RTDS" + struct.pack("<IIQ", version, 1, 1) + tail)
+            with pytest.raises(ValueError) as exc:
+                read_dataset(path)
+            assert str(exc.value) == f"{path}: unsupported dataset version {version}"
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "bogus.rtds"

@@ -545,6 +545,19 @@ class TestConstruction:
             Quantizer(1, starts, depths, np.zeros((2, 1)), 0.1, 1)
         assert str(exc.value) == dtype
 
+    def test_non_float_vectors_are_refused(self):
+        with pytest.raises(TypeError) as exc:
+            Quantizer(1, np.array([0, 1]), np.array([1, 1], np.int8), np.array([[0], [1]]), 0.1, 1)
+        assert str(exc.value) == "vectors must be floats, not int64"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vectors_are_refused(self, bad):
+        # The rows come last leaf first: the row named is the caller's, before the sort.
+        with pytest.raises(ValueError) as exc:
+            Quantizer(1, np.array([1, 0]), np.array([1, 1], np.int8), np.array([[0.75], [bad]]),
+                      0.1, 1)
+        assert str(exc.value) == f"row 1: code [{bad}] is not finite"
+
     @pytest.mark.parametrize("depths, row", [
         ([1, -1], "row 1: depth -1"),
         ([99, 1], "row 0: depth 99"),
@@ -720,26 +733,29 @@ class TestSerialization:
             load_codebook(path)
 
 
-def leaf(depth, *index, code=None):
-    return {"depth": depth, "index": list(index), "code": code or [0.5] * len(index)}
+def v2_doc(subtree=((0, [0]),), leaves=(), dim=1):
+    """A v2 codebook of the given (depth, index) subtree rows and (depth, index, code) leaves."""
+    return {"format": "rectree-codebook", "version": 2, "dim": dim, "eta": 0.1,
+            "gamma": None, "beta": None, "depth_cap": 3,
+            "subtree": {"depth": [d for d, _ in subtree], "index": [i for _, i in subtree]},
+            "leaves": {"depth": [d for d, _, _ in leaves], "index": [i for _, i, _ in leaves],
+                       "code": [c for _, _, c in leaves]}}
 
 
-def codebook_doc(leaves, dim=1):
-    return {"format": "rectree-codebook", "version": 1, "dim": dim, "eta": 0.1,
-            "gamma": None, "beta": None, "depth_cap": 3, "leaves": leaves}
-
-
-HALVES = [leaf(1, 0), leaf(1, 1)]
+# Root and its left child: leaves [1] at depth 1, [0] and [1] at depth 2.
+LEFT = ((0, [0]), (1, [0]))
 
 
 class TestSaveRefusesNonFiniteCodes:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_names_first_bad_row_and_writes_nothing(self, tmp_path, bad):
+        # The constructor refuses a non-finite code, so one is written in afterwards.
         # Rows sit in file order (depth, then index): the depth-2 leaf at
-        # index 1 is row 2, after both depth-1 leaves.
+        # index 1 (run start 1) is row 2, after both depth-1 leaves.
         tables = {1: (np.array([1]), np.array([[0.75]])),
-                  2: (np.array([0, 1]), np.array([[0.125], [bad]]))}
+                  2: (np.array([0, 1]), np.array([[0.125], [0.375]]))}
         q = quantizer_from_tables(1, tables, 0.1, 3)
+        q.vectors[(q.depths == 2) & (q.starts == 1)] = bad
         path = tmp_path / "codebook.json"
         with pytest.raises(ValueError, match=rf"codebook .*codebook.json: row 2: code \[{bad}\] "
                                              "is not finite"):
@@ -759,45 +775,56 @@ class TestSaveRefusesWhatLoadRefuses:
         assert str(exc.value) == message
         assert not path.exists()
         # The same header written by hand is refused by the load with the same words.
-        path.write_text(json.dumps({**codebook_doc(HALVES), "eta": eta, "depth_cap": cap}))
+        path.write_text(json.dumps({**v2_doc(), "eta": eta, "depth_cap": cap}))
         with pytest.raises(ValueError) as exc:
             load_codebook(path)
         assert str(exc.value) == message
 
 
 class TestCodebookValidation:
+    # A v2 file implies its leaves from its subtree, so a leaf set that does not
+    # tile shows up as a subtree fault, a repeated leaf or a listed cell that is
+    # no outer leaf.  The constructor's own tiling refusals are tested in
+    # test_certified_depth.py::test_leaves_that_do_not_tile_are_refused_at_construction.
     @pytest.mark.parametrize(
         "doc, problem",
         [
-            ({k: v for k, v in codebook_doc(HALVES).items() if k != "dim"}, "lacks dim"),
-            ({k: v for k, v in codebook_doc(HALVES).items() if k != "eta"}, "lacks eta"),
-            (codebook_doc([]), "lacks leaves"),
-            (codebook_doc([leaf(1, 0), leaf(1, 1, 0)]), "row 1: index and code need 1 entries"),
-            (codebook_doc([leaf(1, 0), leaf(1, 1, code=[0.5, 0.5])]), "row 1: index and code"),
-            (codebook_doc([leaf(1, 0), {"depth": 1, "code": [0.5]}]), "KeyError 'index'"),
-            (codebook_doc([leaf(1, 0), leaf(1, 2)]), "row 1: no cell of depth 1"),
-            (codebook_doc([leaf(1, 0), leaf(-1, 0)]), "row 1: no cell of depth -1"),
-            (codebook_doc([leaf(0, 0, 0), leaf(1, 0, 5)], dim=2), "row 1: no cell of depth 1"),
-            (codebook_doc([leaf(1, 0), leaf(1, 1), leaf(1, 0)]), "duplicate leaf"),
-            (codebook_doc([leaf(1, 0), leaf(1, 1), leaf(2, 0)]), "one leaf inside another"),
-            (codebook_doc([leaf(0, 0), leaf(3, 5)]), "one leaf inside another"),
-            (codebook_doc([leaf(1, 0)]), "no leaf covers the depth-1 cell of code 1"),
-            (codebook_doc([leaf(1, 1), leaf(2, 1)]), "no leaf covers the depth-2 cell of code 0"),
-            (codebook_doc([leaf(1, 0), leaf(2, 3)]), "no leaf covers the depth-2 cell of code 2"),
-            ({**codebook_doc(HALVES), "dim": 3.7}, "codebook.json: TypeError dim must be one integer"),
-            (codebook_doc([leaf(1, 0), leaf(1.5, 1)]),
-             "codebook.json: TypeError leaf depths must be integers"),
-            (codebook_doc([leaf(1, 0), leaf(1, 0.5)]),
-             "codebook.json: TypeError leaf indices must be integers"),
-            (codebook_doc([leaf(1, 0), leaf(1, 1, code=[float("nan")])]),
-             r"codebook.json: row 1: code \[nan\] is not finite"),
-            ({**codebook_doc(HALVES), "eta": "abc"}, "codebook.json: TypeError eta must be one number"),
-            (codebook_doc([leaf(1, 0), leaf(1, 1, code=["abc"])]),
-             "codebook.json: TypeError leaf codes must be numbers"),
-            ({**codebook_doc(HALVES), "eta": -1.0}, r"codebook.json: needs .* not -1.0 and 3"),
-            ({**codebook_doc(HALVES), "eta": math.nan}, r"codebook.json: needs .* not nan and 3"),
-            ({**codebook_doc(HALVES), "eta": math.inf}, r"codebook.json: needs .* not inf and 3"),
-            ({**codebook_doc(HALVES), "depth_cap": -5}, r"codebook.json: needs .* not 0.1 and -5"),
+            ({k: v for k, v in v2_doc().items() if k != "dim"}, "lacks dim"),
+            ({k: v for k, v in v2_doc().items() if k != "eta"}, "lacks eta"),
+            ({k: v for k, v in v2_doc().items() if k != "leaves"}, "lacks leaves"),
+            (v2_doc(leaves=[(1, [0, 0], [0.5])]),
+             r"leaves depth/index/code must have shapes .*, not \(1,\), \(1, 2\), \(1, 1\)"),
+            (v2_doc(leaves=[(1, [0], [0.5, 0.5])]),
+             r"leaves depth/index/code must have shapes .*, not \(1,\), \(1, 1\), \(1, 2\)"),
+            ({**v2_doc(), "leaves": {"depth": [1], "code": [[0.5]]}}, "leaves lacks index"),
+            (v2_doc(leaves=[(1, [0], [0.5]), (1, [2], [0.5])]), "row 1: no cell of depth 1"),
+            (v2_doc(leaves=[(1, [0], [0.5]), (-1, [0], [0.5])]), "row 1: no cell of depth -1"),
+            (v2_doc(((0, [0, 0]),), [(0, [0, 0], [0.5, 0.5]), (1, [0, 5], [0.5, 0.5])], dim=2),
+             "row 1: no cell of depth 1"),
+            (v2_doc(leaves=[(1, [0], [0.1]), (1, [1], [0.6]), (1, [0], [0.2])]),
+             r"leaves row 2: depth 1 index \[0\] is listed twice"),
+            (v2_doc(leaves=[(1, [0], [0.1]), (1, [1], [0.6]), (2, [0], [0.1])]),
+             r"leaves row 2: depth 2 index \[0\] is not an outer leaf"),
+            (v2_doc((), [(0, [0], [0.1]), (3, [5], [0.7])]),
+             r"leaves row 1: depth 3 index \[5\] is not an outer leaf"),
+            (v2_doc(((1, [0]),)), "subtree lacks the root"),
+            (v2_doc(((0, [0]), (2, [1]))), r"subtree row 1: depth 2 index \[1\] has no parent"),
+            (v2_doc(((0, [0]), (1, [1]), (3, [5]))),
+             r"subtree row 2: depth 3 index \[5\] has no parent"),
+            ({**v2_doc(), "dim": 3.7}, "codebook.json: TypeError dim must be one integer"),
+            (v2_doc(leaves=[(1, [0], [0.1]), (1.5, [1], [0.6])]),
+             "codebook.json: TypeError leaves.depth must be integers"),
+            (v2_doc(leaves=[(1, [0], [0.1]), (1, [0.5], [0.6])]),
+             "codebook.json: TypeError leaves.index must be integers"),
+            (v2_doc(leaves=[(1, [0], [0.1]), (1, [1], [float("nan")])]),
+             r"codebook.json: leaves row 1: code \[nan\] is not finite"),
+            ({**v2_doc(), "eta": "abc"}, "codebook.json: TypeError eta must be one number"),
+            (v2_doc(leaves=[(1, [0], [0.1]), (1, [1], ["abc"])]),
+             "codebook.json: TypeError leaves.code must be numbers"),
+            ({**v2_doc(), "eta": -1.0}, r"codebook.json: needs .* not -1.0 and 3"),
+            ({**v2_doc(), "eta": math.nan}, r"codebook.json: needs .* not nan and 3"),
+            ({**v2_doc(), "eta": math.inf}, r"codebook.json: needs .* not inf and 3"),
+            ({**v2_doc(), "depth_cap": -5}, r"codebook.json: needs .* not 0.1 and -5"),
         ],
     )
     def test_rejects_with_named_problem(self, tmp_path, doc, problem):
@@ -809,32 +836,15 @@ class TestCodebookValidation:
 
     def test_rejects_dim_zero(self, tmp_path):
         path = tmp_path / "codebook.json"
-        path.write_text(json.dumps({**codebook_doc(HALVES), "dim": 0}))
+        path.write_text(json.dumps({**v2_doc(), "dim": 0}))
         with pytest.raises(ValueError) as exc:
             load_codebook(path)
         assert str(exc.value) == f"codebook {path}: dim 0 is not positive"
 
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ([leaf(1, 0), leaf(1, 1), leaf(1, 0)], "duplicate leaf, depth 1 index [0]"),
-            ([leaf(1, 0), leaf(1, 1), leaf(2, 0)], "one leaf inside another, depth 2 index [0]"),
-            ([leaf(0, 0), leaf(3, 5)], "one leaf inside another, depth 3 index [5]"),
-            ([leaf(1, 0)], "no leaf covers the depth-1 cell of code 1"),
-        ],
-        ids=["duplicate", "nested", "nested-deep", "gap"],
-    )
-    def test_tiling_error_names_the_file(self, tmp_path, rows, message):
-        path = tmp_path / "codebook.json"
-        path.write_text(json.dumps(codebook_doc(rows)))
-        with pytest.raises(ValueError) as exc:
-            load_codebook(path)
-        assert str(exc.value) == f"codebook {path}: {message}"
-
     def test_uneven_tiling_loads_and_encodes(self, tmp_path):
         path = tmp_path / "codebook.json"
-        rows = [leaf(1, 1, code=[0.7]), leaf(2, 0, code=[0.1]), leaf(2, 1, code=[0.3])]
-        path.write_text(json.dumps(codebook_doc(rows)))
+        path.write_text(json.dumps(v2_doc(LEFT, [(1, [1], [0.7]), (2, [0], [0.1]),
+                                                 (2, [1], [0.3])])))
         q = load_codebook(path)
         assert len(q.starts) == 3
         depths, index = encode(q, np.array([[0.1]]))
@@ -842,24 +852,15 @@ class TestCodebookValidation:
         assert np.array_equal(decode(q, [1], [[1]]), [[0.7]])
 
 
-def v2_doc(subtree=((0, [0]),), leaves=(), dim=1):
-    """A v2 codebook of the given (depth, index) subtree rows and (depth, index, code) leaves."""
-    return {"format": "rectree-codebook", "version": 2, "dim": dim, "eta": 0.1,
-            "gamma": None, "beta": None, "depth_cap": 3,
-            "subtree": {"depth": [d for d, _ in subtree], "index": [i for _, i in subtree]},
-            "leaves": {"depth": [d for d, _, _ in leaves], "index": [i for _, i, _ in leaves],
-                       "code": [c for _, _, c in leaves]}}
-
-
-# Root and its left child: leaves [1] at depth 1, [0] and [1] at depth 2.
-LEFT = ((0, [0]), (1, [0]))
-
-
 class TestCodebookV2Validation:
     @pytest.mark.parametrize(
         "doc, message",
         [
             ({**v2_doc(), "version": 3}, "codebook {path}: unsupported codebook version 3"),
+            # Version 1 listed every leaf as one object; nothing writes it any more.
+            ({"format": "rectree-codebook", "version": 1, "dim": 1, "eta": 0.1, "gamma": None,
+              "beta": None, "depth_cap": 3, "leaves": [{"depth": 0, "index": [0], "code": [0.5]}]},
+             "codebook {path}: unsupported codebook version 1"),
             ({k: v for k, v in v2_doc().items() if k != "subtree"}, "codebook {path}: lacks subtree"),
             ({**v2_doc(), "leaves": []}, "codebook {path}: leaves is not an object"),
             ({**v2_doc(), "subtree": {"depth": [0]}}, "codebook {path}: subtree lacks index"),
@@ -902,7 +903,7 @@ class TestCodebookV2Validation:
             (v2_doc(LEFT, [(1, [1], [0.6]), (2, [0], [0.1]), (1, [1], [0.7])]),
              "codebook {path}: leaves row 2: depth 1 index [1] is listed twice"),
         ],
-        ids=["version", "no-subtree", "leaves-list", "no-index", "depth-float", "index-float",
+        ids=["version", "version-1", "no-subtree", "leaves-list", "no-index", "depth-float", "index-float",
              "code-text", "subtree-lengths", "code-length", "index-width", "code-nan",
              "subtree-index-range", "leaf-depth-negative", "subtree-too-deep", "no-root",
              "not-parent-closed", "subtree-duplicate", "leaf-in-subtree", "leaf-orphan",
@@ -935,23 +936,11 @@ class TestCodebookV2Validation:
 # Codebooks whose numbers hold a JSON boolean or string; numpy's inferred dtype
 # passes each one (an int64 or float64 array), so each must be refused entry by entry.
 LOOSE_NUMBERS = [
-    ({**codebook_doc(HALVES), "eta": True}, "eta must be one number"),
-    ({**codebook_doc(HALVES), "eta": "0.05"}, "eta must be one number"),
-    ({**codebook_doc(HALVES), "gamma": True}, "gamma must be one number"),
-    ({**codebook_doc(HALVES), "gamma": "1.5"}, "gamma must be one number"),
-    ({**codebook_doc(HALVES), "beta": False}, "beta must be one number"),
-    ({**codebook_doc(HALVES), "beta": "1.0"}, "beta must be one number"),
-    (codebook_doc([leaf(True, 0), leaf(1, 1)]), "leaf depths must be integers"),
-    (codebook_doc([leaf(1, False), leaf(1, 1)]), "leaf indices must be integers"),
-    (codebook_doc([leaf(1, 0, code=[False]), leaf(1, 1, code=[True])]),
-     "leaf codes must be numbers"),
-    (codebook_doc([leaf(1, 0, code=[False]), leaf(1, 1)]), "leaf codes must be numbers"),
-    (codebook_doc([leaf(1, 0, code=["0.25"]), leaf(1, 1, code=["0.75"])]),
-     "leaf codes must be numbers"),
-    (codebook_doc([leaf(1, 0, code=["0.25"]), leaf(1, 1)]), "leaf codes must be numbers"),
     ({**v2_doc(LEFT), "eta": True}, "eta must be one number"),
     ({**v2_doc(LEFT), "eta": "0.05"}, "eta must be one number"),
     ({**v2_doc(LEFT), "gamma": False}, "gamma must be one number"),
+    ({**v2_doc(LEFT), "gamma": "1.5"}, "gamma must be one number"),
+    ({**v2_doc(LEFT), "beta": False}, "beta must be one number"),
     ({**v2_doc(LEFT), "beta": "1.0"}, "beta must be one number"),
     (v2_doc(((0, [0]), (True, [0]))), "subtree.depth must be integers"),
     (v2_doc(((0, [False]), (1, [0]))), "subtree.index must be integers"),
@@ -968,10 +957,8 @@ LOOSE_NUMBERS = [
 class TestCodebookNumbersAreNumbers:
     @pytest.mark.parametrize(
         "doc, problem", LOOSE_NUMBERS,
-        ids=["v1-eta-true", "v1-eta-text", "v1-gamma-true", "v1-gamma-text", "v1-beta-false",
-             "v1-beta-text", "v1-depth-mixed", "v1-index-mixed", "v1-code-bool",
-             "v1-code-bool-mixed", "v1-code-text", "v1-code-text-mixed", "v2-eta-true",
-             "v2-eta-text", "v2-gamma-false", "v2-beta-text", "v2-subtree-depth-mixed",
+        ids=["v2-eta-true", "v2-eta-text", "v2-gamma-false", "v2-gamma-text", "v2-beta-false",
+             "v2-beta-text", "v2-subtree-depth-mixed",
              "v2-subtree-index-mixed", "v2-leaf-depth-mixed", "v2-leaf-index-mixed",
              "v2-code-bool", "v2-code-bool-mixed", "v2-code-text", "v2-code-text-mixed",
              "v2-code-row-mixed"],
@@ -986,12 +973,10 @@ class TestCodebookNumbersAreNumbers:
     @pytest.mark.parametrize(
         "doc, problem",
         [
-            (codebook_doc([leaf(True, 0), leaf(True, 1)]), "leaf depths must be integers"),
-            (codebook_doc([leaf(1, False), leaf(1, True)]), "leaf indices must be integers"),
             (v2_doc(((True, [0]),)), "subtree.depth must be integers"),
             (v2_doc(LEFT, [(1, [True], [0.6])]), "leaves.index must be integers"),
         ],
-        ids=["v1-depth", "v1-index", "v2-subtree-depth", "v2-leaf-index"],
+        ids=["v2-subtree-depth", "v2-leaf-index"],
     )
     def test_all_boolean_integers_are_refused(self, tmp_path, doc, problem):
         path = tmp_path / "codebook.json"
@@ -1002,10 +987,12 @@ class TestCodebookNumbersAreNumbers:
 
     @pytest.mark.parametrize(
         "doc, version",
-        [({**codebook_doc(HALVES), "version": True}, "True"),
-         ({**codebook_doc(HALVES), "version": 1.0}, "1.0"),
-         ({**v2_doc(LEFT), "version": "2"}, "'2'")],
-        ids=["v1-true", "v1-float", "v2-text"],
+        # True and 1.0 equal the old version 1, and 2.0 equals version 2, in Python.
+        [({**v2_doc(LEFT), "version": True}, "True"),
+         ({**v2_doc(LEFT), "version": 1.0}, "1.0"),
+         ({**v2_doc(LEFT), "version": "2"}, "'2'"),
+         ({**v2_doc(LEFT), "version": 2.0}, "2.0")],
+        ids=["v1-true", "v1-float", "v2-text", "v2-float"],
     )
     def test_version_must_be_an_integer(self, tmp_path, doc, version):
         path = tmp_path / "codebook.json"
